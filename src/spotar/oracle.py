@@ -17,8 +17,10 @@ from .network import Edge, Network, Node, Path, Query, make_path
 from .solver import solve
 from .weights import (
     CostModel,
+    InconsistentWeightsError,
     Mode,
     TrajectoryRecord,
+    _unit_rows,
     build_store,
     coarsest_combination,
     path_cost,
@@ -69,13 +71,17 @@ def exact_spotar(
 ) -> tuple[Path | None, float]:
     """Brute-force answer: evaluate every simple path, keep the best.
 
-    Ties prefer fewer edges, then lexicographic edge ids.  Returns
-    ``(None, 0.0)`` when no path can make the budget at all.
+    Ties prefer fewer edges, then lexicographic edge ids.  Paths whose
+    stored units share no overlap mass have no cost and are skipped.
+    Returns ``(None, 0.0)`` when no path can make the budget at all.
     """
     best_path: Path | None = None
     best_prob = 0.0
     for p in enumerate_simple_paths(net, query, max_edges):
-        prob = path_cost(model, p).cdf(query.budget)
+        try:
+            prob = path_cost(model, p).cdf(query.budget)
+        except InconsistentWeightsError:
+            continue
         if prob <= 0.0:
             continue
         if best_path is None:
@@ -87,13 +93,6 @@ def exact_spotar(
         ):
             best_path, best_prob = p, prob
     return best_path, best_prob
-
-
-def _unit_rows(model: CostModel, unit: tuple[str, ...]) -> list[tuple[tuple[int, ...], float]]:
-    store = model.store
-    if len(unit) == 1:
-        return [((t,), p) for t, p in store.edge_weight(unit[0]).items()]
-    return list(store.path_weight(unit).rows())
 
 
 def _prep_sampler(model: CostModel, path: Path):
@@ -115,7 +114,7 @@ def _prep_sampler(model: CostModel, path: Path):
         start = path.edges.index(unit.edges[0])
         overlap = covered - start
         groups: dict[tuple[int, ...], tuple[list[tuple[int, ...]], list[float]]] = {}
-        for row, p in _unit_rows(model, unit.edges):
+        for row, p in _unit_rows(model.store, unit.edges):
             key = row[:overlap]
             rows, weights = groups.setdefault(key, ([], []))
             rows.append(row)

@@ -6,7 +6,9 @@ trip took only its minimum time (see :func:`spotar.heuristic.arrival_prob`).
 Extensions that reach the destination immediately challenge the
 incumbent answer and are never queued; an incumbent update purges every
 queued label that can no longer beat it, and the search stops as soon
-as the best queued priority cannot either.
+as the best queued priority cannot either.  An extension whose stored
+units share no overlap mass has no cost distribution; it is skipped and
+recorded as a ``skip-inconsistent`` event.
 """
 
 from __future__ import annotations
@@ -19,16 +21,18 @@ from . import dist
 from .dist import Histogram, min_cost
 from .heuristic import HeuristicKind, arrival_prob, make_heuristic
 from .network import Network, Path, Query
-from .weights import CostModel, path_cost
+from .weights import CostModel, InconsistentWeightsError, extend_cost, path_cost
 
 
 @dataclass
 class Label:
     """A partial path under consideration.
 
-    ``cost`` is the path's travel-time distribution (it always equals
-    ``to_cost(path_joint(model, path))``); ``r`` is the queue priority;
-    ``visited`` holds every node on the path for cycle avoidance.
+    ``cost`` is the path's travel-time distribution, equal to
+    ``path_cost(model, path)``: an extension derives its cost from its
+    parent's with :func:`spotar.weights.extend_cost`, which in ``EDGE``
+    mode is one convolution.  ``r`` is the queue priority; ``visited``
+    holds every node on the path for cycle avoidance.
     """
 
     path: Path
@@ -226,8 +230,12 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
                 )
                 continue
             new_path = Path(label.path.edges + (e.edge_id,))
-            cost = path_cost(model, new_path)
             explored.add(e.edge_id)
+            try:
+                cost = extend_cost(model, label.cost, new_path)
+            except InconsistentWeightsError:
+                events.append(SearchEvent("skip-inconsistent", path=label.path.edges, edge=e.edge_id))
+                continue
             if e.to_node == query.dest:
                 offer_incumbent(new_path, cost)
                 continue

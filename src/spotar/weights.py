@@ -24,7 +24,6 @@ from .dist import (
     Histogram,
     JointDist,
     convolve,
-    from_edge,
     marginal,
     point_mass,
 )
@@ -138,6 +137,7 @@ class WeightStore:
         "_edge_weights",
         "_path_weights",
         "_by_first",
+        "_max_len",
     )
 
     def __init__(
@@ -178,8 +178,10 @@ class WeightStore:
                         f"stored weight {key!r} has times for {eid!r} outside its edge weight"
                     )
         by_first: dict[str, list[tuple[str, ...]]] = {}
+        self._max_len = 1
         for key in self._path_weights:
             by_first.setdefault(key[0], []).append(key)
+            self._max_len = max(self._max_len, len(key))
         self._by_first = {eid: tuple(sorted(keys)) for eid, keys in by_first.items()}
 
     def edge_weight(self, edge_id: str) -> Histogram:
@@ -213,7 +215,7 @@ class WeightStore:
     @property
     def max_stored_len(self) -> int:
         """Edge span of the longest stored path weight (1 if none)."""
-        return max((len(k) for k in self._path_weights), default=1)
+        return self._max_len
 
     def __repr__(self) -> str:
         return (
@@ -289,7 +291,7 @@ def build_store(
 
 
 def save_store(store: WeightStore, path: str) -> None:
-    """Write a store as deterministic JSON (sorted keys, fixed layout)."""
+    """Write a store as deterministic compact JSON (sorted keys, no spaces)."""
     doc = {
         "format": STORE_FORMAT,
         "version": STORE_VERSION,
@@ -311,8 +313,7 @@ def save_store(store: WeightStore, path: str) -> None:
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_store(path: str) -> WeightStore:
@@ -405,10 +406,16 @@ def coarsest_combination(store: WeightStore, path: Path) -> list[Path]:
     return [Path(unit) for _, unit in _cover(store, path.edges)]
 
 
-def _unit_joint(store: WeightStore, unit: tuple[str, ...]) -> JointDist:
+def _unit_rows(store: WeightStore, unit: tuple[str, ...]) -> list[tuple[tuple[int, ...], float]]:
+    """(time-vector, probability) rows of one cover unit, in row order.
+
+    A one-edge unit only ever starts where coverage ends, so it never
+    overlaps the unit before it; its rows are read straight from the
+    edge histogram, which the store has already validated.
+    """
     if len(unit) == 1:
-        return from_edge(unit[0], store.edge_weight(unit[0]))
-    return store.path_weight(unit)
+        return [((t,), p) for t, p in store.edge_weight(unit[0]).items()]
+    return list(store.path_weight(unit).rows())
 
 
 def path_joint(model: CostModel, path: Path) -> JointDist:
@@ -428,26 +435,24 @@ def path_joint(model: CostModel, path: Path) -> JointDist:
         units = [(i, (eid,)) for i, eid in enumerate(path.edges)]
     else:
         units = _cover(store, path.edges)
-    acc: dict[tuple[int, ...], float] = {}
-    first = _unit_joint(store, units[0][1])
-    acc = first.as_dict()
+    acc = dict(_unit_rows(store, units[0][1]))
     covered = len(units[0][1])
     for s, unit in units[1:]:
-        uj = _unit_joint(store, unit)
+        rows = _unit_rows(store, unit)
         o = covered - s
         new: dict[tuple[int, ...], float] = {}
         if o == 0:
             for row, p in acc.items():
-                for urow, up in uj.rows():
+                for urow, up in rows:
                     new[row + urow] = new.get(row + urow, 0.0) + p * up
         else:
-            overlap_mass = marginal(uj, unit[:o]).as_dict()
+            overlap_mass = marginal(store.path_weight(unit), unit[:o]).as_dict()
             for row, p in acc.items():
                 key = row[len(row) - o :]
                 denom = overlap_mass.get(key)
                 if denom is None:
                     continue
-                for urow, up in uj.rows():
+                for urow, up in rows:
                     if urow[:o] != key:
                         continue
                     full = row + urow[o:]
@@ -481,15 +486,14 @@ def path_cost(model: CostModel, path: Path) -> Histogram:
     units = _cover(store, path.edges)
     window = store.max_stored_len - 1
     state: dict[tuple[int, tuple[int, ...]], float] = {}
-    first = _unit_joint(store, units[0][1])
-    for row, p in first.rows():
+    for row, p in _unit_rows(store, units[0][1]):
         tail = row[max(0, len(row) - window) :] if window else ()
         state[(sum(row) - sum(tail), tail)] = state.get((sum(row) - sum(tail), tail), 0.0) + p
     covered = len(units[0][1])
     for s, unit in units[1:]:
-        uj = _unit_joint(store, unit)
+        rows = _unit_rows(store, unit)
         o = covered - s
-        overlap_mass = marginal(uj, unit[:o]).as_dict() if o else {}
+        overlap_mass = marginal(store.path_weight(unit), unit[:o]).as_dict() if o else {}
         new: dict[tuple[int, tuple[int, ...]], float] = {}
         for (done, tail), p in state.items():
             if o:
@@ -497,7 +501,7 @@ def path_cost(model: CostModel, path: Path) -> Histogram:
                 denom = overlap_mass.get(key)
                 if denom is None:
                     continue
-            for urow, up in uj.rows():
+            for urow, up in rows:
                 if o:
                     if urow[:o] != key:
                         continue
@@ -523,6 +527,19 @@ def path_cost(model: CostModel, path: Path) -> Histogram:
         t = done + sum(tail)
         out[t] = out.get(t, 0.0) + p
     return Histogram(out, store.delta)
+
+
+def extend_cost(model: CostModel, prefix_cost: Histogram, path: Path) -> Histogram:
+    """Cost of ``path`` given ``prefix_cost``, the cost of ``path`` minus its last edge.
+
+    ``EDGE`` mode convolves the prefix cost with the last edge's weight:
+    that is the last step of the left fold :func:`path_cost` performs,
+    so the result is identical.  In ``PACE`` mode the new edge can change
+    the whole cover, so the path is evaluated with :func:`path_cost`.
+    """
+    if model.mode is Mode.EDGE:
+        return convolve(prefix_cost, model.store.edge_weight(path.edges[-1]))
+    return path_cost(model, path)
 
 
 def extend_joint(model: CostModel, base: JointDist, edge_id: str) -> JointDist:

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from spotar.dist import Histogram, JointDist, convolve, from_edge, to_cost
+from spotar.dist import MASS_TOL, Histogram, JointDist, convolve, from_edge, to_cost
 from spotar.network import Path, PathError, Query
 from spotar.oracle import enumerate_simple_paths, gen_instance
 from spotar.weights import (
@@ -21,6 +21,7 @@ from spotar.weights import (
     WeightStore,
     build_store,
     coarsest_combination,
+    extend_cost,
     extend_joint,
     grid_seconds,
     load_store,
@@ -294,6 +295,46 @@ def test_save_store_is_deterministic(tmp_path, sample_net, sample_records, sampl
     c = tmp_path / "c.json"
     save_store(load_store(str(a)), str(c))
     assert a.read_bytes() == c.read_bytes()
+
+
+def test_save_store_writes_compact_json(tmp_path, sample_store):
+    out = tmp_path / "w.json"
+    save_store(sample_store, str(out))
+    text = out.read_text()
+    assert text.endswith("}\n") and text.count("\n") == 1
+    assert ", " not in text and '": ' not in text
+
+
+def test_load_store_reads_indented_layout(tmp_path, sample_store):
+    compact = tmp_path / "compact.json"
+    save_store(sample_store, str(compact))
+    indented = tmp_path / "indented.json"
+    with open(indented, "w", encoding="utf-8") as fh:
+        json.dump(json.loads(compact.read_text()), fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    again = load_store(str(indented))
+    assert again.edge_ids() == sample_store.edge_ids()
+    assert again.stored_paths() == sample_store.stored_paths()
+    for key in sample_store.stored_paths():
+        assert again.path_weight(key) == sample_store.path_weight(key)
+    resaved = tmp_path / "resaved.json"
+    save_store(again, str(resaved))
+    assert resaved.read_bytes() == compact.read_bytes()
+
+
+def test_max_stored_len_is_longest_key(tmp_path):
+    for seed in range(4):
+        net, records = gen_instance(seed, nodes=10, density=0.6, joint_fraction=0.8)
+        store = build_store(net, records, min_support=10)
+        assert store.stored_paths()
+        longest = max(len(k) for k in store.stored_paths())
+        assert store.max_stored_len == longest
+        out = tmp_path / f"w{seed}.json"
+        save_store(store, str(out))
+        assert load_store(str(out)).max_stored_len == longest
+    edge_only = build_store(net, records, mode=Mode.EDGE)
+    assert edge_only.stored_paths() == ()
+    assert edge_only.max_stored_len == 1
 
 
 def test_load_store_rejects_bad_documents(tmp_path):
@@ -592,3 +633,41 @@ def test_extend_joint_matches_recomputation(pace_model):
     assert grown == path_joint(pace_model, Path(("e1", "e4", "e9")))
     with pytest.raises(PathError):
         extend_joint(pace_model, base, "e1")
+
+
+def random_simple_paths(net, rng, count, max_edges=7):
+    """Random walks that never revisit a node, each at least two edges long."""
+    node_ids = list(net.node_ids)
+    paths = []
+    while len(paths) < count:
+        cur = rng.choice(node_ids)
+        visited = {cur}
+        edges = []
+        while len(edges) < max_edges:
+            options = [e for e in net.out_edges(cur) if e.to_node not in visited]
+            if not options:
+                break
+            e = rng.choice(options)
+            edges.append(e.edge_id)
+            visited.add(e.to_node)
+            cur = e.to_node
+        if len(edges) >= 2:
+            paths.append(Path(tuple(edges)))
+    return paths
+
+
+def test_extend_cost_along_random_paths():
+    """Edge mode extends exactly as ``path_cost`` folds; pace costs match the explicit joint."""
+    rng = random.Random(77)
+    for seed in range(6):
+        net, records = gen_instance(seed, nodes=10, density=0.6, joint_fraction=0.8)
+        store = build_store(net, records, min_support=10)
+        edge, pace = CostModel(store, Mode.EDGE), CostModel(store, Mode.PACE)
+        for p in random_simple_paths(net, rng, 10):
+            edge_cost = path_cost(edge, Path(p.edges[:1]))
+            for k in range(2, len(p.edges) + 1):
+                prefix = Path(p.edges[:k])
+                edge_cost = extend_cost(edge, edge_cost, prefix)
+                assert edge_cost == path_cost(edge, prefix)
+                pace_cost = extend_cost(pace, path_cost(pace, Path(p.edges[: k - 1])), prefix)
+                assert pace_cost.approx_eq(to_cost(path_joint(pace, prefix)), tol=MASS_TOL)
