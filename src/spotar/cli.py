@@ -19,7 +19,7 @@ import sys
 from . import bench as bench_mod
 from .dist import DistributionError, format_histogram
 from .heuristic import HeuristicKind
-from .network import NetworkFormatError, PathError, Query, load_network
+from .network import Network, NetworkFormatError, PathError, Query, load_network
 from .oracle import verify_instances
 from .solver import solve
 from .weights import (
@@ -27,6 +27,7 @@ from .weights import (
     Mode,
     StoreError,
     TrajectoryFormatError,
+    WeightStore,
     build_store,
     load_store,
     load_trajectories,
@@ -119,9 +120,30 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_query(args: argparse.Namespace) -> int:
+def _load_store_and_network(args: argparse.Namespace) -> tuple[WeightStore, Network]:
+    """Load ``--store`` and ``--network`` and check that the store has
+    a weight for exactly the network's edges."""
     store = load_store(args.store)
     net = load_network(args.network, delta=store.delta)
+    stored, edges = set(store.edge_ids()), set(net.edge_ids)
+    unweighted, unknown = edges - stored, stored - edges
+    if unweighted or unknown:
+        problems = [
+            f"{len(ids)} {what} (first {min(ids)!r})"
+            for ids, what in (
+                (unweighted, "network edges have no weight"),
+                (unknown, "stored edges are not in the network"),
+            )
+            if ids
+        ]
+        raise StoreError(
+            f"store {args.store} was not built for network {args.network}: {'; '.join(problems)}"
+        )
+    return store, net
+
+
+def cmd_query(args: argparse.Namespace) -> int:
+    store, net = _load_store_and_network(args)
     mode = Mode.parse(args.mode) if args.mode else store.mode
     model = CostModel(store, mode)
     query = Query(args.source, args.dest, args.budget)
@@ -146,8 +168,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    store = load_store(args.store)
-    net = load_network(args.network, delta=store.delta)
+    store, net = _load_store_and_network(args)
     cfg = bench_mod.load_config(args.config) if args.config else bench_mod.BenchConfig()
     if args.alt_budgets:
         cfg = bench_mod.BenchConfig(

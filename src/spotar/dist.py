@@ -110,7 +110,7 @@ def point_mass(t: int, delta: float = 1.0) -> Histogram:
 
 def min_cost(h: Histogram) -> int:
     """Smallest travel time carrying positive probability."""
-    return next(iter(h.times()))
+    return next(iter(h._entries))
 
 
 def convolve(a: Histogram, b: Histogram) -> Histogram:

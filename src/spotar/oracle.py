@@ -102,11 +102,14 @@ def _prep_sampler(model: CostModel, path: Path):
     conditioned on the times already fixed for the shared edges; a
     partial draw whose shared times no following unit can match is
     thrown away and restarted.  This samples exactly the distribution
-    :func:`spotar.weights.path_cost` computes.
+    :func:`spotar.weights.path_cost` computes.  A path whose stored
+    units share no overlap mass would restart forever, so it raises
+    :class:`InconsistentWeightsError` here instead.
     """
     if model.mode is Mode.EDGE:
         units = [Path((eid,)) for eid in path.edges]
     else:
+        path_cost(model, path)  # raises where every draw would be thrown away
         units = coarsest_combination(model.store, path)
     plan: list[tuple[int, int, dict[tuple[int, ...], tuple[list[tuple[int, ...]], list[float]]]]] = []
     covered = 0

@@ -16,12 +16,13 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import dist
 from .dist import Histogram, min_cost
 from .heuristic import HeuristicKind, arrival_prob, make_heuristic
 from .network import Network, Path, Query
-from .weights import CostModel, InconsistentWeightsError, extend_cost, path_cost
+from .weights import CostModel, FoldStep, InconsistentWeightsError, extend_cost
 
 
 @dataclass
@@ -29,22 +30,26 @@ class Label:
     """A partial path under consideration.
 
     ``cost`` is the path's travel-time distribution, equal to
-    ``path_cost(model, path)``: an extension derives its cost from its
-    parent's with :func:`spotar.weights.extend_cost`, which in ``EDGE``
-    mode is one convolution.  ``r`` is the queue priority; ``visited``
-    holds every node on the path for cycle avoidance.
+    ``path_cost(model, path)``.  ``state`` is what
+    :func:`spotar.weights.extend_cost` returned with it, and an extension
+    derives its cost from it: in ``EDGE`` mode the state is the cost and
+    an extension is one convolution; in ``PACE`` mode it is the cover
+    units with the fold state after each, and an extension folds only
+    the units it does not share with this path.  ``r`` is the queue
+    priority; ``visited`` holds every node on the path for cycle
+    avoidance.
     """
 
     path: Path
     end_node: str
     cost: Histogram
+    state: Histogram | tuple[FoldStep, ...]
     r: float
     visited: frozenset[str]
     alive: bool = True
 
 
-@dataclass(frozen=True)
-class SearchEvent:
+class SearchEvent(NamedTuple):
     """One step of the search, for transcripts and debugging."""
 
     kind: str
@@ -186,7 +191,7 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
             )
             continue
         path = Path((e.edge_id,))
-        cost = path_cost(model, path)
+        cost, state = extend_cost(model, None, path)
         explored.add(e.edge_id)
         if e.to_node == query.dest:
             offer_incumbent(path, cost)
@@ -195,6 +200,7 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
             path=path,
             end_node=e.to_node,
             cost=cost,
+            state=state,
             r=arrival_prob(cost, node_min, query.budget),
             visited=frozenset((query.source, e.to_node)),
         )
@@ -232,7 +238,7 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
             new_path = Path(label.path.edges + (e.edge_id,))
             explored.add(e.edge_id)
             try:
-                cost = extend_cost(model, label.cost, new_path)
+                cost, state = extend_cost(model, label.state, new_path)
             except InconsistentWeightsError:
                 events.append(SearchEvent("skip-inconsistent", path=label.path.edges, edge=e.edge_id))
                 continue
@@ -243,6 +249,7 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
                 path=new_path,
                 end_node=e.to_node,
                 cost=cost,
+                state=state,
                 r=arrival_prob(cost, node_min, query.budget),
                 visited=label.visited | {e.to_node},
             )

@@ -469,28 +469,39 @@ def path_joint(model: CostModel, path: Path) -> JointDist:
     return JointDist(path.edges, acc, store.delta)
 
 
-def path_cost(model: CostModel, path: Path) -> Histogram:
-    """Distribution of a path's total travel time.
+# One step of the pace fold: a cover unit's start index and edges, and the
+# fold state after it, {(elapsed time, recent per-edge times): probability}.
+FoldStep = tuple[int, tuple[str, ...], dict[tuple[int, tuple[int, ...]], float]]
 
-    Matches ``to_cost(path_joint(model, path))`` but never materializes
-    the joint: the fold carries (elapsed time, recent per-edge times)
-    states where the remembered window is one less than the longest
-    stored unit, which is all a future overlap can reach back to.
+
+def _fold(
+    store: WeightStore, resume: tuple[FoldStep, ...], edges: tuple[str, ...]
+) -> tuple[FoldStep, ...]:
+    """Fold steps of ``edges``, resumed from ``resume``, the steps of another path.
+
+    A state maps (elapsed time, recent per-edge times) to probability,
+    where the remembered window is one less than the longest stored
+    unit, which is all a future overlap can reach back to.  The state
+    after the first ``k`` cover units depends only on those units and
+    the store, so the leading units ``edges`` shares with ``resume`` keep
+    their states and only the units after them are folded.  Overlapping
+    units that agree on no overlap time raise
+    :class:`InconsistentWeightsError`.
     """
-    store = model.store
-    if model.mode is Mode.EDGE:
-        cost = store.edge_weight(path.edges[0])
-        for eid in path.edges[1:]:
-            cost = convolve(cost, store.edge_weight(eid))
-        return cost
-    units = _cover(store, path.edges)
+    units = _cover(store, edges)
+    k = 0
+    for (s, unit), step in zip(units, resume):
+        if step[0] != s or step[1] != unit:
+            break
+        k += 1
+    steps = resume[:k]
+    if steps:
+        s, unit, state = steps[-1]
+        covered = s + len(unit)
+    else:
+        state, covered = {(0, ()): 1.0}, 0
     window = store.max_stored_len - 1
-    state: dict[tuple[int, tuple[int, ...]], float] = {}
-    for row, p in _unit_rows(store, units[0][1]):
-        tail = row[max(0, len(row) - window) :] if window else ()
-        state[(sum(row) - sum(tail), tail)] = state.get((sum(row) - sum(tail), tail), 0.0) + p
-    covered = len(units[0][1])
-    for s, unit in units[1:]:
+    for s, unit in units[k:]:
         rows = _unit_rows(store, unit)
         o = covered - s
         overlap_mass = marginal(store.path_weight(unit), unit[:o]).as_dict() if o else {}
@@ -510,36 +521,69 @@ def path_cost(model: CostModel, path: Path) -> Histogram:
                     q = p * up
                 grown = tail + urow[o:]
                 ntail = grown[max(0, len(grown) - window) :] if window else ()
-                ndone = done + sum(grown) - sum(ntail)
-                k = (ndone, ntail)
-                new[k] = new.get(k, 0.0) + q
-        total = math.fsum(new.values())
-        if total <= _FUSE_TOL:
-            raise InconsistentWeightsError(
-                f"overlapping weights for {unit!r} share no mass with the prefix"
-            )
-        if abs(total - 1.0) > _FUSE_TOL:
-            new = {k: p / total for k, p in new.items()}
+                nkey = (done + sum(grown) - sum(ntail), ntail)
+                new[nkey] = new.get(nkey, 0.0) + q
+        # the first unit is taken as stored; only a fused unit can lose mass
+        if s:
+            total = math.fsum(new.values())
+            if total <= _FUSE_TOL:
+                raise InconsistentWeightsError(
+                    f"overlapping weights for {unit!r} share no mass with the prefix"
+                )
+            if abs(total - 1.0) > _FUSE_TOL:
+                new = {nkey: p / total for nkey, p in new.items()}
         state = new
+        steps += ((s, unit, state),)
         covered = s + len(unit)
+    return steps
+
+
+def _fold_cost(store: WeightStore, steps: tuple[FoldStep, ...]) -> Histogram:
+    """Total-time distribution of the last fold state."""
     out: dict[int, float] = {}
-    for (done, tail), p in state.items():
+    for (done, tail), p in steps[-1][2].items():
         t = done + sum(tail)
         out[t] = out.get(t, 0.0) + p
     return Histogram(out, store.delta)
 
 
-def extend_cost(model: CostModel, prefix_cost: Histogram, path: Path) -> Histogram:
-    """Cost of ``path`` given ``prefix_cost``, the cost of ``path`` minus its last edge.
+def path_cost(model: CostModel, path: Path) -> Histogram:
+    """Distribution of a path's total travel time, evaluated from scratch.
 
-    ``EDGE`` mode convolves the prefix cost with the last edge's weight:
-    that is the last step of the left fold :func:`path_cost` performs,
-    so the result is identical.  In ``PACE`` mode the new edge can change
-    the whole cover, so the path is evaluated with :func:`path_cost`.
+    Matches ``to_cost(path_joint(model, path))`` but never materializes
+    the joint: ``EDGE`` mode convolves the edge histograms left to right
+    and ``PACE`` mode folds the cover units from an empty start, as
+    :func:`extend_cost` does from a parent's steps.
+    """
+    store = model.store
+    if model.mode is Mode.EDGE:
+        cost = store.edge_weight(path.edges[0])
+        for eid in path.edges[1:]:
+            cost = convolve(cost, store.edge_weight(eid))
+        return cost
+    return _fold_cost(store, _fold(store, (), path.edges))
+
+
+def extend_cost(
+    model: CostModel, prefix_state: Histogram | tuple[FoldStep, ...] | None, path: Path
+) -> tuple[Histogram, Histogram | tuple[FoldStep, ...]]:
+    """Cost of ``path`` and the state to extend it by, from the state of its prefix.
+
+    ``prefix_state`` is what this function returned for ``path`` minus
+    its last edge, or ``None`` for a one-edge path.  The cost equals
+    :func:`path_cost` exactly.  In ``EDGE`` mode the state is the cost
+    histogram, and the prefix cost is convolved with the last edge's
+    weight: that is the last step of the left fold :func:`path_cost`
+    performs.  In ``PACE`` mode the state is the fold steps; the new edge
+    can change the end of the cover, so the path is covered afresh and
+    only the units after those it shares with the prefix are folded.
     """
     if model.mode is Mode.EDGE:
-        return convolve(prefix_cost, model.store.edge_weight(path.edges[-1]))
-    return path_cost(model, path)
+        weight = model.store.edge_weight(path.edges[-1])
+        cost = weight if prefix_state is None else convolve(prefix_state, weight)
+        return cost, cost
+    steps = _fold(model.store, prefix_state or (), path.edges)
+    return _fold_cost(model.store, steps), steps
 
 
 def extend_joint(model: CostModel, base: JointDist, edge_id: str) -> JointDist:

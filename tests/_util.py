@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from spotar.dist import Histogram, JointDist
 from spotar.network import Network, Node, Edge
+from spotar.weights import TrajectoryRecord
 
 ExactHist = dict[int, Fraction]
 
@@ -93,3 +94,17 @@ def tiny_network(
         for eid, u, v, length, speed in edge_specs
     ]
     return Network(nodes, edges, delta=delta)
+
+
+def conflicting_records(
+    records: list[TrajectoryRecord], rng: random.Random
+) -> list[TrajectoryRecord]:
+    """The same traversals with every time shifted by a random 0-2 units.
+
+    Routes then disagree on the times of edges they share, so some
+    covers fuse stored units that share no overlap time.
+    """
+    return [
+        TrajectoryRecord(r.path, tuple(t + rng.randint(0, 2) for t in r.times), r.count)
+        for r in records
+    ]

@@ -187,6 +187,23 @@ def test_query_errors(store_file, capsys):
     assert run_query(store_file, "--budget", "22", "--heuristic", "warp") == 1
 
 
+def test_store_for_another_network_is_rejected(store_file, tmp_path, capsys):
+    """``query`` and ``bench`` refuse a store whose edge ids differ from the network's."""
+    other = tmp_path / "other.csv"
+    other.write_text(pathlib.Path(NETWORK).read_text().replace("e9,q,d", "e10,q,d"))
+    for argv in (
+        ["query", "--source", "s", "--dest", "d", "--budget", "22"],
+        ["bench", "--out", str(tmp_path / "rows.csv")],
+    ):
+        assert main([*argv, "--network", str(other), "--store", store_file]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"error: store {store_file} was not built for network {other}: "
+            "1 network edges have no weight (first 'e10'); "
+            "1 stored edges are not in the network (first 'e9')"
+        ]
+
+
 def test_usage_errors(capsys):
     assert main(["query", "--network", NETWORK]) == 1
     assert "usage error:" in capsys.readouterr().err

@@ -3,20 +3,28 @@
 The stored joints of ``z1,z2`` and ``z2,z3`` put ``z2`` at 5 and at 9
 respectively, so fusing them over ``z2`` leaves no mass and the only
 route ``z1,z2,z3`` cannot be evaluated.  The search and brute force
-must both skip it and answer no path, and the command line must say so
-rather than fail.
+must both skip it and answer no path, the command line must say so
+rather than fail, and the sampler must raise rather than redraw forever.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
 from spotar.cli import main
 from spotar.heuristic import HeuristicKind
-from spotar.network import Query, load_network
-from spotar.oracle import exact_spotar
+from spotar.network import Path, Query, load_network
+from spotar.oracle import exact_spotar, mc_arrival_prob
 from spotar.solver import solve
-from spotar.weights import CostModel, Mode, build_store, load_trajectories
+from spotar.weights import (
+    CostModel,
+    InconsistentWeightsError,
+    Mode,
+    build_store,
+    load_trajectories,
+)
 
 NETWORK = """#nodes
 a,57.0000000,9.9000000
@@ -45,11 +53,15 @@ def files(tmp_path):
     return str(net_file), str(log_file)
 
 
-@pytest.mark.parametrize("kind", [HeuristicKind.SP, HeuristicKind.BA])
-def test_solve_skips_inconsistent_path(files, kind):
+def z_model(files):
     net = load_network(files[0])
     store = build_store(net, load_trajectories(net, files[1]), min_support=10, mode=Mode.PACE)
-    model = CostModel(store, Mode.PACE)
+    return net, CostModel(store, Mode.PACE)
+
+
+@pytest.mark.parametrize("kind", [HeuristicKind.SP, HeuristicKind.BA])
+def test_solve_skips_inconsistent_path(files, kind):
+    net, model = z_model(files)
     res = solve(net, model, kind, QUERY)
     assert res.path is None
     assert res.probability == 0.0
@@ -67,3 +79,10 @@ def test_query_prints_no_path(files, tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.splitlines()[:2] == ["path NONE", "probability 0"]
+
+
+def test_sampler_raises_on_inconsistent_path(files):
+    net, model = z_model(files)
+    with pytest.raises(InconsistentWeightsError):
+        mc_arrival_prob(model, Path(("z1", "z2", "z3")), 100, 10, random.Random(0))
+    assert mc_arrival_prob(model, Path(("z1", "z2")), 100, 10, random.Random(0)) == 1.0

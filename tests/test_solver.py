@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from spotar.dist import Histogram
-from spotar.heuristic import HeuristicKind
+from spotar.heuristic import HeuristicKind, build_min_tree
 from spotar.network import Path, Query
+from spotar.oracle import gen_instance
 from spotar.solver import Label, SearchQueue, check_dominance, solve
 from spotar.weights import CostModel, Mode, build_store, path_cost
 
-from _util import tiny_network
+from _util import conflicting_records, tiny_network
 
 
 def events_of(result, kind):
@@ -134,6 +137,31 @@ def test_probability_is_achieved_by_returned_path(sample_net, pace_model, edge_m
             assert res.probability == pytest.approx(again, abs=1e-12)
 
 
+def test_probability_is_exactly_the_path_cost_on_random_instances():
+    """Costs built label by label equal the from-scratch cost of the answer bit for bit."""
+    rng = random.Random(11)
+    answered = 0
+    for seed in range(10):
+        net, records = gen_instance(seed, nodes=9, density=0.7, joint_fraction=0.9)
+        if seed % 2:
+            records = conflicting_records(records, rng)
+        store = build_store(net, records, min_support=10)
+        for _ in range(3):
+            source, dest = rng.sample(list(net.node_ids), 2)
+            shortest = build_min_tree(net, store, dest, 10**9).get_min(source)
+            query = Query(source, dest, shortest + rng.randint(0, shortest))
+            for mode in Mode:
+                model = CostModel(store, mode)
+                for kind in HeuristicKind:
+                    res = solve(net, model, kind, query)
+                    if res.path is None:
+                        assert res.probability == 0.0
+                        continue
+                    assert res.probability == path_cost(model, res.path).cdf(query.budget)
+                    answered += 1
+    assert answered >= 100
+
+
 def test_solver_is_deterministic(sample_net, pace_model):
     a = solve(sample_net, pace_model, HeuristicKind.SP, Query("s", "d", 22))
     b = solve(sample_net, pace_model, HeuristicKind.SP, Query("s", "d", 22))
@@ -239,10 +267,12 @@ def test_source_without_outgoing_edges():
 
 
 def label(edges, end, entries, r):
+    cost = Histogram(entries)
     return Label(
         path=Path(tuple(edges)),
         end_node=end,
-        cost=Histogram(entries),
+        cost=cost,
+        state=cost,
         r=r,
         visited=frozenset(),
     )

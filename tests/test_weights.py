@@ -31,7 +31,7 @@ from spotar.weights import (
     save_store,
 )
 
-from _util import tiny_network
+from _util import conflicting_records, tiny_network
 
 
 def approx_dict(got, want, tol=1e-9):
@@ -657,17 +657,58 @@ def random_simple_paths(net, rng, count, max_edges=7):
 
 
 def test_extend_cost_along_random_paths():
-    """Edge mode extends exactly as ``path_cost`` folds; pace costs match the explicit joint."""
+    """Extending edge by edge equals ``path_cost``; pace costs match the explicit joint."""
     rng = random.Random(77)
     for seed in range(6):
         net, records = gen_instance(seed, nodes=10, density=0.6, joint_fraction=0.8)
         store = build_store(net, records, min_support=10)
         edge, pace = CostModel(store, Mode.EDGE), CostModel(store, Mode.PACE)
         for p in random_simple_paths(net, rng, 10):
-            edge_cost = path_cost(edge, Path(p.edges[:1]))
-            for k in range(2, len(p.edges) + 1):
+            edge_state = pace_state = None
+            for k in range(1, len(p.edges) + 1):
                 prefix = Path(p.edges[:k])
-                edge_cost = extend_cost(edge, edge_cost, prefix)
+                edge_cost, edge_state = extend_cost(edge, edge_state, prefix)
                 assert edge_cost == path_cost(edge, prefix)
-                pace_cost = extend_cost(pace, path_cost(pace, Path(p.edges[: k - 1])), prefix)
+                pace_cost, pace_state = extend_cost(pace, pace_state, prefix)
                 assert pace_cost.approx_eq(to_cost(path_joint(pace, prefix)), tol=MASS_TOL)
+
+
+def test_resumed_fold_equals_fold_from_scratch():
+    """A pace extension resumed from its parent's steps is bit-identical to ``path_cost``.
+
+    Redrawn times make routes disagree on the edges they share, so some
+    paths cannot be fused: the extension must raise exactly where the
+    from-scratch fold does.  Every extension must keep the parent's
+    steps for the units both covers share, and some extensions must
+    complete a stored unit that replaces units of the parent's cover.
+    """
+    rng = random.Random(5)
+    resumed = replaced = inconsistent = 0
+    for seed in range(8):
+        net, records = gen_instance(seed, nodes=10, density=0.6, joint_fraction=0.9)
+        for recs in (records, conflicting_records(records, rng)):
+            model = CostModel(build_store(net, recs, min_support=10), Mode.PACE)
+            for p in random_simple_paths(net, rng, 30):
+                state = None
+                for k in range(1, len(p.edges) + 1):
+                    prefix = Path(p.edges[:k])
+                    try:
+                        want = path_cost(model, prefix)
+                    except InconsistentWeightsError:
+                        with pytest.raises(InconsistentWeightsError):
+                            extend_cost(model, state, prefix)
+                        inconsistent += 1
+                        break
+                    cost, grown = extend_cost(model, state, prefix)
+                    assert cost == want
+                    if state is not None:
+                        shared = 0
+                        while shared < len(state) and state[shared][:2] == grown[shared][:2]:
+                            assert grown[shared] is state[shared]
+                            shared += 1
+                        resumed += 1
+                        replaced += shared < len(state)
+                    state = grown
+    assert resumed >= 1000
+    assert replaced >= 200
+    assert inconsistent >= 20
