@@ -35,12 +35,49 @@ def _check_time(t: object) -> int:
     return t
 
 
+def _check_times(times: Sequence[object]) -> None:
+    """Check that every one of ``times`` is an ``int`` (not a ``bool``) of at least 1.
+
+    Each property is one C-level pass over all of the values; the values
+    are walked only to name a bad one.
+    """
+    if not set(map(type, times)) <= {int}:
+        bad = next(t for t in times if type(t) is not int)
+        raise DistributionError(f"travel time {bad!r} is not an integer")
+    if min(times, default=1) < 1:
+        raise DistributionError(f"travel time {min(times)} is below the grid minimum of 1")
+
+
+def _check_probs(probs: Sequence[object]) -> Sequence[float]:
+    """``probs`` as floats, after checking that each is a finite, non-negative
+    ``float`` or ``int``, one C-level pass per property as in :func:`_check_times`."""
+    types = set(map(type, probs))
+    if not types <= {float, int}:
+        bad = next(p for p in probs if type(p) not in (float, int))
+        raise DistributionError(f"probability {bad!r} is not a number")
+    if not all(map(math.isfinite, probs)):
+        bad = next(p for p in probs if not math.isfinite(p))
+        raise DistributionError(f"probability {bad!r} is not finite")
+    if min(probs, default=0.0) < 0.0:
+        raise DistributionError(f"negative probability {min(probs)!r}")
+    return probs if int not in types else list(map(float, probs))
+
+
+def _check_mass(entries: Mapping[object, float], what: str) -> None:
+    """Check that ``entries``, positive probabilities, are not empty and sum to 1."""
+    if not entries:
+        raise DistributionError(f"{what} has no probability mass")
+    mass = math.fsum(entries.values())
+    if abs(mass - 1.0) > MASS_TOL:
+        raise DistributionError(f"total mass {mass!r} differs from 1 by more than {MASS_TOL}")
+
+
 class Histogram:
     """Probability mass over integer travel times.
 
-    Zero-probability entries are dropped at construction; negative
-    probabilities and non-positive or non-integer times are rejected,
-    and the total mass must be 1 within ``MASS_TOL``.
+    Zero-probability entries are dropped at construction; negative or
+    non-finite probabilities and non-positive or non-integer times are
+    rejected, and the total mass must be 1 within ``MASS_TOL``.
     """
 
     __slots__ = ("_entries", "delta")
@@ -49,17 +86,24 @@ class Histogram:
         cleaned: dict[int, float] = {}
         for t, p in entries.items():
             _check_time(t)
-            if p < 0.0:
-                raise DistributionError(f"negative probability {p} at time {t}")
+            if not p >= 0.0:
+                raise DistributionError(f"probability {p!r} at time {t} is negative or not a number")
             if p > 0.0:
                 cleaned[t] = cleaned.get(t, 0.0) + p
-        if not cleaned:
-            raise DistributionError("histogram has no probability mass")
-        mass = math.fsum(cleaned.values())
-        if abs(mass - 1.0) > MASS_TOL:
-            raise DistributionError(f"total mass {mass!r} differs from 1 by more than {MASS_TOL}")
-        self._entries = dict(sorted(cleaned.items()))
-        self.delta = _check_delta(delta)
+        _check_mass(cleaned, "histogram")
+        self._set(dict(sorted(cleaned.items())), _check_delta(delta))
+
+    @classmethod
+    def _checked(cls, entries: dict[int, float], delta: float) -> Histogram:
+        """Histogram over entries that are already checked and sorted by time,
+        with a checked ``delta``; nothing is validated again."""
+        self = object.__new__(cls)
+        self._set(entries, delta)
+        return self
+
+    def _set(self, entries: dict[int, float], delta: float) -> None:
+        self._entries = entries
+        self.delta = delta
 
     def items(self) -> Iterator[tuple[int, float]]:
         """Yield (time, probability) pairs in increasing time order."""
@@ -184,18 +228,27 @@ class JointDist:
                 )
             for t in row:
                 _check_time(t)
-            if p < 0.0:
-                raise DistributionError(f"negative probability {p} at row {row!r}")
+            if not p >= 0.0:
+                raise DistributionError(f"probability {p!r} at row {row!r} is negative or not a number")
             if p > 0.0:
                 cleaned[row] = cleaned.get(row, 0.0) + p
-        if not cleaned:
-            raise DistributionError("joint distribution has no probability mass")
-        mass = math.fsum(cleaned.values())
-        if abs(mass - 1.0) > MASS_TOL:
-            raise DistributionError(f"total mass {mass!r} differs from 1 by more than {MASS_TOL}")
-        self._edges = edge_tuple
-        self._rows = dict(sorted(cleaned.items()))
-        self.delta = _check_delta(delta)
+        _check_mass(cleaned, "joint distribution")
+        self._set(edge_tuple, dict(sorted(cleaned.items())), _check_delta(delta))
+
+    @classmethod
+    def _checked(
+        cls, edges: tuple[str, ...], rows: dict[tuple[int, ...], float], delta: float
+    ) -> JointDist:
+        """Joint over distinct ``edges`` and rows that are already checked and
+        sorted, with a checked ``delta``; nothing is validated again."""
+        self = object.__new__(cls)
+        self._set(edges, rows, delta)
+        return self
+
+    def _set(self, edges: tuple[str, ...], rows: dict[tuple[int, ...], float], delta: float) -> None:
+        self._edges = edges
+        self._rows = rows
+        self.delta = delta
 
     @property
     def edges(self) -> tuple[str, ...]:

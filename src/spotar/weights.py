@@ -17,12 +17,21 @@ from __future__ import annotations
 import enum
 import json
 import math
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
+from operator import itemgetter, lt
+from typing import NoReturn
 
 from .dist import (
+    DistributionError,
     Histogram,
     JointDist,
+    _check_delta,
+    _check_mass,
+    _check_probs,
+    _check_times,
     convolve,
     marginal,
     point_mass,
@@ -66,6 +75,8 @@ class Mode(enum.Enum):
 
 def grid_seconds(seconds: float, delta: float) -> int:
     """Snap a duration in seconds to the time grid (half-up, minimum 1)."""
+    if not math.isfinite(seconds):
+        raise ValueError(f"duration {seconds!r} is not finite")
     if seconds < 0:
         raise ValueError(f"negative duration {seconds!r}")
     return max(1, math.floor(seconds / delta + 0.5))
@@ -161,6 +172,7 @@ class WeightStore:
         for eid, h in self._edge_weights.items():
             if h.delta != self.delta:
                 raise StoreError(f"edge {eid!r} has resolution {h.delta}, store has {self.delta}")
+        supports: dict[str, set[int]] = {}
         for key, j in self._path_weights.items():
             if j.edges != key:
                 raise StoreError(f"stored weight keyed {key!r} covers {j.edges!r}")
@@ -168,12 +180,13 @@ class WeightStore:
                 raise StoreError(f"stored path weight {key!r} must span at least 2 edges")
             if j.delta != self.delta:
                 raise StoreError(f"stored weight {key!r} has resolution {j.delta}")
-            for i, eid in enumerate(key):
-                h = self._edge_weights.get(eid)
-                if h is None:
-                    raise StoreError(f"stored weight {key!r} uses edge {eid!r} with no weight")
-                support = set(h.times())
-                if any(row[i] not in support for row, _ in j.rows()):
+            for eid, column in zip(key, zip(*j.as_dict())):
+                support = supports.get(eid)
+                if support is None:
+                    if eid not in self._edge_weights:
+                        raise StoreError(f"stored weight {key!r} uses edge {eid!r} with no weight")
+                    support = supports[eid] = set(self._edge_weights[eid].times())
+                if not support.issuperset(column):
                     raise StoreError(
                         f"stored weight {key!r} has times for {eid!r} outside its edge weight"
                     )
@@ -316,8 +329,80 @@ def save_store(store: WeightStore, path: str) -> None:
         fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _name(ident: str | tuple[str, ...]) -> str:
+    """How an error names a stored object: an edge id or a stored path key."""
+    return f"edge {ident!r}" if isinstance(ident, str) else f"stored path {ident!r}"
+
+
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _expect(value: object, kind: type, name: str):
+    """``value``, which must be a JSON object, list or string as ``kind`` says."""
+    if type(value) is not kind:
+        raise StoreFormatError(f"{name} must be {_JSON_KINDS[kind]}, not {type(value).__name__}")
+    return value
+
+
+def _name_first_bad(idents: list, groups: list) -> NoReturn:
+    """Raise for the first stored object whose entries fail a check that
+    :func:`load_store` makes in bulk; called only once a bulk check failed."""
+    for ident, entries in zip(idents, groups):
+        name = _name(ident)
+        if type(entries) is not list or not set(map(type, entries)) <= {list}:
+            raise StoreFormatError(f"{name}: entries must be a list of lists")
+        if not set(map(len, entries)) <= {2}:
+            raise StoreFormatError(f"{name}: an entry is not a pair")
+        firsts = [entry[0] for entry in entries]
+        if isinstance(ident, str):
+            times = firsts
+        elif set(map(type, firsts)) <= {list} and set(map(len, firsts)) <= {len(ident)}:
+            times = list(chain.from_iterable(firsts))
+        else:
+            raise StoreFormatError(f"{name}: each row must be a list of {len(ident)} times")
+        try:
+            _check_times(times)
+            _check_probs([entry[1] for entry in entries])
+        except (DistributionError, OverflowError) as exc:
+            raise StoreFormatError(f"{name}: {exc}") from None
+    raise StoreFormatError("malformed store")
+
+
+def _loaded_entries(keys: Sequence, probs: Sequence[float], what: str) -> dict:
+    """``{key: probability}`` of one stored object whose keys and probabilities
+    passed the bulk checks: sorted by key, with zero probabilities dropped.
+
+    No key may appear twice and the mass must be 1.  Keys already strictly
+    increasing, as :func:`save_store` writes them, are not sorted again.
+    """
+    if all(map(lt, keys, keys[1:])):
+        entries = dict(zip(keys, probs))
+    else:
+        entries = dict(sorted(zip(keys, probs)))
+        if len(entries) != len(keys):
+            twice = Counter(keys).most_common(1)[0][0]
+            raise DistributionError(f"{what} lists {twice!r} twice")
+    if 0.0 in probs:
+        entries = {k: p for k, p in entries.items() if p}
+    _check_mass(entries, what)
+    return entries
+
+
 def load_store(path: str) -> WeightStore:
-    """Read a store written by :func:`save_store`, validating as it goes."""
+    """Read a store written by :func:`save_store`, checking the whole document.
+
+    Each property is checked by one pass over all of the document's entries
+    or values: every entry of an edge weight is a ``[time, probability]``
+    pair and every entry of a stored path a ``[row, probability]`` pair,
+    every row holds one time per edge of its path, every time is an ``int``
+    (not a ``bool``) of at least 1, and every probability a finite,
+    non-negative number.  Only when a pass fails are the stored objects
+    walked, to name the first bad edge or stored path.  Then each histogram
+    and joint is checked on its own (distinct edges, no duplicate time or
+    row, zero-probability entries dropped, mass 1 within ``MASS_TOL``) and
+    built without being validated again; :class:`WeightStore` checks that
+    each joint's times lie within its edges' supports.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -328,17 +413,56 @@ def load_store(path: str) -> WeightStore:
     if doc.get("version") != STORE_VERSION:
         raise StoreFormatError(f"unsupported version {doc.get('version')!r}")
     try:
-        delta = float(doc["delta"])
-        mode = Mode.parse(doc["mode"])
-        edge_weights = {
-            eid: Histogram({int(t): float(p) for t, p in pairs}, delta)
-            for eid, pairs in doc["edge_weights"].items()
-        }
-        path_weights = {}
-        for entry in doc["path_weights"]:
-            key = tuple(entry["edges"])
-            rows = {tuple(int(t) for t in row): float(p) for row, p in entry["rows"]}
-            path_weights[key] = JointDist(key, rows, delta)
+        delta = _check_delta(float(doc["delta"]))
+        mode = Mode.parse(_expect(doc["mode"], str, "mode"))
+        fallback = _expect(doc["fallback_edges"], list, "fallback_edges")
+        if not set(map(type, fallback)) <= {str}:
+            raise StoreFormatError("fallback_edges must hold edge ids")
+        edge_docs = _expect(doc["edge_weights"], dict, "edge_weights")
+        path_docs = _expect(doc["path_weights"], list, "path_weights")
+        if not set(map(type, path_docs)) <= {dict}:
+            raise StoreFormatError("path_weights must hold objects")
+        key_lists = list(map(itemgetter("edges"), path_docs))
+        if not set(map(type, key_lists)) <= {list}:
+            raise StoreFormatError("the edges of a stored path must be a list")
+        # Every stored object, edges first: its edge id or path key, and its JSON entries.
+        idents = [*edge_docs, *map(tuple, key_lists)]
+        groups = [*edge_docs.values(), *map(itemgetter("rows"), path_docs)]
+        if not set(map(type, groups)) <= {list}:
+            _name_first_bad(idents, groups)
+        counts = list(map(len, groups))
+        flat = list(chain.from_iterable(groups))
+        if not (set(map(type, flat)) <= {list} and set(map(len, flat)) <= {2}):
+            _name_first_bad(idents, groups)
+        firsts = list(map(itemgetter(0), flat))
+        n_edges = len(edge_docs)
+        split = sum(counts[:n_edges])
+        rows = firsts[split:]
+        widths = chain.from_iterable(map(repeat, map(len, idents[n_edges:]), counts[n_edges:]))
+        if not (set(map(type, rows)) <= {list} and list(map(len, rows)) == list(widths)):
+            _name_first_bad(idents, groups)
+        try:
+            _check_times(firsts[:split] + list(chain.from_iterable(rows)))
+            probs = _check_probs(list(map(itemgetter(1), flat)))
+        except (DistributionError, OverflowError):
+            _name_first_bad(idents, groups)
+        keys = firsts[:split] + list(map(tuple, rows))
+        edge_weights: dict[str, Histogram] = {}
+        path_weights: dict[tuple[str, ...], JointDist] = {}
+        for ident, a, b in zip(idents, accumulate(counts, initial=0), accumulate(counts)):
+            edge = isinstance(ident, str)
+            try:
+                entries = _loaded_entries(keys[a:b], probs[a:b], "histogram" if edge else "joint")
+            except DistributionError as exc:
+                raise StoreFormatError(f"{_name(ident)}: {exc}") from None
+            if edge:
+                edge_weights[ident] = Histogram._checked(entries, delta)
+            elif len(set(ident)) != len(ident):
+                raise StoreFormatError(f"{_name(ident)}: an edge appears twice")
+            elif ident in path_weights:
+                raise StoreFormatError(f"{_name(ident)} appears twice")
+            else:
+                path_weights[ident] = JointDist._checked(ident, entries, delta)
         return WeightStore(
             delta=delta,
             min_support=int(doc["min_support"]),
@@ -346,9 +470,9 @@ def load_store(path: str) -> WeightStore:
             mode=mode,
             edge_weights=edge_weights,
             path_weights=path_weights,
-            fallback_edges=doc["fallback_edges"],
+            fallback_edges=fallback,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, StoreFormatError):
             raise
         raise StoreFormatError(f"malformed store: {exc}") from None

@@ -71,6 +71,13 @@ def test_histogram_rejects_bad_entries(entries):
         Histogram(entries)
 
 
+def test_constructors_reject_nan_probability():
+    with pytest.raises(DistributionError, match="not a number"):
+        Histogram({3: float("nan"), 4: 1.0})
+    with pytest.raises(DistributionError, match="not a number"):
+        JointDist(("a", "b"), {(1, 2): float("nan"), (2, 2): 1.0})
+
+
 def test_histogram_rejects_bad_delta():
     with pytest.raises(DistributionError):
         Histogram({1: 1.0}, delta=0.0)

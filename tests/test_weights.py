@@ -55,6 +55,12 @@ def test_grid_seconds_rounds_half_up():
         grid_seconds(-1.0, 1.0)
 
 
+def test_grid_seconds_rejects_non_finite():
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="not finite"):
+            grid_seconds(bad, 1.0)
+
+
 def test_mode_parse():
     assert Mode.parse("edge") is Mode.EDGE
     assert Mode.parse("PACE") is Mode.PACE
@@ -351,6 +357,62 @@ def test_load_store_rejects_bad_documents(tmp_path):
     f.write_text(json.dumps({"format": "spotar-weights", "version": 1}))
     with pytest.raises(StoreFormatError):
         load_store(str(f))
+
+
+def _assert_same_store(got, want):
+    assert (got.delta, got.min_support, got.max_unit_len, got.mode, got.fallback_edges) == (
+        want.delta, want.min_support, want.max_unit_len, want.mode, want.fallback_edges
+    )
+    assert got.edge_ids() == want.edge_ids()
+    assert got.stored_paths() == want.stored_paths()
+    assert got.max_stored_len == want.max_stored_len
+    for eid in want.edge_ids():
+        assert got.edge_weight(eid) == want.edge_weight(eid)
+        assert list(got.edge_weight(eid).items()) == list(want.edge_weight(eid).items())
+    for key in want.stored_paths():
+        assert got.path_weight(key) == want.path_weight(key)
+        assert list(got.path_weight(key).rows()) == list(want.path_weight(key).rows())
+
+
+def test_loaded_objects_equal_public_constructions(tmp_path, sample_store):
+    """``load_store`` builds its objects without the public constructors; they
+    equal, entry for entry and in the same order, what those constructors
+    build from the same entries given in reverse order."""
+    stores = [sample_store]
+    for seed in range(4):
+        net, records = gen_instance(seed, nodes=10, density=0.6, joint_fraction=0.8)
+        stores += [build_store(net, records, min_support=10), build_store(net, records, mode=Mode.EDGE)]
+    assert sum(len(s.stored_paths()) for s in stores) > 20
+    for i, store in enumerate(stores):
+        out = tmp_path / f"w{i}.json"
+        save_store(store, str(out))
+        loaded = load_store(str(out))
+        for eid in loaded.edge_ids():
+            h = loaded.edge_weight(eid)
+            public = Histogram(dict(reversed(h.as_dict().items())), h.delta)
+            assert h == public
+            assert list(h.items()) == list(public.items())
+        for key in loaded.stored_paths():
+            j = loaded.path_weight(key)
+            public = JointDist(j.edges, dict(reversed(j.as_dict().items())), j.delta)
+            assert j == public
+            assert list(j.rows()) == list(public.rows())
+        _assert_same_store(loaded, store)
+
+
+def test_load_store_sorts_drops_zeros_and_converts(tmp_path, sample_store):
+    """Entries out of order, zero probabilities and integer probabilities
+    load as the public constructors would build them."""
+    out = tmp_path / "w.json"
+    save_store(sample_store, str(out))
+    doc = json.loads(out.read_text())
+    doc["edge_weights"]["e1"] = [[10, 0.1], [9, 0.0], [8, 0.9]]
+    doc["edge_weights"]["e3"] = [[11, 1]]
+    doc["path_weights"][0]["rows"] = [[[10, 10], 0.2], [[8, 10], 0], [[8, 6], 0.8]]
+    out.write_text(json.dumps(doc))
+    loaded = load_store(str(out))
+    _assert_same_store(loaded, sample_store)
+    assert type(loaded.edge_weight("e3").prob(11)) is float
 
 
 def test_cost_model_requires_path_weights_for_pace(sample_net, sample_records):
