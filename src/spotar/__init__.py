@@ -5,7 +5,7 @@ trajectories, then finds the route that maximizes the probability of
 arriving within a time budget.
 """
 
-from .dist import Histogram, JointDist, convolve, dominates, joint_product, marginal, min_cost, to_cost
+from .dist import Histogram, JointDist, convolve, dominates, joint_product, min_cost, to_cost
 from .heuristic import HeuristicKind, arrival_prob, build_min_tree, make_heuristic
 from .network import Edge, Network, Node, Path, Query, load_network, make_path, save_network
 from .oracle import exact_spotar, gen_instance, mc_arrival_prob, verify_instances
@@ -16,7 +16,6 @@ from .weights import (
     TrajectoryRecord,
     WeightStore,
     build_store,
-    coarsest_combination,
     load_store,
     load_trajectories,
     path_cost,
@@ -43,7 +42,6 @@ __all__ = [
     "arrival_prob",
     "build_min_tree",
     "build_store",
-    "coarsest_combination",
     "convolve",
     "dominates",
     "exact_spotar",
@@ -54,7 +52,6 @@ __all__ = [
     "load_trajectories",
     "make_heuristic",
     "make_path",
-    "marginal",
     "mc_arrival_prob",
     "min_cost",
     "path_cost",

@@ -13,6 +13,7 @@ mismatch.  Set ``SPOTAR_LOG=1`` for progress chatter on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -69,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", required=True, help="weight store written by build")
     p.add_argument("--source", required=True)
     p.add_argument("--dest", required=True)
-    p.add_argument("--budget", type=int, required=True, help="time budget in units")
+    p.add_argument("--budget", type=int, required=True,
+                   help="time budget in the store's time units (delta seconds each, set by build --delta)")
     p.add_argument("--heuristic", default="sp", help="sp (tree) or ba (straight line)")
     p.add_argument("--mode", default=None, help="edge or pace (default: the store's mode)")
     p.add_argument("--dump-dist", action="store_true", help="also print the answer's travel-time distribution")
@@ -171,13 +173,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     store, net = _load_store_and_network(args)
     cfg = bench_mod.load_config(args.config) if args.config else bench_mod.BenchConfig()
     if args.alt_budgets:
-        cfg = bench_mod.BenchConfig(
-            budgets=bench_mod.ALT_BUDGETS,
-            buckets=cfg.buckets,
-            queries_per_cell=cfg.queries_per_cell,
-            methods=cfg.methods,
-            seed=cfg.seed,
-        )
+        cfg = dataclasses.replace(cfg, budgets=bench_mod.ALT_BUDGETS)
     rows = bench_mod.run_bench(net, store, cfg)
     bench_mod.write_rows(rows, args.out)
     print(f"{len(rows)} rows written to {args.out}")

@@ -283,11 +283,6 @@ class JointDist:
         return f"JointDist({self._edges!r}, {self._rows!r}, delta={self.delta!r})"
 
 
-def from_edge(edge_id: str, h: Histogram) -> JointDist:
-    """Lift a single edge's histogram to a one-edge joint distribution."""
-    return JointDist((edge_id,), {(t,): p for t, p in h.items()}, h.delta)
-
-
 def joint_product(a: JointDist, b: JointDist) -> JointDist:
     """Independent combination of two joints over disjoint edge sets.
 
@@ -305,24 +300,6 @@ def joint_product(a: JointDist, b: JointDist) -> JointDist:
         for row_b, pb in b.rows():
             out[row_a + row_b] = pa * pb
     return JointDist(a.edges + b.edges, out, a.delta)
-
-
-def marginal(j: JointDist, sub_edges: Sequence[str]) -> JointDist:
-    """Marginal of a joint on a contiguous run of its edges."""
-    sub = tuple(sub_edges)
-    if not sub:
-        raise DistributionError("marginal needs at least one edge")
-    try:
-        start = j.edges.index(sub[0])
-    except ValueError:
-        raise DistributionError(f"{sub[0]!r} is not an edge of {j.edges!r}") from None
-    if j.edges[start : start + len(sub)] != sub:
-        raise DistributionError(f"{sub!r} is not a contiguous run of {j.edges!r}")
-    out: dict[tuple[int, ...], float] = {}
-    for row, p in j.rows():
-        key = row[start : start + len(sub)]
-        out[key] = out.get(key, 0.0) + p
-    return JointDist(sub, out, j.delta)
 
 
 def to_cost(j: JointDist) -> Histogram:

@@ -112,20 +112,13 @@ def make_heuristic(
     return StraightLineBound(net, dest)
 
 
-def reach_indicator(node_min: int | None, t: int) -> float:
-    """1 if ``t`` units suffice to cover the bound from a node, else 0."""
-    if node_min is None:
-        return 0.0
-    return 1.0 if t >= node_min else 0.0
-
-
 def arrival_prob(cost: Histogram, node_min: int | None, budget: int) -> float:
     """Chance that a partial trip still fits the budget.
 
     Sums the path-so-far mass over times ``k`` with
-    ``reach_indicator(node_min, budget - k) == 1``, which collapses to
-    one CDF lookup.  This is the search's priority: an upper bound on
-    the completion probability of any extension.
+    ``k + node_min <= budget``, which is one CDF lookup.  This is the
+    search's priority: an upper bound on the completion probability of
+    any extension.
     """
     if node_min is None:
         return 0.0

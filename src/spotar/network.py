@@ -158,15 +158,6 @@ class Network:
         return f"Network({self.num_nodes()} nodes, {self.num_edges()} edges, delta={self.delta})"
 
 
-def reverse(net: Network) -> Network:
-    """The same network with every edge direction flipped."""
-    flipped = [
-        Edge(e.edge_id, e.to_node, e.from_node, e.length, e.speed_limit)
-        for e in (net.edge(eid) for eid in net.edge_ids)
-    ]
-    return Network((net.node(nid) for nid in net.node_ids), flipped, net.delta)
-
-
 def make_path(net: Network, edge_ids: Sequence[str]) -> Path:
     """Validate an edge sequence against a network and wrap it as a Path.
 
@@ -189,23 +180,6 @@ def make_path(net: Network, edge_ids: Sequence[str]) -> Path:
             )
         prev = e
     return Path(ids)
-
-
-def path_nodes(net: Network, path: Path) -> tuple[str, ...]:
-    """Node sequence visited by a path, source first."""
-    first = net.edge(path.edges[0])
-    nodes = [first.from_node]
-    for eid in path.edges:
-        nodes.append(net.edge(eid).to_node)
-    return tuple(nodes)
-
-
-def is_subpath(p: Path, q: Path) -> bool:
-    """True if ``p``'s edges appear in ``q`` as one contiguous run."""
-    n, m = len(p.edges), len(q.edges)
-    if n > m:
-        return False
-    return any(q.edges[i : i + n] == p.edges for i in range(m - n + 1))
 
 
 def load_network(path: str, delta: float = 1.0) -> Network:

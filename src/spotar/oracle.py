@@ -20,9 +20,9 @@ from .weights import (
     InconsistentWeightsError,
     Mode,
     TrajectoryRecord,
-    _unit_rows,
+    _unit_table,
+    _units,
     build_store,
-    coarsest_combination,
     path_cost,
 )
 
@@ -106,49 +106,29 @@ def _prep_sampler(model: CostModel, path: Path):
     units share no overlap mass would restart forever, so it raises
     :class:`InconsistentWeightsError` here instead.
     """
-    if model.mode is Mode.EDGE:
-        units = [Path((eid,)) for eid in path.edges]
-    else:
+    if model.mode is Mode.PACE:
         path_cost(model, path)  # raises where every draw would be thrown away
-        units = coarsest_combination(model.store, path)
-    plan: list[tuple[int, int, dict[tuple[int, ...], tuple[list[tuple[int, ...]], list[float]]]]] = []
+    plan: list[tuple[int, dict]] = []
     covered = 0
-    for unit in units:
-        start = path.edges.index(unit.edges[0])
+    for start, unit in _units(model, path.edges):
         overlap = covered - start
-        groups: dict[tuple[int, ...], tuple[list[tuple[int, ...]], list[float]]] = {}
-        for row, p in _unit_rows(model.store, unit.edges):
-            key = row[:overlap]
-            rows, weights = groups.setdefault(key, ([], []))
-            rows.append(row)
-            weights.append(p)
-        plan.append((start, overlap, groups))
-        covered = start + len(unit.edges)
+        table = _unit_table(model.store, unit, overlap)
+        plan.append((overlap, {key: tuple(zip(*pairs)) for key, (_, pairs) in table.items()}))
+        covered = start + len(unit)
 
     def draw(rng: random.Random) -> int:
         while True:
-            times: list[int] = [0] * len(path.edges)
-            ok = True
-            filled = 0
-            for start, overlap, groups in plan:
-                key = tuple(times[start : start + overlap])
-                group = groups.get(key)
+            times: list[int] = []
+            for overlap, groups in plan:
+                group = groups.get(tuple(times[len(times) - overlap :]))
                 if group is None:
-                    ok = False
                     break
-                rows, weights = group
-                row = rng.choices(rows, weights=weights)[0]
-                times[filled : start + len(row)] = row[overlap:]
-                filled = start + len(row)
-            if ok:
+                rests, weights = group
+                times += rng.choices(rests, weights=weights)[0]
+            else:
                 return sum(times)
 
     return draw
-
-
-def sample_total_time(model: CostModel, path: Path, rng: random.Random) -> int:
-    """One random draw of the path's total travel time in units."""
-    return _prep_sampler(model, path)(rng)
 
 
 def mc_arrival_prob(

@@ -33,7 +33,6 @@ from .dist import (
     _check_probs,
     _check_times,
     convolve,
-    marginal,
     point_mass,
 )
 from .network import Network, Path, PathError, make_path
@@ -525,21 +524,46 @@ def _cover(store: WeightStore, edges: tuple[str, ...]) -> list[tuple[int, tuple[
     return units
 
 
-def coarsest_combination(store: WeightStore, path: Path) -> list[Path]:
-    """The covering sub-paths used to evaluate ``path`` against a store."""
-    return [Path(unit) for _, unit in _cover(store, path.edges)]
+def _units(model: CostModel, edges: tuple[str, ...]) -> list[tuple[int, tuple[str, ...]]]:
+    """(start index, unit edges) pairs a path's cost is fused from: every
+    edge on its own in ``EDGE`` mode, the :func:`_cover` in ``PACE`` mode."""
+    if model.mode is Mode.EDGE:
+        return [(i, (eid,)) for i, eid in enumerate(edges)]
+    return _cover(model.store, edges)
 
 
-def _unit_rows(store: WeightStore, unit: tuple[str, ...]) -> list[tuple[tuple[int, ...], float]]:
-    """(time-vector, probability) rows of one cover unit, in row order.
+# overlap key -> (the key's mass, [(times of the remaining edges, probability)])
+UnitTable = dict[tuple[int, ...], tuple[float, list[tuple[tuple[int, ...], float]]]]
 
-    A one-edge unit only ever starts where coverage ends, so it never
-    overlaps the unit before it; its rows are read straight from the
-    edge histogram, which the store has already validated.
+
+def _unit_table(store: WeightStore, unit: tuple[str, ...], o: int) -> UnitTable:
+    """The rows of one cover unit, grouped by the times of its first ``o`` edges.
+
+    Fusion conditions a unit on its overlap with the unit before it: a
+    prefix whose last ``o`` times are ``key`` continues with the pairs of
+    ``key``'s group, each weighted by its probability over the group's
+    mass.  With no overlap there is one group, keyed ``()``, whose mass is
+    exactly 1.  A group's mass is summed left to right in row order.  A
+    one-edge unit only ever starts where coverage ends, so it never
+    overlaps the unit before it; its rows are read straight from the edge
+    histogram, which the store has already validated.
     """
     if len(unit) == 1:
-        return [((t,), p) for t, p in store.edge_weight(unit[0]).items()]
-    return list(store.path_weight(unit).rows())
+        rows = [((t,), p) for t, p in store.edge_weight(unit[0]).items()]
+    else:
+        rows = list(store.path_weight(unit).rows())
+    if not o:
+        return {(): (1.0, rows)}
+    groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], float]]] = {}
+    for row, p in rows:
+        groups.setdefault(row[:o], []).append((row[o:], p))
+    table: UnitTable = {}
+    for key, pairs in groups.items():
+        mass = 0.0
+        for _, p in pairs:
+            mass += p
+        table[key] = (mass, pairs)
+    return table
 
 
 def path_joint(model: CostModel, path: Path) -> JointDist:
@@ -554,33 +578,21 @@ def path_joint(model: CostModel, path: Path) -> JointDist:
     The row count is the product of the units' row counts, so this is
     for inspection and small paths; use :func:`path_cost` for search.
     """
-    store = model.store
-    if model.mode is Mode.EDGE:
-        units = [(i, (eid,)) for i, eid in enumerate(path.edges)]
-    else:
-        units = _cover(store, path.edges)
-    acc = dict(_unit_rows(store, units[0][1]))
-    covered = len(units[0][1])
-    for s, unit in units[1:]:
-        rows = _unit_rows(store, unit)
+    acc: dict[tuple[int, ...], float] = {(): 1.0}
+    covered = 0
+    for s, unit in _units(model, path.edges):
         o = covered - s
+        table = _unit_table(model.store, unit, o)
         new: dict[tuple[int, ...], float] = {}
-        if o == 0:
-            for row, p in acc.items():
-                for urow, up in rows:
-                    new[row + urow] = new.get(row + urow, 0.0) + p * up
-        else:
-            overlap_mass = marginal(store.path_weight(unit), unit[:o]).as_dict()
-            for row, p in acc.items():
-                key = row[len(row) - o :]
-                denom = overlap_mass.get(key)
-                if denom is None:
-                    continue
-                for urow, up in rows:
-                    if urow[:o] != key:
-                        continue
-                    full = row + urow[o:]
-                    new[full] = new.get(full, 0.0) + p * up / denom
+        for row, p in acc.items():
+            group = table.get(row[len(row) - o :])
+            if group is None:
+                continue
+            denom, pairs = group
+            for rest, up in pairs:
+                full = row + rest
+                new[full] = new.get(full, 0.0) + p * up / denom
+        if o:
             total = math.fsum(new.values())
             if total <= _FUSE_TOL:
                 raise InconsistentWeightsError(
@@ -590,7 +602,7 @@ def path_joint(model: CostModel, path: Path) -> JointDist:
                 new = {row: p / total for row, p in new.items()}
         acc = new
         covered = s + len(unit)
-    return JointDist(path.edges, acc, store.delta)
+    return JointDist(path.edges, acc, model.store.delta)
 
 
 # One step of the pace fold: a cover unit's start index and edges, and the
@@ -626,27 +638,21 @@ def _fold(
         state, covered = {(0, ()): 1.0}, 0
     window = store.max_stored_len - 1
     for s, unit in units[k:]:
-        rows = _unit_rows(store, unit)
         o = covered - s
-        overlap_mass = marginal(store.path_weight(unit), unit[:o]).as_dict() if o else {}
+        table = _unit_table(store, unit, o)
+        group = table[()] if not o else None
         new: dict[tuple[int, tuple[int, ...]], float] = {}
         for (done, tail), p in state.items():
             if o:
-                key = tail[len(tail) - o :]
-                denom = overlap_mass.get(key)
-                if denom is None:
+                group = table.get(tail[len(tail) - o :])
+                if group is None:
                     continue
-            for urow, up in rows:
-                if o:
-                    if urow[:o] != key:
-                        continue
-                    q = p * up / denom
-                else:
-                    q = p * up
-                grown = tail + urow[o:]
+            denom, pairs = group
+            for rest, up in pairs:
+                grown = tail + rest
                 ntail = grown[max(0, len(grown) - window) :] if window else ()
                 nkey = (done + sum(grown) - sum(ntail), ntail)
-                new[nkey] = new.get(nkey, 0.0) + q
+                new[nkey] = new.get(nkey, 0.0) + p * up / denom
         # the first unit is taken as stored; only a fused unit can lose mass
         if s:
             total = math.fsum(new.values())
@@ -708,17 +714,3 @@ def extend_cost(
         return cost, cost
     steps = _fold(model.store, prefix_state or (), path.edges)
     return _fold_cost(model.store, steps), steps
-
-
-def extend_joint(model: CostModel, base: JointDist, edge_id: str) -> JointDist:
-    """Joint for a path grown by one edge at the end.
-
-    ``base`` must be the joint of a valid path and ``edge_id`` must
-    extend it (adjacency is the caller's responsibility; reuse of an
-    edge is rejected here).  Growing a path can change which stored
-    units cover it, so the result is recomputed from the store rather
-    than patched onto ``base``.
-    """
-    if edge_id in base.edges:
-        raise PathError(f"edge {edge_id!r} already on the path")
-    return path_joint(model, Path(base.edges + (edge_id,)))

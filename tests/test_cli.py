@@ -268,6 +268,9 @@ def test_bench_alt_budgets(store_file, tmp_path, capsys):
     capsys.readouterr()
     rows = read_rows(str(rows_csv))
     assert tuple(sorted({r.budget for r in rows})) == ALT_BUDGETS
+    # only the budgets change: the config's methods and buckets survive
+    assert {r.method for r in rows} == {"sp+pace"}
+    assert {(r.bucket_lo, r.bucket_hi) for r in rows} == {(0.0, 0.05)}
 
 
 def test_bench_bad_config(store_file, tmp_path, capsys):

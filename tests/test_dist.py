@@ -14,9 +14,7 @@ from spotar.dist import (
     convolve,
     dominates,
     format_histogram,
-    from_edge,
     joint_product,
-    marginal,
     min_cost,
     point_mass,
     to_cost,
@@ -231,17 +229,9 @@ def test_joint_rejects_bad_rows(edges, rows):
         JointDist(edges, rows)
 
 
-def test_from_edge_round_trip():
-    h = Histogram({8: 0.9, 10: 0.1}, delta=60.0)
-    j = from_edge("e1", h)
-    assert j.edges == ("e1",)
-    assert j.delta == 60.0
-    assert to_cost(j) == h
-
-
 def test_joint_product_golden():
     j14 = JointDist(("e1", "e4"), {(8, 6): 0.8, (10, 10): 0.2})
-    j9 = from_edge("e9", Histogram({5: 0.4, 9: 0.6}))
+    j9 = JointDist(("e9",), {(5,): 0.4, (9,): 0.6})
     prod = joint_product(j14, j9)
     assert prod.edges == ("e1", "e4", "e9")
     expect = {
@@ -263,34 +253,6 @@ def test_joint_product_rejects_overlap_and_mismatch():
     c = JointDist(("z",), {(3,): 1.0}, delta=60.0)
     with pytest.raises(DistributionError):
         joint_product(a, c)
-
-
-def test_marginal_golden():
-    j = JointDist(("e1", "e4"), {(8, 6): 0.8, (10, 10): 0.2})
-    m1 = marginal(j, ("e1",))
-    assert m1.as_dict() == {(8,): 0.8, (10,): 0.2}
-    m4 = marginal(j, ("e4",))
-    assert m4.as_dict() == {(6,): 0.8, (10,): 0.2}
-    assert marginal(j, ("e1", "e4")) == j
-
-
-def test_marginal_merges_rows():
-    j = JointDist(("a", "b"), {(1, 5): 0.25, (2, 5): 0.25, (1, 7): 0.5})
-    m = marginal(j, ("b",))
-    assert m.row_prob((5,)) == pytest.approx(0.5, abs=1e-12)
-    assert m.row_prob((7,)) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_marginal_requires_contiguous_run():
-    j = JointDist(("a", "b", "c"), {(1, 2, 3): 1.0})
-    with pytest.raises(DistributionError):
-        marginal(j, ("a", "c"))
-    with pytest.raises(DistributionError):
-        marginal(j, ("b", "a"))
-    with pytest.raises(DistributionError):
-        marginal(j, ("q",))
-    with pytest.raises(DistributionError):
-        marginal(j, ())
 
 
 def test_to_cost_golden():
@@ -321,12 +283,7 @@ def test_marginal_of_product_recovers_factors():
         a = rand_joint(rng, ("p", "q"))
         b = rand_joint(rng, ("r", "s"))
         prod = joint_product(a, b)
-        back_a = marginal(prod, ("p", "q"))
-        back_b = marginal(prod, ("r", "s"))
-        for row, p in a.rows():
-            assert back_a.row_prob(row) == pytest.approx(p, abs=1e-12)
-        for row, p in b.rows():
-            assert back_b.row_prob(row) == pytest.approx(p, abs=1e-12)
+        assert prod.as_dict() == {ra + rb: pa * pb for ra, pa in a.rows() for rb, pb in b.rows()}
 
 
 def test_long_convolution_chain_keeps_mass():

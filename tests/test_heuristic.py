@@ -15,7 +15,6 @@ from spotar.heuristic import (
     arrival_prob,
     build_min_tree,
     make_heuristic,
-    reach_indicator,
 )
 from spotar.network import Network, Node
 from spotar.oracle import gen_instance
@@ -113,14 +112,6 @@ def test_bounds_are_admissible_on_random_instances():
             assert line.get_min(nid) <= tmin
 
 
-def test_reach_indicator():
-    assert reach_indicator(None, 100) == 0.0
-    assert reach_indicator(5, 4) == 0.0
-    assert reach_indicator(5, 5) == 1.0
-    assert reach_indicator(5, 6) == 1.0
-    assert reach_indicator(0, 0) == 1.0
-
-
 def test_arrival_prob_goldens(pace_model):
     from spotar.network import Path
     from spotar.weights import path_cost
@@ -147,6 +138,6 @@ def test_arrival_prob_equals_indicator_sum():
         node_min = rng.choice([None, 0, rng.randint(1, 20)])
         budget = rng.randint(1, 40)
         want = math.fsum(
-            p * reach_indicator(node_min, budget - t) for t, p in h.items()
+            p for t, p in h.items() if node_min is not None and t + node_min <= budget
         )
         assert arrival_prob(h, node_min, budget) == pytest.approx(want, abs=1e-12)

@@ -7,8 +7,8 @@ import random
 
 import pytest
 
-from spotar.dist import MASS_TOL, Histogram, JointDist, convolve, from_edge, to_cost
-from spotar.network import Path, PathError, Query
+from spotar.dist import MASS_TOL, Histogram, JointDist, convolve, to_cost
+from spotar.network import Path, Query
 from spotar.oracle import enumerate_simple_paths, gen_instance
 from spotar.weights import (
     CostModel,
@@ -19,10 +19,9 @@ from spotar.weights import (
     TrajectoryFormatError,
     TrajectoryRecord,
     WeightStore,
+    _cover,
     build_store,
-    coarsest_combination,
     extend_cost,
-    extend_joint,
     grid_seconds,
     load_store,
     load_trajectories,
@@ -233,7 +232,7 @@ def test_store_validation_errors():
         WeightStore(
             **ok,
             edge_weights={"a": h},
-            path_weights={("a",): from_edge("a", h)},
+            path_weights={("a",): JointDist(("a",), {(5,): 1.0})},
         )
     with pytest.raises(StoreError):  # resolution mismatch on an edge
         WeightStore(**ok, edge_weights={"a": Histogram({5: 1.0}, delta=60.0)}, path_weights={})
@@ -427,7 +426,7 @@ def test_cost_model_requires_path_weights_for_pace(sample_net, sample_records):
 
 def test_coarsest_combination_sample(sample_store, sample_net):
     def cover(*ids):
-        return [p.edges for p in coarsest_combination(sample_store, Path(ids))]
+        return [unit for _, unit in _cover(sample_store, ids)]
 
     assert cover("e1") == [("e1",)]
     assert cover("e1", "e4") == [("e1", "e4")]
@@ -467,10 +466,9 @@ def chain_store():
 
 def test_cover_prefers_reach_then_overlap():
     store = chain_store()
-    combo = coarsest_combination(store, Path(("A", "B", "C", "D")))
     # Both B-C-D and C-D finish the job; the one overlapping the
     # covered prefix wins the tie.
-    assert [p.edges for p in combo] == [("A", "B"), ("B", "C", "D")]
+    assert _cover(store, ("A", "B", "C", "D")) == [(0, ("A", "B")), (1, ("B", "C", "D"))]
 
 
 def test_cover_prefers_longest_unit():
@@ -480,16 +478,12 @@ def test_cover_prefers_longest_unit():
         JointDist(("A", "B", "C"), {(1, 1, 1): 0.5, (2, 2, 2): 0.5}),
     ]
     store = unit_store({"A": h, "B": h, "C": h}, units)
-    combo = coarsest_combination(store, Path(("A", "B", "C")))
-    assert [p.edges for p in combo] == [("A", "B", "C")]
+    assert _cover(store, ("A", "B", "C")) == [(0, ("A", "B", "C"))]
     # A unit longer than the remaining path cannot be used.
-    combo2 = coarsest_combination(store, Path(("A", "B")))
-    assert [p.edges for p in combo2] == [("A", "B")]
+    assert _cover(store, ("A", "B")) == [(0, ("A", "B"))]
 
 
 def test_cover_structure_invariants(sample_store):
-    from spotar.weights import _cover
-
     for ids in [("e1", "e4", "e9"), ("e2", "e6", "e7", "e8"), ("e2", "e3", "e5", "e8")]:
         units = _cover(sample_store, ids)
         covered = 0
@@ -528,8 +522,6 @@ def min_units_dp(store, edges):
 
 
 def test_cover_uses_fewest_units_possible():
-    from spotar.weights import _cover
-
     rng = random.Random(411)
     checked = 0
     for seed in range(12):
@@ -612,8 +604,7 @@ def overlap_store():
 def test_fusion_conditions_on_the_overlap():
     model = overlap_store()
     path = Path(("e1", "e4", "e9"))
-    combo = coarsest_combination(model.store, path)
-    assert [p.edges for p in combo] == [("e1", "e4"), ("e4", "e9")]
+    assert _cover(model.store, path.edges) == [(0, ("e1", "e4")), (1, ("e4", "e9"))]
     j = path_joint(model, path)
     approx_dict(
         j.as_dict(),
@@ -687,14 +678,6 @@ def test_path_cost_matches_explicit_joint_on_random_instances():
                 assert fast.approx_eq(slow, tol=1e-12)
                 checked += 1
     assert checked >= 80
-
-
-def test_extend_joint_matches_recomputation(pace_model):
-    base = path_joint(pace_model, Path(("e1", "e4")))
-    grown = extend_joint(pace_model, base, "e9")
-    assert grown == path_joint(pace_model, Path(("e1", "e4", "e9")))
-    with pytest.raises(PathError):
-        extend_joint(pace_model, base, "e1")
 
 
 def random_simple_paths(net, rng, count, max_edges=7):
