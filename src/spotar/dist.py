@@ -147,6 +147,20 @@ class Histogram:
         return f"Histogram({self._entries!r}, delta={self.delta!r})"
 
 
+def _derived(out: dict[int, float], delta: float) -> Histogram:
+    """Histogram over ``out``, probabilities at sums of the times of checked
+    histograms or joints, with ``delta`` taken from one of them.
+
+    Such times are integers of at least 1 already, so they are not checked
+    again.  Float arithmetic can still underflow a probability to zero or
+    let the mass drift, so zero entries are dropped and the mass is checked.
+    """
+    if 0.0 in out.values():
+        out = {t: p for t, p in out.items() if p}
+    _check_mass(out, "histogram")
+    return Histogram._checked(dict(sorted(out.items())), delta)
+
+
 def point_mass(t: int, delta: float = 1.0) -> Histogram:
     """Histogram that assigns probability 1 to a single travel time."""
     return Histogram({t: 1.0}, delta)
@@ -166,7 +180,7 @@ def convolve(a: Histogram, b: Histogram) -> Histogram:
         for tb, pb in b.items():
             t = ta + tb
             out[t] = out.get(t, 0.0) + pa * pb
-    return Histogram(out, a.delta)
+    return _derived(out, a.delta)
 
 
 def dominates(a: Histogram, b: Histogram) -> bool:
@@ -179,13 +193,13 @@ def dominates(a: Histogram, b: Histogram) -> bool:
     """
     if a.delta != b.delta:
         raise DistributionError(f"resolution mismatch: {a.delta} vs {b.delta}")
-    grid = sorted(set(a.times()) | set(b.times()))
+    ea, eb = a._entries, b._entries
     cum_a = 0.0
     cum_b = 0.0
     strict = False
-    for t in grid:
-        cum_a += a.prob(t)
-        cum_b += b.prob(t)
+    for t in sorted(ea.keys() | eb.keys()):
+        cum_a += ea.get(t, 0.0)
+        cum_b += eb.get(t, 0.0)
         if cum_a < cum_b - _DOM_EPS:
             return False
         if cum_a > cum_b + _DOM_EPS:

@@ -34,8 +34,9 @@ class Label:
     :func:`spotar.weights.extend_cost` returned with it, and an extension
     derives its cost from it: in ``EDGE`` mode the state is the cost and
     an extension is one convolution; in ``PACE`` mode it is the cover
-    units with the fold state after each, and an extension folds only
-    the units it does not share with this path.  ``r`` is the queue
+    units with the fold state after each, and an extension keeps the
+    steps of the leading units its cover shares with this path and
+    folds the one unit after them.  ``r`` is the queue
     priority; ``visited`` holds every node on the path for cycle
     avoidance.
     """

@@ -32,6 +32,7 @@ from .dist import (
     _check_mass,
     _check_probs,
     _check_times,
+    _derived,
     convolve,
     point_mass,
 )
@@ -146,7 +147,6 @@ class WeightStore:
         "fallback_edges",
         "_edge_weights",
         "_path_weights",
-        "_by_first",
         "_max_len",
     )
 
@@ -189,12 +189,7 @@ class WeightStore:
                     raise StoreError(
                         f"stored weight {key!r} has times for {eid!r} outside its edge weight"
                     )
-        by_first: dict[str, list[tuple[str, ...]]] = {}
-        self._max_len = 1
-        for key in self._path_weights:
-            by_first.setdefault(key[0], []).append(key)
-            self._max_len = max(self._max_len, len(key))
-        self._by_first = {eid: tuple(sorted(keys)) for eid, keys in by_first.items()}
+        self._max_len = max(map(len, self._path_weights), default=1)
 
     def edge_weight(self, edge_id: str) -> Histogram:
         try:
@@ -219,10 +214,6 @@ class WeightStore:
 
     def stored_paths(self) -> tuple[tuple[str, ...], ...]:
         return tuple(self._path_weights)
-
-    def units_starting_with(self, edge_id: str) -> tuple[tuple[str, ...], ...]:
-        """Stored path keys whose first edge is ``edge_id``."""
-        return self._by_first.get(edge_id, ())
 
     @property
     def max_stored_len(self) -> int:
@@ -489,38 +480,61 @@ class CostModel:
             raise StoreError("store was built without path weights; cannot evaluate in pace mode")
 
 
-def _cover(store: WeightStore, edges: tuple[str, ...]) -> list[tuple[int, tuple[str, ...]]]:
-    """Greedy left-to-right cover of ``edges`` by stored units.
+def _extend_cover(
+    store: WeightStore, prefix: Sequence[tuple], edges: tuple[str, ...]
+) -> tuple[int, tuple[int, tuple[str, ...]]]:
+    """How the cover of ``edges`` follows from the cover of ``edges[:-1]``.
 
-    Returns (start index, unit edges) pairs.  Each step considers stored
-    units that start inside the covered prefix (strictly after the
-    previous unit's start) and extend coverage, picking the one reaching
-    furthest, breaking ties toward the larger overlap; single edges fill
-    in when no stored unit helps.
+    ``prefix`` holds the prefix's cover units in order, each a tuple whose
+    first two items are the unit's start index and edges, as in a
+    :data:`FoldStep`.  Returns ``(k, (s, unit))``: the cover of ``edges``
+    is the prefix's first ``k`` units followed by the unit ``edges[s:]``.
+
+    The cover is greedy, left to right.  Each step looks at the stored
+    units that start in its window ``(previous start, covered]`` and reach
+    past ``covered``, and takes the one reaching furthest, then the one
+    starting first, which overlaps the covered prefix most; the single
+    edge at ``covered`` fills in when no stored unit helps.  Appending
+    edge ``n`` only adds candidates that end at ``n + 1``, and such a
+    candidate beats every other one of a step whose window holds its
+    start, because no unit reaches further.  Let ``s`` be the smallest
+    start with ``edges[s:]`` stored.  A step's unit starts inside its
+    window, so the next window begins at or below the end of this one:
+    the windows run from index 0 upwards without a gap, and the first
+    window to hold ``s`` is that of the first step whose coverage before
+    it reaches ``s``.  Every step before it sees no new candidate and
+    chooses as it did for the prefix; that step takes ``edges[s:]``, which
+    covers the whole path.  One extension can thus replace several of the
+    prefix's units.  With no such ``s``, every step of the prefix chooses
+    as before and one more step adds the new edge on its own.  A stored
+    unit spans at most :attr:`WeightStore.max_stored_len` edges and never
+    a single one, so at most ``max_stored_len - 1`` starts are looked up.
     """
-    n = len(edges)
+    n = len(edges) - 1
+    for s in range(max(0, n + 1 - store.max_stored_len), n):
+        if store.has_path_weight(edges[s:]):
+            break
+    else:
+        return len(prefix), (n, edges[n:])
+    k = covered = 0
+    for step in prefix:
+        if covered >= s:
+            break
+        covered = step[0] + len(step[1])
+        k += 1
+    return k, (s, edges[s:])
+
+
+def _cover(store: WeightStore, edges: tuple[str, ...]) -> list[tuple[int, tuple[str, ...]]]:
+    """Cover of ``edges`` by stored units, as (start index, unit edges) pairs.
+
+    Each prefix of ``edges`` in turn is covered by :func:`_extend_cover`
+    from the cover of the prefix one edge shorter.
+    """
     units: list[tuple[int, tuple[str, ...]]] = []
-    covered = 0
-    prev_start = -1
-    while covered < n:
-        best: tuple[int, int] | None = None
-        best_unit: tuple[int, tuple[str, ...]] | None = None
-        for s in range(prev_start + 1, covered + 1):
-            for cand in store.units_starting_with(edges[s]):
-                end = s + len(cand)
-                if end <= covered or end > n:
-                    continue
-                if edges[s:end] != cand:
-                    continue
-                key = (end, covered - s)
-                if best is None or key > best:
-                    best = key
-                    best_unit = (s, cand)
-        if best_unit is None:
-            best_unit = (covered, (edges[covered],))
-        units.append(best_unit)
-        prev_start = best_unit[0]
-        covered = best_unit[0] + len(best_unit[1])
+    for n in range(1, len(edges) + 1):
+        k, unit = _extend_cover(store, units, edges[:n])
+        units[k:] = [unit]
     return units
 
 
@@ -611,61 +625,53 @@ FoldStep = tuple[int, tuple[str, ...], dict[tuple[int, tuple[int, ...]], float]]
 
 
 def _fold(
-    store: WeightStore, resume: tuple[FoldStep, ...], edges: tuple[str, ...]
+    store: WeightStore, steps: tuple[FoldStep, ...], s: int, unit: tuple[str, ...]
 ) -> tuple[FoldStep, ...]:
-    """Fold steps of ``edges``, resumed from ``resume``, the steps of another path.
+    """``steps`` followed by the step of the cover unit ``unit`` at index ``s``.
 
+    ``steps`` are the fold steps of the cover units before the new one.
     A state maps (elapsed time, recent per-edge times) to probability,
     where the remembered window is one less than the longest stored
-    unit, which is all a future overlap can reach back to.  The state
-    after the first ``k`` cover units depends only on those units and
-    the store, so the leading units ``edges`` shares with ``resume`` keep
-    their states and only the units after them are folded.  Overlapping
-    units that agree on no overlap time raise
+    unit, which is all a future overlap can reach back to.  A unit's state
+    depends only on the state before it, the unit and the store, so a
+    path's steps are its prefix's steps for the units both covers share,
+    plus one new step.  Every tail in a state holds the times of the last
+    ``min(window, covered)`` edges, so the number of a grown tail's leading
+    times that pass into the elapsed time is the same for every entry.
+    Overlapping units that agree on no overlap time raise
     :class:`InconsistentWeightsError`.
     """
-    units = _cover(store, edges)
-    k = 0
-    for (s, unit), step in zip(units, resume):
-        if step[0] != s or step[1] != unit:
-            break
-        k += 1
-    steps = resume[:k]
     if steps:
-        s, unit, state = steps[-1]
-        covered = s + len(unit)
+        start, last, state = steps[-1]
+        covered = start + len(last)
     else:
         state, covered = {(0, ()): 1.0}, 0
     window = store.max_stored_len - 1
-    for s, unit in units[k:]:
-        o = covered - s
-        table = _unit_table(store, unit, o)
-        group = table[()] if not o else None
-        new: dict[tuple[int, tuple[int, ...]], float] = {}
-        for (done, tail), p in state.items():
-            if o:
-                group = table.get(tail[len(tail) - o :])
-                if group is None:
-                    continue
-            denom, pairs = group
-            for rest, up in pairs:
-                grown = tail + rest
-                ntail = grown[max(0, len(grown) - window) :] if window else ()
-                nkey = (done + sum(grown) - sum(ntail), ntail)
-                new[nkey] = new.get(nkey, 0.0) + p * up / denom
-        # the first unit is taken as stored; only a fused unit can lose mass
-        if s:
-            total = math.fsum(new.values())
-            if total <= _FUSE_TOL:
-                raise InconsistentWeightsError(
-                    f"overlapping weights for {unit!r} share no mass with the prefix"
-                )
-            if abs(total - 1.0) > _FUSE_TOL:
-                new = {nkey: p / total for nkey, p in new.items()}
-        state = new
-        steps += ((s, unit, state),)
-        covered = s + len(unit)
-    return steps
+    o = covered - s
+    cut = max(0, min(window, covered) + len(unit) - o - window)
+    table = _unit_table(store, unit, o)
+    group = table[()] if not o else None
+    new: dict[tuple[int, tuple[int, ...]], float] = {}
+    for (done, tail), p in state.items():
+        if o:
+            group = table.get(tail[len(tail) - o :])
+            if group is None:
+                continue
+        denom, pairs = group
+        for rest, up in pairs:
+            grown = tail + rest
+            nkey = (done + sum(grown[:cut]), grown[cut:])
+            new[nkey] = new.get(nkey, 0.0) + p * up / denom
+    # the first unit is taken as stored; only a fused unit can lose mass
+    if s:
+        total = math.fsum(new.values())
+        if total <= _FUSE_TOL:
+            raise InconsistentWeightsError(
+                f"overlapping weights for {unit!r} share no mass with the prefix"
+            )
+        if abs(total - 1.0) > _FUSE_TOL:
+            new = {nkey: p / total for nkey, p in new.items()}
+    return steps + ((s, unit, new),)
 
 
 def _fold_cost(store: WeightStore, steps: tuple[FoldStep, ...]) -> Histogram:
@@ -674,7 +680,7 @@ def _fold_cost(store: WeightStore, steps: tuple[FoldStep, ...]) -> Histogram:
     for (done, tail), p in steps[-1][2].items():
         t = done + sum(tail)
         out[t] = out.get(t, 0.0) + p
-    return Histogram(out, store.delta)
+    return _derived(out, store.delta)
 
 
 def path_cost(model: CostModel, path: Path) -> Histogram:
@@ -691,7 +697,10 @@ def path_cost(model: CostModel, path: Path) -> Histogram:
         for eid in path.edges[1:]:
             cost = convolve(cost, store.edge_weight(eid))
         return cost
-    return _fold_cost(store, _fold(store, (), path.edges))
+    steps: tuple[FoldStep, ...] = ()
+    for s, unit in _cover(store, path.edges):
+        steps = _fold(store, steps, s, unit)
+    return _fold_cost(store, steps)
 
 
 def extend_cost(
@@ -704,13 +713,17 @@ def extend_cost(
     :func:`path_cost` exactly.  In ``EDGE`` mode the state is the cost
     histogram, and the prefix cost is convolved with the last edge's
     weight: that is the last step of the left fold :func:`path_cost`
-    performs.  In ``PACE`` mode the state is the fold steps; the new edge
-    can change the end of the cover, so the path is covered afresh and
-    only the units after those it shares with the prefix are folded.
+    performs.  In ``PACE`` mode the state is the fold steps.  The new edge
+    can change the end of the cover: :func:`_extend_cover` finds how many
+    of the prefix's units the path keeps and the one unit after them, and
+    only that unit is folded, onto the kept units' steps.
     """
+    store = model.store
     if model.mode is Mode.EDGE:
-        weight = model.store.edge_weight(path.edges[-1])
+        weight = store.edge_weight(path.edges[-1])
         cost = weight if prefix_state is None else convolve(prefix_state, weight)
         return cost, cost
-    steps = _fold(model.store, prefix_state or (), path.edges)
-    return _fold_cost(model.store, steps), steps
+    steps = prefix_state or ()
+    k, (s, unit) = _extend_cover(store, steps, path.edges)
+    steps = _fold(store, steps[:k], s, unit)
+    return _fold_cost(store, steps), steps

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from spotar.dist import (
+    _DOM_EPS,
     DistributionError,
     Histogram,
     JointDist,
@@ -148,6 +149,76 @@ def test_convolve_commutative_and_associative():
         left = convolve(ab, c)
         right = convolve(a, convolve(b, c))
         assert left.approx_eq(right, tol=1e-12)
+
+
+def test_convolve_equals_public_histogram_of_raw_sums():
+    """``convolve`` skips the time checks, so its result must equal, entry
+    for entry and in order, the validated histogram of the same sums."""
+    rng = random.Random(2104)
+    cases = [(rand_hist(rng)[0], rand_hist(rng)[0]) for _ in range(200)]
+    # 1e-200 squared underflows to zero: the entry must be dropped, as the
+    # public constructor drops it
+    tiny = Histogram({1: 1e-200, 2: 1.0})
+    cases.append((tiny, tiny))
+    for a, b in cases:
+        raw: dict[int, float] = {}
+        for ta, pa in a.items():
+            for tb, pb in b.items():
+                raw[ta + tb] = raw.get(ta + tb, 0.0) + pa * pb
+        got, want = convolve(a, b), Histogram(raw, a.delta)
+        assert got == want
+        assert list(got.items()) == list(want.items())
+    assert convolve(tiny, tiny).times() == (3, 4)
+
+
+def test_convolve_checks_the_mass_of_its_result():
+    half = Histogram._checked({1: 0.5}, 1.0)
+    with pytest.raises(DistributionError, match="total mass"):
+        convolve(half, point_mass(2))
+
+
+def grid_dominates(a, b):
+    """Reference dominance test over the union of both supports, reading
+    every time through the public accessors."""
+    grid = sorted(set(a.times()) | set(b.times()))
+    cum_a = cum_b = 0.0
+    strict = False
+    for t in grid:
+        cum_a += a.prob(t)
+        cum_b += b.prob(t)
+        if cum_a < cum_b - _DOM_EPS:
+            return False
+        if cum_a > cum_b + _DOM_EPS:
+            strict = True
+    return strict
+
+
+def test_dominates_equals_grid_reference():
+    rng = random.Random(2105)
+    pairs = []
+    for _ in range(300):
+        a, _ = rand_hist(rng, max_time=12)
+        b, _ = rand_hist(rng, max_time=12)
+        pairs += [(a, b), (a, Histogram(a.as_dict()))]
+    for _ in range(100):
+        a, _ = rand_hist(rng, max_time=6)
+        b, _ = rand_hist(rng, max_time=6)
+        shift = max(a.times()) + rng.randint(0, 3)  # disjoint supports
+        pairs.append((a, Histogram({t + shift: p for t, p in b.as_dict().items()})))
+    for _ in range(100):
+        # a mass of at most _DOM_EPS moved one time later: within the tolerance
+        a, _ = rand_hist(rng, max_support=5, max_time=8)
+        entries = a.as_dict()
+        t = rng.choice(list(entries))
+        gap = min(entries[t], _DOM_EPS) * rng.choice((0.5, 1.0))
+        entries[t] -= gap
+        entries[t + 1] = entries.get(t + 1, 0.0) + gap
+        pairs.append((a, Histogram(entries)))
+    for a, b in pairs:
+        assert dominates(a, b) == grid_dominates(a, b)
+        assert dominates(b, a) == grid_dominates(b, a)
+    assert any(dominates(a, b) for a, b in pairs)
+    assert not any(dominates(a, b) or dominates(b, a) for a, b in pairs[1:600:2])
 
 
 def test_dominates_strictly_faster():

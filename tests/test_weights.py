@@ -20,6 +20,7 @@ from spotar.weights import (
     TrajectoryRecord,
     WeightStore,
     _cover,
+    _extend_cover,
     build_store,
     extend_cost,
     grid_seconds,
@@ -153,8 +154,6 @@ def test_build_store_path_weights(sample_store):
         {(8, 5): 0.7, (11, 9): 0.3},
     )
     assert sample_store.max_stored_len == 2
-    assert sample_store.units_starting_with("e1") == (("e1", "e4"),)
-    assert sample_store.units_starting_with("e4") == ()
 
 
 def test_build_store_min_support_threshold(sample_net, sample_records):
@@ -507,9 +506,8 @@ def min_units_dp(store, edges):
     placements = []
     for s in range(n):
         placements.append((s, s + 1))
-        for cand in store.units_starting_with(edges[s]):
-            e = s + len(cand)
-            if e <= n and edges[s:e] == cand:
+        for e in range(s + 2, n + 1):
+            if store.has_path_weight(edges[s:e]):
                 placements.append((s, e))
     best = [0] + [n + 99] * n
     for c in range(n):
@@ -536,6 +534,86 @@ def test_cover_uses_fewest_units_possible():
                 assert len(units) == min_units_dp(store, p.edges)
                 checked += 1
     assert checked >= 100
+
+
+def greedy_cover(store, edges):
+    """Reference cover: a greedy left-to-right scan of every stored unit.
+
+    Each step considers the stored units that start inside the covered
+    prefix, strictly after the previous unit's start, and extend coverage;
+    it picks the one reaching furthest, breaking ties toward the larger
+    overlap, and falls back to a single edge when no stored unit helps.
+    """
+    by_first = {}
+    for key in store.stored_paths():
+        by_first.setdefault(key[0], []).append(key)
+    n = len(edges)
+    units = []
+    covered = 0
+    prev_start = -1
+    while covered < n:
+        best = best_unit = None
+        for s in range(prev_start + 1, covered + 1):
+            for cand in by_first.get(edges[s], ()):
+                end = s + len(cand)
+                if end <= covered or end > n or edges[s:end] != cand:
+                    continue
+                key = (end, covered - s)
+                if best is None or key > best:
+                    best, best_unit = key, (s, cand)
+        if best_unit is None:
+            best_unit = (covered, (edges[covered],))
+        units.append(best_unit)
+        prev_start = best_unit[0]
+        covered = best_unit[0] + len(best_unit[1])
+    return units
+
+
+def test_cover_by_extension_equals_greedy_scan():
+    """Each extension step turns the prefix's cover into the path's greedy
+    cover, on plain and conflicting stores whose longest units span 2 to 5 edges."""
+    rng = random.Random(412)
+    extensions = replaced = 0
+    for seed in range(40):
+        net, records = gen_instance(seed, nodes=6 + seed % 5, density=0.5, joint_fraction=0.9)
+        for recs in (records, conflicting_records(records, rng)):
+            store = build_store(
+                net, recs, min_support=(1, 2, 10)[seed % 3], max_unit_len=2 + seed % 4
+            )
+            for p in random_simple_paths(net, rng, 8):
+                units = []
+                for n in range(1, len(p.edges) + 1):
+                    k, unit = _extend_cover(store, units, p.edges[:n])
+                    replaced += k < len(units)
+                    units = units[:k] + [unit]
+                    assert units == greedy_cover(store, p.edges[:n])
+                    extensions += 1
+                assert _cover(store, p.edges) == units
+    assert extensions >= 3000
+    assert replaced >= 500
+
+
+def test_one_extension_replaces_two_units():
+    """With A-B and B-C-D-E stored, A,B,C,D covers as AB|C|D and adding E
+    gives AB|BCDE: the new unit replaces two, and AB's step is kept."""
+    h = fifty_fifty(1, 2)
+    units = [
+        JointDist(("A", "B"), {(1, 1): 0.5, (2, 2): 0.5}),
+        JointDist(("B", "C", "D", "E"), {(1, 1, 1, 1): 0.5, (2, 2, 2, 2): 0.5}),
+    ]
+    model = CostModel(unit_store({e: h for e in "ABCDE"}, units), Mode.PACE)
+    edges = ("A", "B", "C", "D", "E")
+    assert _cover(model.store, edges[:4]) == [(0, ("A", "B")), (2, ("C",)), (3, ("D",))]
+    assert _cover(model.store, edges) == [(0, ("A", "B")), (1, ("B", "C", "D", "E"))]
+    assert _cover(model.store, edges) == greedy_cover(model.store, edges)
+    state = None
+    for n in range(1, 6):
+        parent = state
+        cost, state = extend_cost(model, state, Path(edges[:n]))
+        assert cost == path_cost(model, Path(edges[:n]))
+    assert [step[:2] for step in state] == [(0, ("A", "B")), (1, ("B", "C", "D", "E"))]
+    assert len(parent) == 3 and state[0] is parent[0]
+    approx_dict(cost.as_dict(), {5: 0.5, 10: 0.5}, tol=1e-12)
 
 
 # ----------------------------------------------------------- path costs
@@ -702,11 +780,15 @@ def random_simple_paths(net, rng, count, max_edges=7):
 
 
 def test_extend_cost_along_random_paths():
-    """Extending edge by edge equals ``path_cost``; pace costs match the explicit joint."""
+    """Extending edge by edge equals ``path_cost``; pace costs match the explicit joint.
+
+    Short stored units make covers of several overlapping units longer
+    than the fold's remembered window.
+    """
     rng = random.Random(77)
-    for seed in range(6):
+    for seed in range(12):
         net, records = gen_instance(seed, nodes=10, density=0.6, joint_fraction=0.8)
-        store = build_store(net, records, min_support=10)
+        store = build_store(net, records, min_support=10, max_unit_len=(8, 2, 3)[seed % 3])
         edge, pace = CostModel(store, Mode.EDGE), CostModel(store, Mode.PACE)
         for p in random_simple_paths(net, rng, 10):
             edge_state = pace_state = None
@@ -724,8 +806,9 @@ def test_resumed_fold_equals_fold_from_scratch():
     Redrawn times make routes disagree on the edges they share, so some
     paths cannot be fused: the extension must raise exactly where the
     from-scratch fold does.  Every extension must keep the parent's
-    steps for the units both covers share, and some extensions must
-    complete a stored unit that replaces units of the parent's cover.
+    step objects for the units both covers share and add exactly one
+    step, its steps must follow the reference cover, and some extensions
+    must complete a stored unit that replaces units of the parent's cover.
     """
     rng = random.Random(5)
     resumed = replaced = inconsistent = 0
@@ -746,11 +829,13 @@ def test_resumed_fold_equals_fold_from_scratch():
                         break
                     cost, grown = extend_cost(model, state, prefix)
                     assert cost == want
+                    assert [step[:2] for step in grown] == greedy_cover(model.store, prefix.edges)
                     if state is not None:
                         shared = 0
                         while shared < len(state) and state[shared][:2] == grown[shared][:2]:
                             assert grown[shared] is state[shared]
                             shared += 1
+                        assert len(grown) == shared + 1
                         resumed += 1
                         replaced += shared < len(state)
                     state = grown
