@@ -95,6 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, default=0.3)
     p.add_argument("--joint-fraction", type=float, default=0.5)
     p.add_argument("--min-support", type=int, default=10)
+    p.add_argument("--max-unit-len", type=int, default=8, help="longest stored sub-path, in edges")
     p.set_defaults(func=cmd_verify)
     return parser
 
@@ -194,6 +195,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         density=args.density,
         joint_fraction=args.joint_fraction,
         min_support=args.min_support,
+        max_unit_len=args.max_unit_len,
     )
     mismatches = 0
     for case in cases:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Mapping, Sequence
+from itertools import compress
 
 MASS_TOL = 1e-9
 _DOM_EPS = 1e-12
@@ -123,7 +124,8 @@ class Histogram:
 
     def cdf(self, t: int) -> float:
         """Probability of a travel time of at most ``t`` units."""
-        return math.fsum(p for tt, p in self._entries.items() if tt <= t)
+        entries = self._entries
+        return math.fsum(compress(entries.values(), map(t.__ge__, entries)))
 
     def mean(self) -> float:
         return math.fsum(t * p for t, p in self._entries.items())
@@ -176,8 +178,9 @@ def convolve(a: Histogram, b: Histogram) -> Histogram:
     if a.delta != b.delta:
         raise DistributionError(f"resolution mismatch: {a.delta} vs {b.delta}")
     out: dict[int, float] = {}
-    for ta, pa in a.items():
-        for tb, pb in b.items():
+    items_b = b._entries.items()
+    for ta, pa in a._entries.items():
+        for tb, pb in items_b:
             t = ta + tb
             out[t] = out.get(t, 0.0) + pa * pb
     return _derived(out, a.delta)
@@ -189,11 +192,17 @@ def dominates(a: Histogram, b: Histogram) -> bool:
     True when the cumulative distribution of ``a`` is at least that of
     ``b`` at every time and strictly greater somewhere, i.e. ``a`` is
     never slower and sometimes faster.  Equal distributions do not
-    dominate each other.
+    dominate each other.  When ``a`` starts later than ``b``, the first
+    time compared is ``b``'s first, where ``a`` has no mass yet: the
+    answer is ``False`` there unless ``b``'s first probability is within
+    the tolerance, so that case returns at once.
     """
     if a.delta != b.delta:
         raise DistributionError(f"resolution mismatch: {a.delta} vs {b.delta}")
     ea, eb = a._entries, b._entries
+    first_b = next(iter(eb))
+    if next(iter(ea)) > first_b and eb[first_b] > _DOM_EPS:
+        return False
     cum_a = 0.0
     cum_b = 0.0
     strict = False

@@ -14,7 +14,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .dist import Histogram, min_cost
+from .dist import Histogram
 from .network import Network
 from .weights import WeightStore
 
@@ -65,7 +65,7 @@ def build_min_tree(net: Network, store: WeightStore, dest: str, budget: int) -> 
             next_hop[node] = via
         for e in net.in_edges(node):
             if e.from_node not in mins:
-                heapq.heappush(heap, (d + min_cost(store.edge_weight(e.edge_id)), e.from_node, e.edge_id))
+                heapq.heappush(heap, (d + store.min_time(e.edge_id), e.from_node, e.edge_id))
     return MinTree(dest, budget, mins, next_hop)
 
 
@@ -85,7 +85,9 @@ class StraightLineBound:
     """Crow-flight distance at the network's top speed, floored to units.
 
     Never exceeds the tree bound as long as edge lengths dominate the
-    straight-line distance between their endpoints.
+    straight-line distance between their endpoints.  Each node's value is
+    computed once and remembered; a bound serves one destination, so one
+    solve.
     """
 
     kind = HeuristicKind.BA
@@ -98,9 +100,15 @@ class StraightLineBound:
         self._net = net
         self._dest = dest
         self._units_per_m = 1.0 / (net.max_speed * net.delta)
+        self._mins: dict[str, int] = {}
 
     def get_min(self, node_id: str) -> int | None:
-        return math.floor(self._net.distance_m(node_id, self._dest) * self._units_per_m)
+        found = self._mins.get(node_id)
+        if found is None:
+            found = self._mins[node_id] = math.floor(
+                self._net.distance_m(node_id, self._dest) * self._units_per_m
+            )
+        return found
 
 
 def make_heuristic(

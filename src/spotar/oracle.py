@@ -123,7 +123,7 @@ def _prep_sampler(model: CostModel, path: Path):
                 group = groups.get(tuple(times[len(times) - overlap :]))
                 if group is None:
                     break
-                rests, weights = group
+                rests, _, weights = group
                 times += rng.choices(rests, weights=weights)[0]
             else:
                 return sum(times)
@@ -287,11 +287,14 @@ def verify_instances(
     density: float = 0.3,
     joint_fraction: float = 0.5,
     min_support: int = 10,
+    max_unit_len: int = 8,
 ) -> list[VerifyCase]:
     """Cross-check the search against brute force on seeded instances.
 
     Every instance is solved for one random query under all four
-    method combinations (both modes, both bounds).
+    method combinations (both modes, both bounds).  ``max_unit_len`` caps
+    the stored sub-paths; a small cap makes the pace fold drop times out
+    of its remembered window more often.
     """
     cases: list[VerifyCase] = []
     for i in range(instances):
@@ -303,7 +306,9 @@ def verify_instances(
             joint_fraction=joint_fraction,
             min_support=min_support,
         )
-        store = build_store(net, recs, min_support=min_support, mode=Mode.PACE)
+        store = build_store(
+            net, recs, min_support=min_support, mode=Mode.PACE, max_unit_len=max_unit_len
+        )
         qrng = random.Random(f"query-{inst_seed}")
         source, dest = qrng.sample(list(net.node_ids), 2)
         tree = build_min_tree(net, store, dest, 10**9)

@@ -25,7 +25,7 @@ from .network import Network, Path, Query
 from .weights import CostModel, FoldStep, InconsistentWeightsError, extend_cost
 
 
-@dataclass
+@dataclass(slots=True)
 class Label:
     """A partial path under consideration.
 
@@ -184,7 +184,7 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
         if e.to_node == query.source:
             events.append(SearchEvent("skip-cycle", path=(e.edge_id,), edge=e.edge_id))
             continue
-        ik = min_cost(store.edge_weight(e.edge_id))
+        ik = store.min_time(e.edge_id)
         node_min = bound.get_min(e.to_node)
         if node_min is None or ik + node_min > query.budget:
             events.append(
@@ -222,7 +222,7 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
             if e.to_node in label.visited:
                 events.append(SearchEvent("skip-cycle", path=label.path.edges, edge=e.edge_id))
                 continue
-            ik = min_cost(store.edge_weight(e.edge_id))
+            ik = store.min_time(e.edge_id)
             node_min = bound.get_min(e.to_node)
             if node_min is None or ik + path_min + node_min > query.budget:
                 events.append(

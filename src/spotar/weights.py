@@ -34,6 +34,7 @@ from .dist import (
     _check_times,
     _derived,
     convolve,
+    min_cost,
     point_mass,
 )
 from .network import Network, Path, PathError, make_path
@@ -148,6 +149,7 @@ class WeightStore:
         "_edge_weights",
         "_path_weights",
         "_max_len",
+        "_min_times",
     )
 
     def __init__(
@@ -190,10 +192,18 @@ class WeightStore:
                         f"stored weight {key!r} has times for {eid!r} outside its edge weight"
                     )
         self._max_len = max(map(len, self._path_weights), default=1)
+        self._min_times = {eid: min_cost(h) for eid, h in self._edge_weights.items()}
 
     def edge_weight(self, edge_id: str) -> Histogram:
         try:
             return self._edge_weights[edge_id]
+        except KeyError:
+            raise StoreError(f"no weight for edge {edge_id!r}") from None
+
+    def min_time(self, edge_id: str) -> int:
+        """Smallest travel time of an edge's weight, in units."""
+        try:
+            return self._min_times[edge_id]
         except KeyError:
             raise StoreError(f"no weight for edge {edge_id!r}") from None
 
@@ -546,37 +556,39 @@ def _units(model: CostModel, edges: tuple[str, ...]) -> list[tuple[int, tuple[st
     return _cover(model.store, edges)
 
 
-# overlap key -> (the key's mass, [(times of the remaining edges, probability)])
-UnitTable = dict[tuple[int, ...], tuple[float, list[tuple[tuple[int, ...], float]]]]
+# overlap key -> (the key's mass, [(times of the remaining edges, their sum, probability)])
+UnitTable = dict[tuple[int, ...], tuple[float, list[tuple[tuple[int, ...], int, float]]]]
 
 
 def _unit_table(store: WeightStore, unit: tuple[str, ...], o: int) -> UnitTable:
     """The rows of one cover unit, grouped by the times of its first ``o`` edges.
 
     Fusion conditions a unit on its overlap with the unit before it: a
-    prefix whose last ``o`` times are ``key`` continues with the pairs of
+    prefix whose last ``o`` times are ``key`` continues with the rows of
     ``key``'s group, each weighted by its probability over the group's
-    mass.  With no overlap there is one group, keyed ``()``, whose mass is
-    exactly 1.  A group's mass is summed left to right in row order.  A
-    one-edge unit only ever starts where coverage ends, so it never
-    overlaps the unit before it; its rows are read straight from the edge
-    histogram, which the store has already validated.
+    mass.  A row holds the times of the unit's remaining edges, summed
+    once here, and the probability.  With no overlap there is one group,
+    keyed ``()``, whose mass is exactly 1.  A group's mass is summed left
+    to right in row order.  A one-edge unit only ever starts where
+    coverage ends, so it never overlaps the unit before it; its rows are
+    read straight from the edge histogram, which the store has already
+    validated.
     """
     if len(unit) == 1:
-        rows = [((t,), p) for t, p in store.edge_weight(unit[0]).items()]
-    else:
-        rows = list(store.path_weight(unit).rows())
+        return {(): (1.0, [((t,), t, p) for t, p in store.edge_weight(unit[0]).items()])}
+    rows = store.path_weight(unit).rows()
     if not o:
-        return {(): (1.0, rows)}
-    groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], float]]] = {}
+        return {(): (1.0, [(row, sum(row), p) for row, p in rows])}
+    groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], int, float]]] = {}
     for row, p in rows:
-        groups.setdefault(row[:o], []).append((row[o:], p))
+        rest = row[o:]
+        groups.setdefault(row[:o], []).append((rest, sum(rest), p))
     table: UnitTable = {}
-    for key, pairs in groups.items():
+    for key, group in groups.items():
         mass = 0.0
-        for _, p in pairs:
+        for _, _, p in group:
             mass += p
-        table[key] = (mass, pairs)
+        table[key] = (mass, group)
     return table
 
 
@@ -602,8 +614,8 @@ def path_joint(model: CostModel, path: Path) -> JointDist:
             group = table.get(row[len(row) - o :])
             if group is None:
                 continue
-            denom, pairs = group
-            for rest, up in pairs:
+            denom, unit_rows = group
+            for rest, _, up in unit_rows:
                 full = row + rest
                 new[full] = new.get(full, 0.0) + p * up / denom
         if o:
@@ -620,7 +632,8 @@ def path_joint(model: CostModel, path: Path) -> JointDist:
 
 
 # One step of the pace fold: a cover unit's start index and edges, and the
-# fold state after it, {(elapsed time, recent per-edge times): probability}.
+# fold state after it, {(total time, recent per-edge times): probability},
+# where the total is the elapsed time of every edge the cover has reached.
 FoldStep = tuple[int, tuple[str, ...], dict[tuple[int, tuple[int, ...]], float]]
 
 
@@ -630,16 +643,20 @@ def _fold(
     """``steps`` followed by the step of the cover unit ``unit`` at index ``s``.
 
     ``steps`` are the fold steps of the cover units before the new one.
-    A state maps (elapsed time, recent per-edge times) to probability,
-    where the remembered window is one less than the longest stored
-    unit, which is all a future overlap can reach back to.  A unit's state
-    depends only on the state before it, the unit and the store, so a
-    path's steps are its prefix's steps for the units both covers share,
-    plus one new step.  Every tail in a state holds the times of the last
-    ``min(window, covered)`` edges, so the number of a grown tail's leading
-    times that pass into the elapsed time is the same for every entry.
-    Overlapping units that agree on no overlap time raise
-    :class:`InconsistentWeightsError`.
+    A state maps (total time, recent per-edge times) to probability.  The
+    total is the elapsed time of every covered edge; the remembered tail
+    holds the times of the last ``min(window, covered)`` edges, where the
+    window is one less than the longest stored unit, which is all a
+    future overlap can reach back to.  A unit's state depends only on the
+    state before it, the unit and the store, so a path's steps are its
+    prefix's steps for the units both covers share, plus one new step.
+    All tails in a state have the same length, so the number of leading
+    times a grown tail drops is the same for every entry: an entry's new
+    key adds the row's sum to the total and appends the row's times to
+    the tail's kept times.  When a unit that overlaps nothing brings more
+    new edges than the window holds, the tail is dropped whole and the
+    table's rows are trimmed once.  Overlapping units that agree on no
+    overlap time raise :class:`InconsistentWeightsError`.
     """
     if steps:
         start, last, state = steps[-1]
@@ -648,38 +665,41 @@ def _fold(
         state, covered = {(0, ()): 1.0}, 0
     window = store.max_stored_len - 1
     o = covered - s
-    cut = max(0, min(window, covered) + len(unit) - o - window)
+    kept = min(window, covered)
+    cut = max(0, kept + len(unit) - o - window)
     table = _unit_table(store, unit, o)
+    skip = cut - kept
+    if skip > 0:  # only a unit with no overlap grows the tail by more than the window
+        table = {(): (1.0, [(rest[skip:], more, up) for rest, more, up in table[()][1]])}
     group = table[()] if not o else None
     new: dict[tuple[int, tuple[int, ...]], float] = {}
-    for (done, tail), p in state.items():
+    for (total, tail), p in state.items():
         if o:
-            group = table.get(tail[len(tail) - o :])
+            group = table.get(tail[kept - o :])
             if group is None:
                 continue
-        denom, pairs = group
-        for rest, up in pairs:
-            grown = tail + rest
-            nkey = (done + sum(grown[:cut]), grown[cut:])
+        denom, rows = group
+        head = tail[cut:]
+        for rest, more, up in rows:
+            nkey = (total + more, head + rest)
             new[nkey] = new.get(nkey, 0.0) + p * up / denom
     # the first unit is taken as stored; only a fused unit can lose mass
     if s:
-        total = math.fsum(new.values())
-        if total <= _FUSE_TOL:
+        mass = math.fsum(new.values())
+        if mass <= _FUSE_TOL:
             raise InconsistentWeightsError(
                 f"overlapping weights for {unit!r} share no mass with the prefix"
             )
-        if abs(total - 1.0) > _FUSE_TOL:
-            new = {nkey: p / total for nkey, p in new.items()}
+        if abs(mass - 1.0) > _FUSE_TOL:
+            new = {nkey: p / mass for nkey, p in new.items()}
     return steps + ((s, unit, new),)
 
 
 def _fold_cost(store: WeightStore, steps: tuple[FoldStep, ...]) -> Histogram:
     """Total-time distribution of the last fold state."""
     out: dict[int, float] = {}
-    for (done, tail), p in steps[-1][2].items():
-        t = done + sum(tail)
-        out[t] = out.get(t, 0.0) + p
+    for (total, _), p in steps[-1][2].items():
+        out[total] = out.get(total, 0.0) + p
     return _derived(out, store.delta)
 
 

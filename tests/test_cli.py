@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import spotar.dist
+import spotar.oracle
 from spotar.bench import ALT_BUDGETS, read_rows
 from spotar.cli import main
 from spotar.weights import Mode, load_store
@@ -310,6 +311,24 @@ def test_verify_zero_instances(capsys):
     rc = main(["verify", "--instances", "0"])
     assert rc == 0
     assert "warning: no instances" in capsys.readouterr().err
+
+
+def test_verify_passes_max_unit_len_to_the_store(monkeypatch, capsys):
+    real = spotar.oracle.build_store
+    spans = []
+
+    def build(*args, **kwargs):
+        spans.append(kwargs["max_unit_len"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spotar.oracle, "build_store", build)
+    argv = ["verify", "--seed", "1", "--instances", "2", "--joint-fraction", "0.9", "--min-support", "2"]
+    assert main(argv) == 0
+    assert main(argv + ["--max-unit-len", "3"]) == 0
+    assert spans == [8, 8, 3, 3]
+    assert capsys.readouterr().out.splitlines()[-1] == "checked 8 cases: 8 ok, 0 mismatches"
+    assert main(argv + ["--max-unit-len", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: max_unit_len must be >= 2")
 
 
 def test_verify_detects_mutation(monkeypatch, capsys):

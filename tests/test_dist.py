@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -40,6 +41,25 @@ def test_histogram_basics():
 def test_histogram_drops_zero_entries():
     h = Histogram({3: 1.0, 9: 0.0})
     assert h.times() == (3,)
+
+
+def generator_cdf(h, t):
+    """Reference CDF: the fsum of the probabilities at times up to ``t``."""
+    return math.fsum(p for tt, p in h.items() if tt <= t)
+
+
+def test_cdf_equals_the_generator_sum():
+    """Below the first time, at each time, between times and past the last."""
+    rng = random.Random(2107)
+    hists = [rand_hist(rng, max_support=12, max_time=40)[0] for _ in range(300)]
+    hists.append(Histogram({t: 0.1 for t in range(1, 11)}))  # a sum that rounds
+    for h in hists:
+        times = h.times()
+        probes = {0, times[0] - 1, times[-1] + 1, times[-1] + 50}
+        for t in times:
+            probes |= {t, t + 1}
+        for t in sorted(probes):
+            assert h.cdf(t) == generator_cdf(h, t)
 
 
 def test_histogram_cdf_steps():
@@ -219,6 +239,23 @@ def test_dominates_equals_grid_reference():
         assert dominates(b, a) == grid_dominates(b, a)
     assert any(dominates(a, b) for a, b in pairs)
     assert not any(dominates(a, b) or dominates(b, a) for a, b in pairs[1:600:2])
+
+
+@pytest.mark.parametrize("first", [_DOM_EPS / 2, _DOM_EPS, 2 * _DOM_EPS, 0.25])
+def test_dominates_later_start_equals_grid(first):
+    """``a`` starts after ``b``: with ``b``'s first probability within the
+    tolerance the walk goes on past ``b``'s first time, above it it stops."""
+    b = Histogram({2: first, 4: 0.5, 6: 0.5 - first})
+    for a in (
+        Histogram({3: 0.5, 4: 0.5}),
+        Histogram({3: 1.0}),
+        Histogram({4: 0.5, 6: 0.5}),
+        Histogram({4: 0.5, 6: 0.5 - first, 7: first}),
+        Histogram({9: 1.0}),
+    ):
+        assert dominates(a, b) == grid_dominates(a, b)
+        assert dominates(b, a) == grid_dominates(b, a)
+    assert dominates(Histogram({3: 0.5, 4: 0.5}), b) is (first <= _DOM_EPS)
 
 
 def test_dominates_strictly_faster():

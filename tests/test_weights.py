@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import pytest
 
-from spotar.dist import MASS_TOL, Histogram, JointDist, convolve, to_cost
+from spotar.dist import MASS_TOL, Histogram, JointDist, _derived, convolve, min_cost, to_cost
 from spotar.network import Path, Query
 from spotar.oracle import enumerate_simple_paths, gen_instance
 from spotar.weights import (
@@ -19,8 +20,11 @@ from spotar.weights import (
     TrajectoryFormatError,
     TrajectoryRecord,
     WeightStore,
+    _FUSE_TOL,
     _cover,
     _extend_cover,
+    _fold,
+    _fold_cost,
     build_store,
     extend_cost,
     grid_seconds,
@@ -258,6 +262,22 @@ def test_store_lookup_errors(sample_store):
     assert not sample_store.has_edge("e99")
     assert sample_store.has_path_weight(("e1", "e4"))
     assert not sample_store.has_path_weight(("e1", "e5"))
+
+
+def test_min_time_is_the_first_time_of_each_edge_weight(tmp_path):
+    """After a build and after a load, for plain and shifted trajectories."""
+    rng = random.Random(31)
+    for seed in range(6):
+        net, records = gen_instance(seed, nodes=7, density=0.5, joint_fraction=0.9)
+        for recs in (records, conflicting_records(records, rng)):
+            built = build_store(net, recs, min_support=2)
+            out = tmp_path / f"{seed}.json"
+            save_store(built, str(out))
+            for store in (built, load_store(str(out))):
+                for eid in store.edge_ids():
+                    assert store.min_time(eid) == min_cost(store.edge_weight(eid))
+                with pytest.raises(StoreError, match="no weight for edge 'e99'"):
+                    store.min_time("e99")
 
 
 def test_build_store_rejects_unknown_edge(sample_net):
@@ -841,4 +861,99 @@ def test_resumed_fold_equals_fold_from_scratch():
                     state = grown
     assert resumed >= 1000
     assert replaced >= 200
+    assert inconsistent >= 20
+
+
+def reference_fold(store, state, covered, s, unit):
+    """The fold with states keyed ``(done, tail)``: ``done`` is the elapsed
+    time of the edges that have left the remembered tail.
+
+    Returns the state after folding the cover unit ``unit`` at index ``s``
+    onto ``state``, the state once ``covered`` edges are covered, and
+    whether some grown tail dropped more times than the old tail held.
+    """
+    window = store.max_stored_len - 1
+    o = covered - s
+    cut = max(0, min(window, covered) + len(unit) - o - window)
+    if len(unit) == 1:
+        rows = [((t,), p) for t, p in store.edge_weight(unit[0]).items()]
+    else:
+        rows = list(store.path_weight(unit).rows())
+    if o:
+        groups = {}
+        for row, p in rows:
+            groups.setdefault(row[:o], []).append((row[o:], p))
+        table = {}
+        for key, pairs in groups.items():
+            mass = 0.0
+            for _, p in pairs:
+                mass += p
+            table[key] = (mass, pairs)
+    else:
+        table = {(): (1.0, rows)}
+    new = {}
+    for (done, tail), p in state.items():
+        group = table.get(tail[len(tail) - o :])
+        if group is None:
+            continue
+        denom, pairs = group
+        for rest, up in pairs:
+            grown = tail + rest
+            nkey = (done + sum(grown[:cut]), grown[cut:])
+            new[nkey] = new.get(nkey, 0.0) + p * up / denom
+    if s:
+        total = math.fsum(new.values())
+        if total <= _FUSE_TOL:
+            raise InconsistentWeightsError("no shared mass")
+        if abs(total - 1.0) > _FUSE_TOL:
+            new = {nkey: p / total for nkey, p in new.items()}
+    return new, cut > min(window, covered)
+
+
+def reference_fold_cost(store, state):
+    out = {}
+    for (done, tail), p in state.items():
+        t = done + sum(tail)
+        out[t] = out.get(t, 0.0) + p
+    return _derived(out, store.delta)
+
+
+def test_fold_keyed_by_total_equals_reference_fold():
+    """Each fold step equals the ``(done, tail)`` fold with keys mapped to
+    ``(done + sum(tail), tail)``: same entries, same order, ``==`` values.
+
+    Paths run over plain stores and stores with shifted times, whose
+    longest units span 2, 3, 4 and 8 edges; both folds must raise on the
+    same prefixes, and some unit must grow a tail past the whole window.
+    """
+    rng = random.Random(1010)
+    steps_checked = skipped = inconsistent = 0
+    for seed in range(24):
+        net, records = gen_instance(seed, nodes=7 + seed % 4, density=0.5, joint_fraction=0.9)
+        for recs in (records, conflicting_records(records, rng)):
+            store = build_store(net, recs, min_support=2, max_unit_len=(2, 3, 4, 8)[seed % 4])
+            for p in random_simple_paths(net, rng, 10, max_edges=8):
+                steps, ref = (), []
+                for n in range(1, len(p.edges) + 1):
+                    k, (s, unit) = _extend_cover(store, steps, p.edges[:n])
+                    if k:
+                        state, covered = ref[k - 1], steps[k - 1][0] + len(steps[k - 1][1])
+                    else:
+                        state, covered = {(0, ()): 1.0}, 0
+                    try:
+                        want, grew_past = reference_fold(store, state, covered, s, unit)
+                    except InconsistentWeightsError:
+                        with pytest.raises(InconsistentWeightsError):
+                            _fold(store, steps[:k], s, unit)
+                        inconsistent += 1
+                        break
+                    steps = _fold(store, steps[:k], s, unit)
+                    ref[k:] = [want]
+                    got = list(steps[-1][2].items())
+                    assert got == [((done + sum(tail), tail), q) for (done, tail), q in want.items()]
+                    assert _fold_cost(store, steps) == reference_fold_cost(store, want)
+                    steps_checked += 1
+                    skipped += grew_past
+    assert steps_checked >= 2000
+    assert skipped >= 150
     assert inconsistent >= 20
