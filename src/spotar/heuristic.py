@@ -50,22 +50,32 @@ class MinTree:
 
 
 def build_min_tree(net: Network, store: WeightStore, dest: str, budget: int) -> MinTree:
-    """Backward Dijkstra from ``dest`` over per-edge minimum times."""
+    """Backward Dijkstra from ``dest`` over per-edge minimum times.
+
+    Nothing beyond the budget is queued: an entry is pushed only when its
+    time is at most ``budget``.  Entries within the budget are popped in
+    the order an uncut search would pop them, so ``mins`` and
+    ``next_hop`` are the uncut tree's, restricted to the budget.
+    """
     if not net.has_node(dest):
         raise ValueError(f"unknown node {dest!r}")
     mins: dict[str, int] = {}
     next_hop: dict[str, str] = {}
-    heap: list[tuple[int, str, str | None]] = [(0, dest, None)]
+    heap: list[tuple[int, str, str | None]] = [(0, dest, None)] if budget >= 0 else []
+    push, pop = heapq.heappush, heapq.heappop
+    min_time, in_edges = store.min_time, net.in_edges
     while heap:
-        d, node, via = heapq.heappop(heap)
-        if node in mins or d > budget:
+        d, node, via = pop(heap)
+        if node in mins:
             continue
         mins[node] = d
         if via is not None:
             next_hop[node] = via
-        for e in net.in_edges(node):
+        for e in in_edges(node):
             if e.from_node not in mins:
-                heapq.heappush(heap, (d + store.min_time(e.edge_id), e.from_node, e.edge_id))
+                t = d + min_time(e.edge_id)
+                if t <= budget:
+                    push(heap, (t, e.from_node, e.edge_id))
     return MinTree(dest, budget, mins, next_hop)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from . import dist
@@ -51,7 +52,21 @@ class Label:
 
 
 class SearchEvent(NamedTuple):
-    """One step of the search, for transcripts and debugging."""
+    """One step of the search, for transcripts and debugging.
+
+    ``solve`` records each event as a plain tuple that is a positional
+    prefix of these fields, running up to the last field the kind uses
+    with ``None`` in the fields it leaves empty, so ``SearchEvent(*raw)``
+    is the event.  Each kind has one shape:
+
+    * ``push``, ``pop``, ``break``, ``candidate``, ``incumbent`` and
+      ``dominated-drop``: ``(kind, path, None, value)``;
+    * ``skip-cycle`` and ``skip-inconsistent``: ``(kind, path, edge)``;
+    * ``dominated-out``: ``(kind, path)``;
+    * ``prune``: ``(kind, path, edge, None, ik_min, path_min, node_min)``;
+    * ``init-prune``: ``(kind, None, edge, None, ik_min, None, node_min)``;
+    * ``purge``: ``(kind, None, None, value, None, None, None, count)``.
+    """
 
     kind: str
     path: tuple[str, ...] | None = None
@@ -65,15 +80,25 @@ class SearchEvent(NamedTuple):
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Answer plus the counters the benchmark reports."""
+    """Answer plus the counters the benchmark reports.
+
+    ``events`` holds the search's steps as the plain tuples ``solve``
+    recorded, each a positional prefix of :class:`SearchEvent`'s fields
+    (the layout is given there); ``transcript`` turns them into
+    :class:`SearchEvent` values on first read and keeps them.
+    """
 
     path: Path | None
     probability: float
     explored_edges: int
     expanded_labels: int
     wall_time_s: float
-    transcript: tuple[SearchEvent, ...]
+    events: tuple[tuple, ...]
     explored_edge_ids: frozenset[str]
+
+    @cached_property
+    def transcript(self) -> tuple[SearchEvent, ...]:
+        return tuple(SearchEvent(*raw) for raw in self.events)
 
 
 class SearchQueue:
@@ -163,7 +188,8 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
             raise ValueError(f"unknown node {node_id!r}")
     store = model.store
     bound = make_heuristic(heuristic, net, store, query.dest, query.budget)
-    events: list[SearchEvent] = []
+    events: list[tuple] = []
+    record = events.append
     queue = SearchQueue()
     explored: set[str] = set()
     expanded = 0
@@ -173,23 +199,21 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
     def offer_incumbent(path: Path, cost: Histogram) -> None:
         nonlocal best_path, best_prob
         prob = cost.cdf(query.budget)
-        events.append(SearchEvent("candidate", path=path.edges, value=prob))
+        record(("candidate", path.edges, None, prob))
         if prob > best_prob:
             best_path, best_prob = path, prob
-            events.append(SearchEvent("incumbent", path=path.edges, value=prob))
+            record(("incumbent", path.edges, None, prob))
             dropped = queue.purge_below(prob)
-            events.append(SearchEvent("purge", value=prob, count=dropped))
+            record(("purge", None, None, prob, None, None, None, dropped))
 
     for e in net.out_edges(query.source):
         if e.to_node == query.source:
-            events.append(SearchEvent("skip-cycle", path=(e.edge_id,), edge=e.edge_id))
+            record(("skip-cycle", (e.edge_id,), e.edge_id))
             continue
         ik = store.min_time(e.edge_id)
         node_min = bound.get_min(e.to_node)
         if node_min is None or ik + node_min > query.budget:
-            events.append(
-                SearchEvent("init-prune", edge=e.edge_id, ik_min=ik, node_min=node_min)
-            )
+            record(("init-prune", None, e.edge_id, None, ik, None, node_min))
             continue
         path = Path((e.edge_id,))
         cost, state = extend_cost(model, None, path)
@@ -205,7 +229,7 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
             r=arrival_prob(cost, node_min, query.budget),
             visited=frozenset((query.source, e.to_node)),
         )
-        events.append(SearchEvent("push", path=path.edges, value=label.r))
+        record(("push", path.edges, None, label.r))
         queue.push(label)
 
     while True:
@@ -213,35 +237,26 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
         if label is None:
             break
         if best_path is not None and label.r <= best_prob:
-            events.append(SearchEvent("break", path=label.path.edges, value=label.r))
+            record(("break", label.path.edges, None, label.r))
             break
         expanded += 1
-        events.append(SearchEvent("pop", path=label.path.edges, value=label.r))
+        record(("pop", label.path.edges, None, label.r))
         path_min = min_cost(label.cost)
         for e in net.out_edges(label.end_node):
             if e.to_node in label.visited:
-                events.append(SearchEvent("skip-cycle", path=label.path.edges, edge=e.edge_id))
+                record(("skip-cycle", label.path.edges, e.edge_id))
                 continue
             ik = store.min_time(e.edge_id)
             node_min = bound.get_min(e.to_node)
             if node_min is None or ik + path_min + node_min > query.budget:
-                events.append(
-                    SearchEvent(
-                        "prune",
-                        path=label.path.edges,
-                        edge=e.edge_id,
-                        ik_min=ik,
-                        path_min=path_min,
-                        node_min=node_min,
-                    )
-                )
+                record(("prune", label.path.edges, e.edge_id, None, ik, path_min, node_min))
                 continue
             new_path = Path(label.path.edges + (e.edge_id,))
             explored.add(e.edge_id)
             try:
                 cost, state = extend_cost(model, label.state, new_path)
             except InconsistentWeightsError:
-                events.append(SearchEvent("skip-inconsistent", path=label.path.edges, edge=e.edge_id))
+                record(("skip-inconsistent", label.path.edges, e.edge_id))
                 continue
             if e.to_node == query.dest:
                 offer_incumbent(new_path, cost)
@@ -256,12 +271,12 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
             )
             decision, dominated = check_dominance(queue, candidate)
             if decision == "drop":
-                events.append(SearchEvent("dominated-drop", path=new_path.edges, value=candidate.r))
+                record(("dominated-drop", new_path.edges, None, candidate.r))
                 continue
             for other in dominated:
                 queue.remove(other)
-                events.append(SearchEvent("dominated-out", path=other.path.edges))
-            events.append(SearchEvent("push", path=new_path.edges, value=candidate.r))
+                record(("dominated-out", other.path.edges))
+            record(("push", new_path.edges, None, candidate.r))
             queue.push(candidate)
 
     return SolveResult(
@@ -270,6 +285,6 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
         explored_edges=len(explored),
         expanded_labels=expanded,
         wall_time_s=time.perf_counter() - t0,
-        transcript=tuple(events),
+        events=tuple(events),
         explored_edge_ids=frozenset(explored),
     )

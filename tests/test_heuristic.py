@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 
@@ -111,6 +112,42 @@ def test_bounds_are_admissible_on_random_instances():
             tmin = tree.get_min(nid)
             assert tmin is not None  # generated networks are strongly connected
             assert line.get_min(nid) <= tmin
+
+
+def unbounded_tree(net, store, dest):
+    """Plain backward Dijkstra with no budget; ties pop in the same order."""
+    mins, next_hop = {}, {}
+    heap = [(0, dest, None)]
+    while heap:
+        d, node, via = heapq.heappop(heap)
+        if node in mins:
+            continue
+        mins[node] = d
+        if via is not None:
+            next_hop[node] = via
+        for e in net.in_edges(node):
+            heapq.heappush(heap, (d + store.min_time(e.edge_id), e.from_node, e.edge_id))
+    return mins, next_hop
+
+
+def test_min_tree_is_the_unbounded_tree_cut_at_the_budget():
+    """Budgets one below, at and one above every node's distance hit the ``<=`` edge."""
+    checked = 0
+    for seed in range(12):
+        net, records = gen_instance(seed, nodes=9, density=0.2 + 0.05 * seed)
+        store = build_store(net, records, min_support=10)
+        dest = random.Random(seed).choice(list(net.node_ids))
+        mins, next_hop = unbounded_tree(net, store, dest)
+        budgets = {-1, 10**9} | {d + k for d in mins.values() for k in (-1, 0, 1)}
+        for budget in sorted(budgets):
+            tree = build_min_tree(net, store, dest, budget)
+            want = {n: d for n, d in mins.items() if d <= budget}
+            assert tree.mins == want
+            assert tree.next_hop == {n: e for n, e in next_hop.items() if n in want}
+            for nid in net.node_ids:
+                assert tree.get_min(nid) == want.get(nid)
+            checked += 1
+    assert checked > 200
 
 
 def test_arrival_prob_goldens(pace_model):

@@ -10,7 +10,7 @@ from spotar.dist import Histogram
 from spotar.heuristic import HeuristicKind, build_min_tree
 from spotar.network import Path, Query
 from spotar.oracle import gen_instance
-from spotar.solver import Label, SearchQueue, check_dominance, solve
+from spotar.solver import Label, SearchEvent, SearchQueue, check_dominance, solve
 from spotar.weights import CostModel, Mode, build_store, path_cost
 
 from _util import conflicting_records, tiny_network
@@ -178,6 +178,86 @@ def test_solver_rejects_unknown_nodes(sample_net, pace_model):
         solve(sample_net, pace_model, HeuristicKind.SP, Query("s", "zz", 10))
 
 
+# ------------------------------------------------- pinned transcripts
+#
+# Whole transcripts, event for event.  Together they hold every event
+# kind but ``skip-inconsistent`` (see test_inconsistent_weights.py), so
+# a value recorded in the wrong slot of any kind changes one of them.
+
+E = SearchEvent
+
+
+def assert_transcript(res, expected):
+    assert all(type(e) is SearchEvent for e in res.transcript)
+    assert res.transcript == tuple(expected)
+    assert res.transcript == res.transcript
+
+
+@pytest.mark.parametrize(
+    "kind,budget,expected",
+    [
+        (HeuristicKind.SP, 22, [
+            E("push", ("e1",), value=1.0),
+            E("push", ("e2",), value=1.0),
+            E("pop", ("e1",), value=1.0),
+            E("push", ("e1", "e4"), value=0.8),
+            E("prune", ("e1",), edge="e5", ik_min=8, path_min=8, node_min=8),
+            E("pop", ("e2",), value=1.0),
+            E("prune", ("e2",), edge="e3", ik_min=11, path_min=8, node_min=11),
+            E("push", ("e2", "e6"), value=0.7),
+            E("pop", ("e1", "e4"), value=0.8),
+            E("prune", ("e1", "e4"), edge="e7", ik_min=13, path_min=14, node_min=8),
+            E("candidate", ("e1", "e4", "e9"), value=0.32000000000000006),
+            E("incumbent", ("e1", "e4", "e9"), value=0.32000000000000006),
+            E("purge", value=0.32000000000000006, count=0),
+            E("pop", ("e2", "e6"), value=0.7),
+            E("prune", ("e2", "e6"), edge="e7", ik_min=13, path_min=13, node_min=8),
+            E("candidate", ("e2", "e6", "e9"), value=0.7),
+            E("incumbent", ("e2", "e6", "e9"), value=0.7),
+            E("purge", value=0.7, count=0),
+        ]),
+        (HeuristicKind.BA, 22, [
+            E("push", ("e1",), value=1.0),
+            E("push", ("e2",), value=1.0),
+            E("pop", ("e1",), value=1.0),
+            E("push", ("e1", "e4"), value=1.0),
+            E("push", ("e1", "e5"), value=1.0),
+            E("pop", ("e2",), value=1.0),
+            E("push", ("e2", "e3"), value=0.2),
+            E("push", ("e2", "e6"), value=1.0),
+            E("pop", ("e1", "e4"), value=1.0),
+            E("prune", ("e1", "e4"), edge="e7", ik_min=13, path_min=14, node_min=2),
+            E("candidate", ("e1", "e4", "e9"), value=0.32000000000000006),
+            E("incumbent", ("e1", "e4", "e9"), value=0.32000000000000006),
+            E("purge", value=0.32000000000000006, count=1),
+            E("pop", ("e1", "e5"), value=1.0),
+            E("prune", ("e1", "e5"), edge="e8", ik_min=8, path_min=16, node_min=0),
+            E("pop", ("e2", "e6"), value=1.0),
+            E("prune", ("e2", "e6"), edge="e7", ik_min=13, path_min=13, node_min=2),
+            E("candidate", ("e2", "e6", "e9"), value=0.7),
+            E("incumbent", ("e2", "e6", "e9"), value=0.7),
+            E("purge", value=0.7, count=0),
+        ]),
+        (HeuristicKind.SP, 18, [
+            E("init-prune", edge="e1", ik_min=8, node_min=11),
+            E("push", ("e2",), value=0.2),
+            E("pop", ("e2",), value=0.2),
+            E("prune", ("e2",), edge="e3", ik_min=11, path_min=8, node_min=11),
+            E("push", ("e2", "e6"), value=0.7),
+            E("pop", ("e2", "e6"), value=0.7),
+            E("prune", ("e2", "e6"), edge="e7", ik_min=13, path_min=13, node_min=8),
+            E("candidate", ("e2", "e6", "e9"), value=0.27999999999999997),
+            E("incumbent", ("e2", "e6", "e9"), value=0.27999999999999997),
+            E("purge", value=0.27999999999999997, count=0),
+        ]),
+    ],
+    ids=["sp-22", "ba-22", "sp-18"],
+)
+def test_golden_transcript_is_pinned(sample_net, pace_model, kind, budget, expected):
+    res = solve(sample_net, pace_model, kind, Query("s", "d", budget))
+    assert_transcript(res, expected)
+
+
 # ----------------------------------------------------- synthetic events
 
 
@@ -261,6 +341,57 @@ def test_source_without_outgoing_edges():
     assert res.probability == 0.0
     assert res.explored_edges == 0
     assert res.transcript == ()
+
+
+@pytest.mark.parametrize(
+    "make,budget,expected",
+    [
+        (lambda: two_way_merge(10.0, 15.0), 20, [
+            E("push", ("p1",), value=1.0),
+            E("push", ("p2",), value=1.0),
+            E("pop", ("p1",), value=1.0),
+            E("push", ("p1", "p3"), value=1.0),
+            E("pop", ("p2",), value=1.0),
+            E("dominated-drop", ("p2", "p4"), value=1.0),
+            E("pop", ("p1", "p3"), value=1.0),
+            E("candidate", ("p1", "p3", "p5"), value=1.0),
+            E("incumbent", ("p1", "p3", "p5"), value=1.0),
+            E("purge", value=1.0, count=0),
+        ]),
+        (lambda: two_way_merge(15.0, 10.0), 20, [
+            E("push", ("p1",), value=1.0),
+            E("push", ("p2",), value=1.0),
+            E("pop", ("p1",), value=1.0),
+            E("push", ("p1", "p3"), value=1.0),
+            E("pop", ("p2",), value=1.0),
+            E("dominated-out", ("p1", "p3")),
+            E("push", ("p2", "p4"), value=1.0),
+            E("pop", ("p2", "p4"), value=1.0),
+            E("candidate", ("p2", "p4", "p5"), value=1.0),
+            E("incumbent", ("p2", "p4", "p5"), value=1.0),
+            E("purge", value=1.0, count=0),
+        ]),
+        (lambda: fallback_model([("loop", "a", "a", 5.0, 5.0), ("out", "a", "d", 5.0, 5.0)]), 5, [
+            E("skip-cycle", ("loop",), edge="loop"),
+            E("candidate", ("out",), value=1.0),
+            E("incumbent", ("out",), value=1.0),
+            E("purge", value=1.0, count=0),
+        ]),
+        (lambda: fallback_model(
+            [("m1", "a", "d", 5.0, 5.0), ("m2", "a", "b", 5.0, 5.0), ("m3", "b", "d", 5.0, 5.0)]
+        ), 2, [
+            E("candidate", ("m1",), value=1.0),
+            E("incumbent", ("m1",), value=1.0),
+            E("purge", value=1.0, count=0),
+            E("push", ("m2",), value=1.0),
+            E("break", ("m2",), value=1.0),
+        ]),
+    ],
+    ids=["dominated-drop", "dominated-out", "skip-cycle", "break"],
+)
+def test_synthetic_transcript_is_pinned(make, budget, expected):
+    net, model = make()
+    assert_transcript(solve(net, model, HeuristicKind.SP, Query("a", "d", budget)), expected)
 
 
 # -------------------------------------------------- queue and dominance
