@@ -11,11 +11,15 @@ sparse supports; nothing is binned or interpolated after construction.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
-from itertools import compress
+from itertools import chain, compress
+from operator import itemgetter, lt
 
 MASS_TOL = 1e-9
 _DOM_EPS = 1e-12
+_INT = frozenset((int,))
+_NUMBER = frozenset((float, int))
 
 
 class DistributionError(ValueError):
@@ -23,17 +27,9 @@ class DistributionError(ValueError):
 
 
 def _check_delta(delta: float) -> float:
-    if not delta > 0.0:
-        raise DistributionError(f"resolution must be positive, got {delta!r}")
+    if not 0.0 < delta < math.inf:
+        raise DistributionError(f"delta must be positive and finite, got {delta!r}")
     return float(delta)
-
-
-def _check_time(t: object) -> int:
-    if isinstance(t, bool) or not isinstance(t, int):
-        raise DistributionError(f"travel time {t!r} is not an integer")
-    if t < 1:
-        raise DistributionError(f"travel time {t} is below the grid minimum of 1")
-    return t
 
 
 def _check_times(times: Sequence[object]) -> None:
@@ -42,10 +38,10 @@ def _check_times(times: Sequence[object]) -> None:
     Each property is one C-level pass over all of the values; the values
     are walked only to name a bad one.
     """
-    if not set(map(type, times)) <= {int}:
+    if not _INT.issuperset(map(type, times)):
         bad = next(t for t in times if type(t) is not int)
         raise DistributionError(f"travel time {bad!r} is not an integer")
-    if min(times, default=1) < 1:
+    if times and min(times) < 1:
         raise DistributionError(f"travel time {min(times)} is below the grid minimum of 1")
 
 
@@ -53,13 +49,13 @@ def _check_probs(probs: Sequence[object]) -> Sequence[float]:
     """``probs`` as floats, after checking that each is a finite, non-negative
     ``float`` or ``int``, one C-level pass per property as in :func:`_check_times`."""
     types = set(map(type, probs))
-    if not types <= {float, int}:
+    if not types <= _NUMBER:
         bad = next(p for p in probs if type(p) not in (float, int))
         raise DistributionError(f"probability {bad!r} is not a number")
     if not all(map(math.isfinite, probs)):
         bad = next(p for p in probs if not math.isfinite(p))
         raise DistributionError(f"probability {bad!r} is not finite")
-    if min(probs, default=0.0) < 0.0:
+    if probs and min(probs) < 0.0:
         raise DistributionError(f"negative probability {min(probs)!r}")
     return probs if int not in types else list(map(float, probs))
 
@@ -73,26 +69,63 @@ def _check_mass(entries: Mapping[object, float], what: str) -> None:
         raise DistributionError(f"total mass {mass!r} differs from 1 by more than {MASS_TOL}")
 
 
+def _row_times(rows: Sequence[object], width: int) -> list[object]:
+    """The times of ``rows``, one after another, after checking that each
+    row is a list or tuple of ``width`` times."""
+    if not (set(map(type, rows)) <= {list, tuple} and set(map(len, rows)) <= {width}):
+        raise DistributionError(f"each row must be a list of {width} times")
+    return list(chain.from_iterable(rows))
+
+
+def _check_edges(edges: tuple[str, ...]) -> None:
+    """Check that a joint's ``edges`` are at least one and distinct."""
+    if not edges:
+        raise DistributionError("a joint needs at least one edge")
+    if len(set(edges)) != len(edges):
+        raise DistributionError("an edge appears twice")
+
+
+def _entries(keys: Sequence, probs: Sequence[float], what: str) -> dict:
+    """``{key: probability}`` of a histogram (``what`` is ``"histogram"``)
+    or a joint (``"joint"``) whose keys passed :func:`_check_times` and whose
+    probabilities are what :func:`_check_probs` returned: sorted by key,
+    with zero probabilities dropped.
+
+    No key may appear twice and the mass must be 1.  Keys already strictly
+    increasing, as stores are written, are not sorted again.
+    """
+    if all(map(lt, keys, keys[1:])):
+        entries = dict(zip(keys, probs))
+    else:
+        entries = dict(sorted(zip(keys, probs), key=itemgetter(0)))
+        if len(entries) != len(keys):
+            twice = Counter(keys).most_common(1)[0][0]
+            raise DistributionError(f"{what} lists {twice!r} twice")
+    if 0.0 in probs:
+        entries = {k: p for k, p in entries.items() if p}
+    _check_mass(entries, what)
+    return entries
+
+
 class Histogram:
     """Probability mass over integer travel times.
 
-    Zero-probability entries are dropped at construction; negative or
-    non-finite probabilities and non-positive or non-integer times are
-    rejected, and the total mass must be 1 within ``MASS_TOL``.
+    The entries follow the rules of a stored edge weight, checked by the
+    same functions and reported with the same messages as in
+    :func:`spotar.weights.load_store`: every time an ``int`` (not a
+    ``bool``) of at least 1, every probability a finite, non-negative
+    ``float`` or ``int`` (not a ``bool``), and the total mass 1 within
+    ``MASS_TOL``.  Zero-probability entries are dropped, and ``delta``
+    must be positive and finite.
     """
 
     __slots__ = ("_entries", "delta")
 
     def __init__(self, entries: Mapping[int, float], delta: float = 1.0) -> None:
-        cleaned: dict[int, float] = {}
-        for t, p in entries.items():
-            _check_time(t)
-            if not p >= 0.0:
-                raise DistributionError(f"probability {p!r} at time {t} is negative or not a number")
-            if p > 0.0:
-                cleaned[t] = cleaned.get(t, 0.0) + p
-        _check_mass(cleaned, "histogram")
-        self._set(dict(sorted(cleaned.items())), _check_delta(delta))
+        times = list(entries)
+        _check_times(times)
+        probs = _check_probs(list(entries.values()))
+        self._set(_entries(times, probs, "histogram"), _check_delta(delta))
 
     @classmethod
     def _checked(cls, entries: dict[int, float], delta: float) -> Histogram:
@@ -126,9 +159,6 @@ class Histogram:
         """Probability of a travel time of at most ``t`` units."""
         entries = self._entries
         return math.fsum(compress(entries.values(), map(t.__ge__, entries)))
-
-    def mean(self) -> float:
-        return math.fsum(t * p for t, p in self._entries.items())
 
     def approx_eq(self, other: Histogram, tol: float = MASS_TOL) -> bool:
         """True if both histograms agree pointwise within ``tol``."""
@@ -225,8 +255,10 @@ class JointDist:
     """Joint probability mass over the per-edge travel times of a path.
 
     ``edges`` fixes the coordinate order; every row is a tuple with one
-    integer travel time per edge.  Rows follow the same validity rules
-    as histogram entries and must sum to 1 within ``MASS_TOL``.
+    travel time per edge.  The edges must be distinct, and the rows
+    follow the rules of a stored path weight, checked as in
+    :class:`Histogram` with the messages of
+    :func:`spotar.weights.load_store`.
     """
 
     __slots__ = ("_edges", "_rows", "delta")
@@ -238,25 +270,11 @@ class JointDist:
         delta: float = 1.0,
     ) -> None:
         edge_tuple = tuple(edges)
-        if not edge_tuple:
-            raise DistributionError("joint distribution needs at least one edge")
-        if len(set(edge_tuple)) != len(edge_tuple):
-            raise DistributionError(f"duplicate edges in {edge_tuple!r}")
-        cleaned: dict[tuple[int, ...], float] = {}
-        for row, p in rows.items():
-            row = tuple(row)
-            if len(row) != len(edge_tuple):
-                raise DistributionError(
-                    f"row {row!r} has {len(row)} times for {len(edge_tuple)} edges"
-                )
-            for t in row:
-                _check_time(t)
-            if not p >= 0.0:
-                raise DistributionError(f"probability {p!r} at row {row!r} is negative or not a number")
-            if p > 0.0:
-                cleaned[row] = cleaned.get(row, 0.0) + p
-        _check_mass(cleaned, "joint distribution")
-        self._set(edge_tuple, dict(sorted(cleaned.items())), _check_delta(delta))
+        _check_edges(edge_tuple)
+        keys = list(map(tuple, rows))
+        _check_times(_row_times(keys, len(edge_tuple)))
+        probs = _check_probs(list(rows.values()))
+        self._set(edge_tuple, _entries(keys, probs, "joint"), _check_delta(delta))
 
     @classmethod
     def _checked(
@@ -280,9 +298,6 @@ class JointDist:
     def rows(self) -> Iterator[tuple[tuple[int, ...], float]]:
         """Yield (time-vector, probability) pairs in row-sorted order."""
         return iter(self._rows.items())
-
-    def row_prob(self, row: tuple[int, ...]) -> float:
-        return self._rows.get(tuple(row), 0.0)
 
     def as_dict(self) -> dict[tuple[int, ...], float]:
         return dict(self._rows)

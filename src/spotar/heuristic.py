@@ -82,8 +82,6 @@ def build_min_tree(net: Network, store: WeightStore, dest: str, budget: int) -> 
 class TreeBound:
     """Exact remaining-time minimum, served from a :class:`MinTree`."""
 
-    kind = HeuristicKind.SP
-
     def __init__(self, tree: MinTree) -> None:
         self.tree = tree
 
@@ -99,8 +97,6 @@ class StraightLineBound:
     computed once and remembered; a bound serves one destination, so one
     solve.
     """
-
-    kind = HeuristicKind.BA
 
     def __init__(self, net: Network, dest: str) -> None:
         if not net.has_node(dest):

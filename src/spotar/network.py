@@ -12,6 +12,8 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
+from .dist import DistributionError, _check_delta
+
 EARTH_RADIUS_M = 6_371_000.0
 
 
@@ -82,6 +84,8 @@ class Network:
         for n in nodes:
             if n.node_id in node_map:
                 raise NetworkFormatError(f"duplicate node id {n.node_id!r}")
+            if not (math.isfinite(n.lat) and math.isfinite(n.lon)):
+                raise NetworkFormatError(f"node {n.node_id!r} has a coordinate that is not finite")
             node_map[n.node_id] = n
         edge_map: dict[str, Edge] = {}
         for e in edges:
@@ -89,16 +93,21 @@ class Network:
                 raise NetworkFormatError(f"duplicate edge id {e.edge_id!r}")
             if e.from_node not in node_map or e.to_node not in node_map:
                 raise NetworkFormatError(f"edge {e.edge_id!r} references an unknown node")
-            if not e.length > 0.0:
-                raise NetworkFormatError(f"edge {e.edge_id!r} has non-positive length")
-            if not e.speed_limit > 0.0:
-                raise NetworkFormatError(f"edge {e.edge_id!r} has non-positive speed limit")
+            if not 0.0 < e.length < math.inf:
+                raise NetworkFormatError(
+                    f"edge {e.edge_id!r} has length {e.length!r}, not a positive finite number"
+                )
+            if not 0.0 < e.speed_limit < math.inf:
+                raise NetworkFormatError(
+                    f"edge {e.edge_id!r} has speed limit {e.speed_limit!r}, not a positive finite number"
+                )
             edge_map[e.edge_id] = e
-        if not delta > 0.0:
-            raise NetworkFormatError(f"delta must be positive, got {delta!r}")
+        try:
+            self.delta = _check_delta(delta)
+        except DistributionError as exc:
+            raise NetworkFormatError(str(exc)) from None
         self._nodes = node_map
         self._edges = edge_map
-        self.delta = float(delta)
         out: dict[str, list[Edge]] = {nid: [] for nid in node_map}
         incoming: dict[str, list[Edge]] = {nid: [] for nid in node_map}
         for e in edge_map.values():

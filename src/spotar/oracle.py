@@ -66,9 +66,7 @@ def enumerate_simple_paths(
     return out
 
 
-def exact_spotar(
-    net: Network, model: CostModel, query: Query, max_edges: int | None = None
-) -> tuple[Path | None, float]:
+def exact_spotar(net: Network, model: CostModel, query: Query) -> tuple[Path | None, float]:
     """Brute-force answer: evaluate every simple path, keep the best.
 
     Ties prefer fewer edges, then lexicographic edge ids.  Paths whose
@@ -77,7 +75,7 @@ def exact_spotar(
     """
     best_path: Path | None = None
     best_prob = 0.0
-    for p in enumerate_simple_paths(net, query, max_edges):
+    for p in enumerate_simple_paths(net, query):
         try:
             prob = path_cost(model, p).cdf(query.budget)
         except InconsistentWeightsError:

@@ -30,8 +30,8 @@ from .weights import CostModel, FoldStep, InconsistentWeightsError, extend_cost
 class Label:
     """A partial path under consideration.
 
-    ``cost`` is the path's travel-time distribution, equal to
-    ``path_cost(model, path)``.  ``state`` is what
+    ``edges`` are the path's edge ids.  ``cost`` is its travel-time
+    distribution, equal to ``path_cost(model, Path(edges))``.  ``state`` is what
     :func:`spotar.weights.extend_cost` returned with it, and an extension
     derives its cost from it: in ``EDGE`` mode the state is the cost and
     an extension is one convolution; in ``PACE`` mode it is the cover
@@ -42,7 +42,7 @@ class Label:
     avoidance.
     """
 
-    path: Path
+    edges: tuple[str, ...]
     end_node: str
     cost: Histogram
     state: Histogram | tuple[FoldStep, ...]
@@ -105,35 +105,31 @@ class SearchQueue:
     """Max-priority label queue with lazy deletion and per-node views."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, tuple[str, ...], int, Label]] = []
+        self._heap: list[tuple[float, int, tuple[str, ...], Label]] = []
         self._by_node: dict[str, list[Label]] = {}
-        self._serial = 0
-        self._alive = 0
 
     def push(self, label: Label) -> None:
-        self._serial += 1
-        heapq.heappush(self._heap, (-label.r, len(label.path.edges), label.path.edges, self._serial, label))
+        heapq.heappush(self._heap, (-label.r, len(label.edges), label.edges, label))
         self._by_node.setdefault(label.end_node, []).append(label)
-        self._alive += 1
 
     def pop(self) -> Label | None:
         """Remove and return the highest-priority live label, if any.
 
-        Ties break toward shorter paths, then lexicographic edge ids,
-        then insertion order, so runs are reproducible.
+        Ties break toward shorter paths, then lexicographic edge ids, so
+        runs are reproducible.  No two entries tie on all three: a search
+        pushes each path at most once, because every pushed path is one
+        edge out of the source or a popped label's path plus one edge, and
+        each label is popped at most once.
         """
         while self._heap:
             label = heapq.heappop(self._heap)[-1]
             if label.alive:
                 label.alive = False
-                self._alive -= 1
                 return label
         return None
 
     def remove(self, label: Label) -> None:
-        if label.alive:
-            label.alive = False
-            self._alive -= 1
+        label.alive = False
 
     def labels_at(self, node_id: str) -> list[Label]:
         """Live labels ending at a node, oldest first."""
@@ -148,33 +144,27 @@ class SearchQueue:
             for lab in labels:
                 if lab.alive and lab.r < threshold:
                     lab.alive = False
-                    self._alive -= 1
                     removed += 1
         return removed
 
-    def __len__(self) -> int:
-        return self._alive
 
-
-def check_dominance(queue: SearchQueue, candidate: Label) -> tuple[str, list[Label]]:
+def check_dominance(queue: SearchQueue, candidate: Label) -> list[Label] | None:
     """Compare a candidate against queued labels at the same node.
 
-    Returns ``("drop", [])`` when an existing label has the same cost or
-    a first-order stochastically dominating one (the candidate can be
-    discarded: with identical remaining choices it can never do
-    better), ``("replace", dominated)`` when the candidate dominates
-    existing labels (they are discarded instead), and ``("keep", [])``
-    when the costs are incomparable.
+    Returns ``None`` when an existing label has the same cost or a
+    first-order stochastically dominating one: the candidate can be
+    discarded, since with identical remaining choices it can never do
+    better.  Otherwise returns the queued labels the candidate
+    dominates, which are discarded instead (empty when the costs are
+    incomparable).
     """
     dominated: list[Label] = []
     for other in queue.labels_at(candidate.end_node):
         if other.cost == candidate.cost or dist.dominates(other.cost, candidate.cost):
-            return "drop", []
+            return None
         if dist.dominates(candidate.cost, other.cost):
             dominated.append(other)
-    if dominated:
-        return "replace", dominated
-    return "keep", []
+    return dominated
 
 
 def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query) -> SolveResult:
@@ -196,13 +186,13 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
     best_path: Path | None = None
     best_prob = 0.0
 
-    def offer_incumbent(path: Path, cost: Histogram) -> None:
+    def offer_incumbent(edges: tuple[str, ...], cost: Histogram) -> None:
         nonlocal best_path, best_prob
         prob = cost.cdf(query.budget)
-        record(("candidate", path.edges, None, prob))
+        record(("candidate", edges, None, prob))
         if prob > best_prob:
-            best_path, best_prob = path, prob
-            record(("incumbent", path.edges, None, prob))
+            best_path, best_prob = Path(edges), prob
+            record(("incumbent", edges, None, prob))
             dropped = queue.purge_below(prob)
             record(("purge", None, None, prob, None, None, None, dropped))
 
@@ -215,21 +205,21 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
         if node_min is None or ik + node_min > query.budget:
             record(("init-prune", None, e.edge_id, None, ik, None, node_min))
             continue
-        path = Path((e.edge_id,))
-        cost, state = extend_cost(model, None, path)
+        edges = (e.edge_id,)
+        cost, state = extend_cost(model, None, edges)
         explored.add(e.edge_id)
         if e.to_node == query.dest:
-            offer_incumbent(path, cost)
+            offer_incumbent(edges, cost)
             continue
         label = Label(
-            path=path,
+            edges=edges,
             end_node=e.to_node,
             cost=cost,
             state=state,
             r=arrival_prob(cost, node_min, query.budget),
             visited=frozenset((query.source, e.to_node)),
         )
-        record(("push", path.edges, None, label.r))
+        record(("push", edges, None, label.r))
         queue.push(label)
 
     while True:
@@ -237,46 +227,46 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
         if label is None:
             break
         if best_path is not None and label.r <= best_prob:
-            record(("break", label.path.edges, None, label.r))
+            record(("break", label.edges, None, label.r))
             break
         expanded += 1
-        record(("pop", label.path.edges, None, label.r))
+        record(("pop", label.edges, None, label.r))
         path_min = min_cost(label.cost)
         for e in net.out_edges(label.end_node):
             if e.to_node in label.visited:
-                record(("skip-cycle", label.path.edges, e.edge_id))
+                record(("skip-cycle", label.edges, e.edge_id))
                 continue
             ik = store.min_time(e.edge_id)
             node_min = bound.get_min(e.to_node)
             if node_min is None or ik + path_min + node_min > query.budget:
-                record(("prune", label.path.edges, e.edge_id, None, ik, path_min, node_min))
+                record(("prune", label.edges, e.edge_id, None, ik, path_min, node_min))
                 continue
-            new_path = Path(label.path.edges + (e.edge_id,))
+            edges = label.edges + (e.edge_id,)
             explored.add(e.edge_id)
             try:
-                cost, state = extend_cost(model, label.state, new_path)
+                cost, state = extend_cost(model, label.state, edges)
             except InconsistentWeightsError:
-                record(("skip-inconsistent", label.path.edges, e.edge_id))
+                record(("skip-inconsistent", label.edges, e.edge_id))
                 continue
             if e.to_node == query.dest:
-                offer_incumbent(new_path, cost)
+                offer_incumbent(edges, cost)
                 continue
             candidate = Label(
-                path=new_path,
+                edges=edges,
                 end_node=e.to_node,
                 cost=cost,
                 state=state,
                 r=arrival_prob(cost, node_min, query.budget),
                 visited=label.visited | {e.to_node},
             )
-            decision, dominated = check_dominance(queue, candidate)
-            if decision == "drop":
-                record(("dominated-drop", new_path.edges, None, candidate.r))
+            dominated = check_dominance(queue, candidate)
+            if dominated is None:
+                record(("dominated-drop", edges, None, candidate.r))
                 continue
             for other in dominated:
                 queue.remove(other)
-                record(("dominated-out", other.path.edges))
-            record(("push", new_path.edges, None, candidate.r))
+                record(("dominated-out", other.edges))
+            record(("push", edges, None, candidate.r))
             queue.push(candidate)
 
     return SolveResult(

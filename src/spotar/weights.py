@@ -17,11 +17,10 @@ from __future__ import annotations
 import enum
 import json
 import math
-from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
-from operator import itemgetter, lt
+from operator import itemgetter
 from typing import NoReturn
 
 from .dist import (
@@ -29,10 +28,12 @@ from .dist import (
     Histogram,
     JointDist,
     _check_delta,
-    _check_mass,
+    _check_edges,
     _check_probs,
     _check_times,
     _derived,
+    _entries,
+    _row_times,
     convolve,
     min_cost,
     point_mass,
@@ -97,9 +98,7 @@ class TrajectoryRecord:
             raise ValueError(
                 f"{len(self.times)} times for {len(self.path.edges)} edges"
             )
-        for t in self.times:
-            if isinstance(t, bool) or not isinstance(t, int) or t < 1:
-                raise ValueError(f"travel time {t!r} is not a positive integer")
+        _check_times(self.times)
         if isinstance(self.count, bool) or not isinstance(self.count, int) or self.count < 1:
             raise ValueError(f"count {self.count!r} is not a positive integer")
 
@@ -206,9 +205,6 @@ class WeightStore:
             return self._min_times[edge_id]
         except KeyError:
             raise StoreError(f"no weight for edge {edge_id!r}") from None
-
-    def has_edge(self, edge_id: str) -> bool:
-        return edge_id in self._edge_weights
 
     def edge_ids(self) -> tuple[str, ...]:
         return tuple(self._edge_weights)
@@ -354,38 +350,12 @@ def _name_first_bad(idents: list, groups: list) -> NoReturn:
         if not set(map(len, entries)) <= {2}:
             raise StoreFormatError(f"{name}: an entry is not a pair")
         firsts = [entry[0] for entry in entries]
-        if isinstance(ident, str):
-            times = firsts
-        elif set(map(type, firsts)) <= {list} and set(map(len, firsts)) <= {len(ident)}:
-            times = list(chain.from_iterable(firsts))
-        else:
-            raise StoreFormatError(f"{name}: each row must be a list of {len(ident)} times")
         try:
-            _check_times(times)
+            _check_times(firsts if isinstance(ident, str) else _row_times(firsts, len(ident)))
             _check_probs([entry[1] for entry in entries])
         except (DistributionError, OverflowError) as exc:
             raise StoreFormatError(f"{name}: {exc}") from None
     raise StoreFormatError("malformed store")
-
-
-def _loaded_entries(keys: Sequence, probs: Sequence[float], what: str) -> dict:
-    """``{key: probability}`` of one stored object whose keys and probabilities
-    passed the bulk checks: sorted by key, with zero probabilities dropped.
-
-    No key may appear twice and the mass must be 1.  Keys already strictly
-    increasing, as :func:`save_store` writes them, are not sorted again.
-    """
-    if all(map(lt, keys, keys[1:])):
-        entries = dict(zip(keys, probs))
-    else:
-        entries = dict(sorted(zip(keys, probs)))
-        if len(entries) != len(keys):
-            twice = Counter(keys).most_common(1)[0][0]
-            raise DistributionError(f"{what} lists {twice!r} twice")
-    if 0.0 in probs:
-        entries = {k: p for k, p in entries.items() if p}
-    _check_mass(entries, what)
-    return entries
 
 
 def load_store(path: str) -> WeightStore:
@@ -401,7 +371,10 @@ def load_store(path: str) -> WeightStore:
     and joint is checked on its own (distinct edges, no duplicate time or
     row, zero-probability entries dropped, mass 1 within ``MASS_TOL``) and
     built without being validated again; :class:`WeightStore` checks that
-    each joint's times lie within its edges' supports.
+    each joint's times lie within its edges' supports.  The checks are the
+    functions of :mod:`spotar.dist` that the :class:`Histogram` and
+    :class:`JointDist` constructors call, and an error is the message they
+    raise, after the name of the edge or stored path.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -452,13 +425,13 @@ def load_store(path: str) -> WeightStore:
         for ident, a, b in zip(idents, accumulate(counts, initial=0), accumulate(counts)):
             edge = isinstance(ident, str)
             try:
-                entries = _loaded_entries(keys[a:b], probs[a:b], "histogram" if edge else "joint")
+                entries = _entries(keys[a:b], probs[a:b], "histogram" if edge else "joint")
+                if not edge:
+                    _check_edges(ident)
             except DistributionError as exc:
                 raise StoreFormatError(f"{_name(ident)}: {exc}") from None
             if edge:
                 edge_weights[ident] = Histogram._checked(entries, delta)
-            elif len(set(ident)) != len(ident):
-                raise StoreFormatError(f"{_name(ident)}: an edge appears twice")
             elif ident in path_weights:
                 raise StoreFormatError(f"{_name(ident)} appears twice")
             else:
@@ -724,11 +697,11 @@ def path_cost(model: CostModel, path: Path) -> Histogram:
 
 
 def extend_cost(
-    model: CostModel, prefix_state: Histogram | tuple[FoldStep, ...] | None, path: Path
+    model: CostModel, prefix_state: Histogram | tuple[FoldStep, ...] | None, edges: tuple[str, ...]
 ) -> tuple[Histogram, Histogram | tuple[FoldStep, ...]]:
-    """Cost of ``path`` and the state to extend it by, from the state of its prefix.
+    """Cost of the path ``edges`` and the state to extend it by, from the state of its prefix.
 
-    ``prefix_state`` is what this function returned for ``path`` minus
+    ``prefix_state`` is what this function returned for ``edges`` minus
     its last edge, or ``None`` for a one-edge path.  The cost equals
     :func:`path_cost` exactly.  In ``EDGE`` mode the state is the cost
     histogram, and the prefix cost is convolved with the last edge's
@@ -740,10 +713,10 @@ def extend_cost(
     """
     store = model.store
     if model.mode is Mode.EDGE:
-        weight = store.edge_weight(path.edges[-1])
+        weight = store.edge_weight(edges[-1])
         cost = weight if prefix_state is None else convolve(prefix_state, weight)
         return cost, cost
     steps = prefix_state or ()
-    k, (s, unit) = _extend_cover(store, steps, path.edges)
+    k, (s, unit) = _extend_cover(store, steps, edges)
     steps = _fold(store, steps[:k], s, unit)
     return _fold_cost(store, steps), steps

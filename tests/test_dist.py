@@ -33,7 +33,6 @@ def test_histogram_basics():
     assert h.prob(3) == 0.0
     assert h.as_dict() == {2: 0.5, 7: 0.25, 10: 0.25}
     assert h.mass() == pytest.approx(1.0, abs=1e-15)
-    assert h.mean() == pytest.approx(5.25, abs=1e-12)
     assert len(h) == 3
     assert h.delta == 1.0
 
@@ -83,6 +82,7 @@ def test_histogram_cdf_steps():
         {3: -0.1, 4: 1.1},
         {3: 0.4},
         {3: 0.6, 4: 0.6},
+        {3: Fraction(1)},
     ],
 )
 def test_histogram_rejects_bad_entries(entries):
@@ -91,9 +91,9 @@ def test_histogram_rejects_bad_entries(entries):
 
 
 def test_constructors_reject_nan_probability():
-    with pytest.raises(DistributionError, match="not a number"):
+    with pytest.raises(DistributionError, match="not finite"):
         Histogram({3: float("nan"), 4: 1.0})
-    with pytest.raises(DistributionError, match="not a number"):
+    with pytest.raises(DistributionError, match="not finite"):
         JointDist(("a", "b"), {(1, 2): float("nan"), (2, 2): 1.0})
 
 
@@ -314,8 +314,7 @@ def test_joint_basics():
     j = JointDist(("a", "b"), {(8, 6): 0.8, (10, 10): 0.2})
     assert j.edges == ("a", "b")
     assert list(j.rows()) == [((8, 6), 0.8), ((10, 10), 0.2)]
-    assert j.row_prob((8, 6)) == 0.8
-    assert j.row_prob((8, 7)) == 0.0
+    assert j.as_dict() == {(8, 6): 0.8, (10, 10): 0.2}
     assert j.mass() == pytest.approx(1.0, abs=1e-15)
     assert len(j) == 2
 
@@ -350,7 +349,7 @@ def test_joint_product_golden():
     }
     assert set(prod.as_dict()) == set(expect)
     for row, p in expect.items():
-        assert prod.row_prob(row) == pytest.approx(p, abs=1e-9)
+        assert prod.as_dict()[row] == pytest.approx(p, abs=1e-9)
 
 
 def test_joint_product_rejects_overlap_and_mismatch():

@@ -65,7 +65,6 @@ def test_min_tree_unknown_dest(sample_net, sample_store):
 def test_tree_bound_wraps_tree(sample_net, sample_store):
     h = make_heuristic(HeuristicKind.SP, sample_net, sample_store, "d", 22)
     assert isinstance(h, TreeBound)
-    assert h.kind is HeuristicKind.SP
     assert h.get_min("q") == 5
     assert h.get_min("d") == 0
 
@@ -74,7 +73,6 @@ def test_straight_line_bound_formula(sample_net, sample_store):
     """Every node, asked twice: the bound remembers each node's value."""
     h = make_heuristic(HeuristicKind.BA, sample_net, sample_store, "d", 22)
     assert isinstance(h, StraightLineBound)
-    assert h.kind is HeuristicKind.BA
     for nid in [*sample_net.node_ids, *reversed(sample_net.node_ids)]:
         want = math.floor(
             sample_net.distance_m(nid, "d") / (sample_net.max_speed * sample_net.delta)

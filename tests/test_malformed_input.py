@@ -8,6 +8,8 @@ import pathlib
 import pytest
 
 from spotar.cli import main
+from spotar.dist import DistributionError, Histogram, JointDist
+from spotar.weights import StoreFormatError, load_store
 
 DATA = pathlib.Path(__file__).parent / "data"
 NETWORK = str(DATA / "sample_network.csv")
@@ -115,3 +117,115 @@ def test_query_loads_indented_store(store_doc, tmp_path, capsys):
     store.write_text(json.dumps(store_doc, sort_keys=True, indent=2) + "\n")
     assert main(["query", "--network", NETWORK, "--store", str(store), *QUERY]) == 0
     assert capsys.readouterr().out.splitlines()[:2] == ["path e2,e6,e9", "probability 0.7"]
+
+
+def _network_with(tmp_path, old, new):
+    """The sample network with one line changed."""
+    text = pathlib.Path(NETWORK).read_text()
+    assert old in text
+    path = tmp_path / "network.csv"
+    path.write_text(text.replace(old, new))
+    return str(path)
+
+
+# (case, changed network line, text the error line must contain)
+NETWORK_CASES = [
+    ("infinite length", ("e1,s,e,64,8.0", "e1,s,e,inf,8.0"), "edge 'e1' has length inf"),
+    ("infinite speed limit", ("e1,s,e,64,8.0", "e1,s,e,64,inf"), "edge 'e1' has speed limit inf"),
+    ("NaN latitude", ("q,57.04805,9.91030", "q,nan,9.91030"), "node 'q' has a coordinate that is not finite"),
+    (
+        "infinite longitude",
+        ("q,57.04805,9.91030", "q,57.04805,-inf"),
+        "node 'q' has a coordinate that is not finite",
+    ),
+]
+
+
+@pytest.mark.parametrize("case, line, expected", NETWORK_CASES, ids=[c[0] for c in NETWORK_CASES])
+def test_build_and_query_reject_non_finite_network_values(
+    store_doc, tmp_path, capsys, case, line, expected
+):
+    network = _network_with(tmp_path, *line)
+    store = tmp_path / "weights.json"
+    store.write_text(json.dumps(store_doc))
+    capsys.readouterr()
+    argv = ["build", "--network", network, "--trajectories", TRAJECTORIES, "--out", str(tmp_path / "w.json")]
+    assert main(argv) == 1
+    assert expected in _single_error_line(capsys)
+    assert main(["query", "--network", network, "--store", str(store), *QUERY]) == 1
+    assert expected in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("delta", ["inf", "nan", "0"])
+def test_build_rejects_bad_delta(tmp_path, capsys, delta):
+    out = tmp_path / "w.json"
+    argv = ["build", "--network", NETWORK, "--trajectories", TRAJECTORIES, "--out", str(out)]
+    assert main([*argv, "--delta", delta]) == 1
+    assert f"delta must be positive and finite, got {float(delta)!r}" in _single_error_line(capsys)
+    assert not out.exists()
+
+
+def test_query_rejects_infinite_store_delta(store_doc, tmp_path, capsys):
+    store = tmp_path / "weights.json"
+    store.write_text(json.dumps(dict(store_doc, delta=float("inf"))))
+    capsys.readouterr()
+    assert main(["query", "--network", NETWORK, "--store", str(store), *QUERY]) == 1
+    assert "delta must be positive and finite, got inf" in _single_error_line(capsys)
+
+
+# One rejection table for both ways in: each bad entry, given to the
+# constructor, raises DistributionError with the message; written into a
+# store, it makes load_store raise StoreFormatError with the stored
+# object's name followed by the same message.  A histogram's entries are
+# (time, probability) pairs and stand for edge 'e1'; a joint's are
+# (row, probability) pairs over its edges and stand for the first stored path.
+NAN, INF = float("nan"), float("inf")
+ENTRY_CASES = [
+    ("time 0", None, [(0, 0.9), (10, 0.1)], "travel time 0 is below the grid minimum of 1"),
+    ("time 2.5", None, [(2.5, 0.9), (10, 0.1)], "travel time 2.5 is not an integer"),
+    ("time True", None, [(True, 0.9), (10, 0.1)], "travel time True is not an integer"),
+    ("time '8'", None, [("8", 0.9), (10, 0.1)], "travel time '8' is not an integer"),
+    ("row time 0", ("e1", "e4"), [((8, 0), 0.8), ((10, 10), 0.2)],
+     "travel time 0 is below the grid minimum of 1"),
+    ("row time True", ("e1", "e4"), [((8, True), 0.8), ((10, 10), 0.2)],
+     "travel time True is not an integer"),
+    ("probability -0.1", None, [(8, 1.1), (10, -0.1)], "negative probability -0.1"),
+    ("probability NaN", None, [(8, NAN), (10, 0.1)], "probability nan is not finite"),
+    ("probability inf", None, [(8, INF), (10, 0.1)], "probability inf is not finite"),
+    ("probability True", None, [(8, True), (10, 0.0)], "probability True is not a number"),
+    ("probability '0.5'", None, [(8, "0.5"), (10, 0.5)], "probability '0.5' is not a number"),
+    ("row probability NaN", ("e1", "e4"), [((8, 6), NAN), ((10, 10), 0.2)], "probability nan is not finite"),
+    ("row probability True", ("e1", "e4"), [((8, 6), True), ((10, 10), 0.0)],
+     "probability True is not a number"),
+    # a Mapping cannot repeat a key, but two keys can hold the same times
+    ("repeated row", ("e1", "e4"), [((8, 6), 0.4), (range(8, 5, -2), 0.4), ((10, 10), 0.2)],
+     "joint lists (8, 6) twice"),
+    ("mass 0.9", None, [(8, 0.8), (10, 0.1)], f"total mass {0.8 + 0.1!r} differs from 1 by more than 1e-09"),
+    ("joint mass 0.9", ("e1", "e4"), [((8, 6), 0.7), ((10, 10), 0.2)],
+     f"total mass {0.7 + 0.2!r} differs from 1 by more than 1e-09"),
+    ("row of the wrong width", ("e1", "e4"), [((8, 6, 6), 0.8), ((10, 10), 0.2)],
+     "each row must be a list of 2 times"),
+    ("key repeats an edge", ("e1", "e1"), [((8, 8), 0.8), ((10, 10), 0.2)], "an edge appears twice"),
+]
+
+
+@pytest.mark.parametrize("case, edges, entries, message", ENTRY_CASES, ids=[c[0] for c in ENTRY_CASES])
+def test_constructors_and_load_store_reject_alike(store_doc, tmp_path, case, edges, entries, message):
+    doc = json.loads(json.dumps(store_doc))
+    with pytest.raises(DistributionError) as built:
+        if edges is None:
+            Histogram(dict(entries))
+        else:
+            JointDist(edges, dict(entries))
+    assert str(built.value) == message
+    if edges is None:
+        name = "edge 'e1'"
+        doc["edge_weights"]["e1"] = [[t, p] for t, p in entries]
+    else:
+        name = f"stored path {edges!r}"
+        doc["path_weights"][0] = {"edges": list(edges), "rows": [[list(row), p] for row, p in entries]}
+    store = tmp_path / "bad.json"
+    store.write_text(json.dumps(doc))
+    with pytest.raises(StoreFormatError) as loaded:
+        load_store(str(store))
+    assert str(loaded.value) == f"{name}: {message}"
