@@ -52,7 +52,11 @@ def _check_probs(probs: Sequence[object]) -> Sequence[float]:
     if not types <= _NUMBER:
         bad = next(p for p in probs if type(p) not in (float, int))
         raise DistributionError(f"probability {bad!r} is not a number")
-    if not all(map(math.isfinite, probs)):
+    try:
+        finite = all(map(math.isfinite, probs))
+    except OverflowError:
+        raise DistributionError("an integer probability is too large for a float") from None
+    if not finite:
         bad = next(p for p in probs if not math.isfinite(p))
         raise DistributionError(f"probability {bad!r} is not finite")
     if probs and min(probs) < 0.0:
@@ -156,9 +160,19 @@ class Histogram:
         return math.fsum(self._entries.values())
 
     def cdf(self, t: int) -> float:
-        """Probability of a travel time of at most ``t`` units."""
+        """Probability of a travel time of at most ``t`` units.
+
+        Exactly ``1.0`` when ``t`` is at or past the last time, whatever
+        the stored probabilities sum to; below it, the ``fsum`` of the
+        probabilities at times up to ``t``, clamped to at most ``1.0``.
+        So a path that makes the budget for certain scores exactly
+        ``1.0``, and no score exceeds it: an answer at ``1.0`` cannot be
+        beaten, which lets the search stop there.
+        """
         entries = self._entries
-        return math.fsum(compress(entries.values(), map(t.__ge__, entries)))
+        if t >= next(reversed(entries)):
+            return 1.0
+        return min(1.0, math.fsum(compress(entries.values(), map(t.__ge__, entries))))
 
     def approx_eq(self, other: Histogram, tol: float = MASS_TOL) -> bool:
         """True if both histograms agree pointwise within ``tol``."""

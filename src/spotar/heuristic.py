@@ -132,7 +132,9 @@ def arrival_prob(cost: Histogram, node_min: int | None, budget: int) -> float:
     Sums the path-so-far mass over times ``k`` with
     ``k + node_min <= budget``, which is one CDF lookup.  This is the
     search's priority: an upper bound on the completion probability of
-    any extension.
+    any extension.  It is exactly ``1.0`` when the whole support fits
+    (see :meth:`Histogram.cdf`), which is then the true bound, and never
+    above it.
     """
     if node_min is None:
         return 0.0

@@ -2,11 +2,15 @@
 
 Labels are node-simple partial paths ordered by their priority: the
 probability mass that could still make the budget if the rest of the
-trip took only its minimum time (see :func:`spotar.heuristic.arrival_prob`).
+trip took only its minimum time (see :func:`spotar.heuristic.arrival_prob`),
+with ties going to the label nearest the destination.
 Extensions that reach the destination immediately challenge the
 incumbent answer and are never queued; an incumbent update purges every
 queued label that can no longer beat it, and the search stops as soon
-as the best queued priority cannot either.  An extension whose stored
+as the best queued priority cannot either.  A candidate whose cost is
+dominated by a queued label's at the same node is dropped, in ``PACE``
+mode only where no stored unit can still re-cover either label's last
+edges (see :func:`check_dominance`).  An extension whose stored
 units share no overlap mass has no cost distribution; it is skipped and
 recorded as a ``skip-inconsistent`` event.
 """
@@ -23,7 +27,7 @@ from . import dist
 from .dist import Histogram, min_cost
 from .heuristic import HeuristicKind, arrival_prob, make_heuristic
 from .network import Network, Path, Query
-from .weights import CostModel, FoldStep, InconsistentWeightsError, extend_cost
+from .weights import CostModel, FoldStep, InconsistentWeightsError, Mode, extend_cost
 
 
 @dataclass(slots=True)
@@ -37,17 +41,23 @@ class Label:
     an extension is one convolution; in ``PACE`` mode it is the cover
     units with the fold state after each, and an extension keeps the
     steps of the leading units its cover shares with this path and
-    folds the one unit after them.  ``r`` is the queue
-    priority; ``visited`` holds every node on the path for cycle
-    avoidance.
+    folds the one unit after them.  ``node_min`` is the bound's
+    fewest remaining time units from ``end_node`` to the destination,
+    and ``r``, the queue priority, is
+    ``arrival_prob(cost, node_min, budget)``; among equal ``r`` the
+    queue prefers the smaller ``node_min``.  ``visited`` holds every
+    node on the path for cycle avoidance.  ``settled`` says whether the
+    label takes part in dominance (see :func:`check_dominance`).
     """
 
     edges: tuple[str, ...]
     end_node: str
     cost: Histogram
     state: Histogram | tuple[FoldStep, ...]
+    node_min: int
     r: float
     visited: frozenset[str]
+    settled: bool = True
     alive: bool = True
 
 
@@ -105,21 +115,33 @@ class SearchQueue:
     """Max-priority label queue with lazy deletion and per-node views."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, tuple[str, ...], Label]] = []
+        self._heap: list[tuple[float, int, int, tuple[str, ...], Label]] = []
         self._by_node: dict[str, list[Label]] = {}
 
     def push(self, label: Label) -> None:
-        heapq.heappush(self._heap, (-label.r, len(label.edges), label.edges, label))
+        heapq.heappush(
+            self._heap, (-label.r, label.node_min, len(label.edges), label.edges, label)
+        )
         self._by_node.setdefault(label.end_node, []).append(label)
 
     def pop(self) -> Label | None:
         """Remove and return the highest-priority live label, if any.
 
-        Ties break toward shorter paths, then lexicographic edge ids, so
-        runs are reproducible.  No two entries tie on all three: a search
-        pushes each path at most once, because every pushed path is one
-        edge out of the source or a popped label's path plus one edge, and
-        each label is popped at most once.
+        Ties in ``r`` break toward the smaller ``node_min`` (the end node
+        nearest the destination, as A* breaks ties toward the goal), then
+        toward shorter paths, then lexicographic edge ids, so runs are
+        reproducible.  No two entries tie on all four: a search pushes
+        each path at most once, because every pushed path is one edge out
+        of the source or a popped label's path plus one edge, and each
+        label is popped at most once.
+
+        The stopping rule and the incumbent purge need only that the
+        popped label has the largest ``r`` among live labels, so the
+        order among equal ``r`` is free.  Heading for the destination
+        there finds a path that makes the budget for certain early, and
+        because :meth:`~spotar.dist.Histogram.cdf` is exactly ``1.0``
+        once the whole support fits and never above it, an incumbent at
+        ``1.0`` ends the search at the next pop.
         """
         while self._heap:
             label = heapq.heappop(self._heap)[-1]
@@ -157,9 +179,27 @@ def check_dominance(queue: SearchQueue, candidate: Label) -> list[Label] | None:
     better.  Otherwise returns the queued labels the candidate
     dominates, which are discarded instead (empty when the costs are
     incomparable).
+
+    Only settled labels are compared.  In ``EDGE`` mode every label is
+    settled: an extension's cost is the label's cost convolved with the
+    added edges' weights, and convolving two costs with the same
+    distribution keeps first-order dominance.  In ``PACE`` mode a label
+    is settled when no stored path weight starts inside its edges and
+    runs past its end (:meth:`~spotar.weights.WeightStore.is_settled`).
+    Every cover unit an extension adds then starts at or after the
+    label's end, so it is conditioned only on the added edges, and the
+    extension's cost is again the label's cost convolved with a
+    distribution of the added edges alone.  An unsettled label's
+    extension can re-cover its last edges and condition on their times,
+    so two labels ordered by their total times can swap order once
+    extended; an unsettled label is kept without a comparison.
     """
     dominated: list[Label] = []
+    if not candidate.settled:
+        return dominated
     for other in queue.labels_at(candidate.end_node):
+        if not other.settled:
+            continue
         if other.cost == candidate.cost or dist.dominates(other.cost, candidate.cost):
             return None
         if dist.dominates(candidate.cost, other.cost):
@@ -177,6 +217,7 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
         if not net.has_node(node_id):
             raise ValueError(f"unknown node {node_id!r}")
     store = model.store
+    edge_mode = model.mode is Mode.EDGE
     bound = make_heuristic(heuristic, net, store, query.dest, query.budget)
     events: list[tuple] = []
     record = events.append
@@ -216,8 +257,10 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
             end_node=e.to_node,
             cost=cost,
             state=state,
+            node_min=node_min,
             r=arrival_prob(cost, node_min, query.budget),
             visited=frozenset((query.source, e.to_node)),
+            settled=edge_mode or store.is_settled(edges),
         )
         record(("push", edges, None, label.r))
         queue.push(label)
@@ -256,8 +299,10 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
                 end_node=e.to_node,
                 cost=cost,
                 state=state,
+                node_min=node_min,
                 r=arrival_prob(cost, node_min, query.budget),
                 visited=label.visited | {e.to_node},
+                settled=edge_mode or store.is_settled(edges),
             )
             dominated = check_dominance(queue, candidate)
             if dominated is None:

@@ -148,6 +148,7 @@ class WeightStore:
         "_edge_weights",
         "_path_weights",
         "_max_len",
+        "_open_prefixes",
         "_min_times",
     )
 
@@ -191,6 +192,7 @@ class WeightStore:
                         f"stored weight {key!r} has times for {eid!r} outside its edge weight"
                     )
         self._max_len = max(map(len, self._path_weights), default=1)
+        self._open_prefixes = frozenset(key[:j] for key in self._path_weights for j in range(1, len(key)))
         self._min_times = {eid: min_cost(h) for eid, h in self._edge_weights.items()}
 
     def edge_weight(self, edge_id: str) -> Histogram:
@@ -225,6 +227,17 @@ class WeightStore:
     def max_stored_len(self) -> int:
         """Edge span of the longest stored path weight (1 if none)."""
         return self._max_len
+
+    def is_settled(self, edges: tuple[str, ...]) -> bool:
+        """Whether no stored path weight starts inside ``edges`` and runs past its end.
+
+        That holds when no suffix of ``edges`` is a proper prefix of a
+        stored key.  A stored key spans at most :attr:`max_stored_len`
+        edges, so only the last ``max_stored_len - 1`` suffixes are looked up.
+        """
+        n = len(edges)
+        prefixes = self._open_prefixes
+        return not any(edges[s:] in prefixes for s in range(max(0, n + 1 - self._max_len), n))
 
     def __repr__(self) -> str:
         return (
@@ -353,7 +366,7 @@ def _name_first_bad(idents: list, groups: list) -> NoReturn:
         try:
             _check_times(firsts if isinstance(ident, str) else _row_times(firsts, len(ident)))
             _check_probs([entry[1] for entry in entries])
-        except (DistributionError, OverflowError) as exc:
+        except DistributionError as exc:
             raise StoreFormatError(f"{name}: {exc}") from None
     raise StoreFormatError("malformed store")
 
@@ -417,7 +430,7 @@ def load_store(path: str) -> WeightStore:
         try:
             _check_times(firsts[:split] + list(chain.from_iterable(rows)))
             probs = _check_probs(list(map(itemgetter(1), flat)))
-        except (DistributionError, OverflowError):
+        except DistributionError:
             _name_first_bad(idents, groups)
         keys = firsts[:split] + list(map(tuple, rows))
         edge_weights: dict[str, Histogram] = {}

@@ -69,12 +69,15 @@ def tiny_network(
     *,
     delta: float = 1.0,
     spacing_m: float = 50.0,
+    coords: dict[str, tuple[float, float]] | None = None,
 ) -> Network:
     """Network from ``(edge_id, from, to, length_m, speed_mps)`` rows.
 
     Node coordinates are synthesized on a small grid so straight-line
     distances stay below every edge length (keeping the distance-based
-    bound honest by construction).
+    bound honest by construction).  ``coords`` gives ``(lat, lon)`` for
+    the nodes it names instead, and then keeping the bound honest is the
+    caller's job.
     """
     names = []
     for _, u, v, _, _ in edge_specs:
@@ -84,8 +87,9 @@ def tiny_network(
     # Cluster the nodes within a few meters of each other: 1e-5 deg of
     # latitude is roughly one meter, so the grid pitch stays tiny
     # compared to spacing_m-scale edge lengths.
+    coords = coords or {}
     nodes = [
-        Node(name, 57.0 + 1e-5 * (i % 3), 9.9 + 1e-5 * (i // 3))
+        Node(name, *coords.get(name, (57.0 + 1e-5 * (i % 3), 9.9 + 1e-5 * (i // 3))))
         for i, name in enumerate(names)
     ]
     assert spacing_m > 0

@@ -43,8 +43,11 @@ def test_histogram_drops_zero_entries():
 
 
 def generator_cdf(h, t):
-    """Reference CDF: the fsum of the probabilities at times up to ``t``."""
-    return math.fsum(p for tt, p in h.items() if tt <= t)
+    """Reference CDF: exactly 1.0 at or past the last time, and below it the
+    fsum of the probabilities at times up to ``t``, clamped to 1.0."""
+    if t >= h.times()[-1]:
+        return 1.0
+    return min(1.0, math.fsum(p for tt, p in h.items() if tt <= t))
 
 
 def test_cdf_equals_the_generator_sum():
@@ -59,6 +62,22 @@ def test_cdf_equals_the_generator_sum():
             probes |= {t, t + 1}
         for t in sorted(probes):
             assert h.cdf(t) == generator_cdf(h, t)
+
+
+def test_cdf_of_convolutions_is_at_most_one_and_exactly_one_at_the_end():
+    """Convolved masses drift from 1 by rounding; the cdf never shows it."""
+    rng = random.Random(2108)
+    rounded = 0
+    for _ in range(300):
+        total = rand_hist(rng, max_support=6, max_time=20)[0]
+        for _ in range(rng.randint(1, 4)):
+            total = convolve(total, rand_hist(rng, max_support=6, max_time=20)[0])
+        times = total.times()
+        rounded += total.mass() != 1.0
+        assert all(total.cdf(t) <= 1.0 for t in times)
+        assert total.cdf(times[-1]) == 1.0
+        assert total.cdf(times[-1] + 7) == 1.0
+    assert rounded  # some of these masses really do round away from 1
 
 
 def test_histogram_cdf_steps():

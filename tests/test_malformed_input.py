@@ -193,8 +193,11 @@ ENTRY_CASES = [
     ("probability NaN", None, [(8, NAN), (10, 0.1)], "probability nan is not finite"),
     ("probability inf", None, [(8, INF), (10, 0.1)], "probability inf is not finite"),
     ("probability True", None, [(8, True), (10, 0.0)], "probability True is not a number"),
+    ("probability 10**400", None, [(8, 10**400), (10, 0.1)], "an integer probability is too large for a float"),
     ("probability '0.5'", None, [(8, "0.5"), (10, 0.5)], "probability '0.5' is not a number"),
     ("row probability NaN", ("e1", "e4"), [((8, 6), NAN), ((10, 10), 0.2)], "probability nan is not finite"),
+    ("row probability 10**400", ("e1", "e4"), [((8, 6), 10**400), ((10, 10), 0.2)],
+     "an integer probability is too large for a float"),
     ("row probability True", ("e1", "e4"), [((8, 6), True), ((10, 10), 0.0)],
      "probability True is not a number"),
     # a Mapping cannot repeat a key, but two keys can hold the same times

@@ -6,12 +6,12 @@ import random
 
 import pytest
 
-from spotar.dist import Histogram
+from spotar.dist import Histogram, JointDist
 from spotar.heuristic import HeuristicKind, build_min_tree
 from spotar.network import Query
-from spotar.oracle import gen_instance
+from spotar.oracle import exact_spotar, gen_instance
 from spotar.solver import Label, SearchEvent, SearchQueue, check_dominance, solve
-from spotar.weights import CostModel, Mode, build_store, path_cost
+from spotar.weights import CostModel, Mode, WeightStore, build_store, path_cost
 
 from _util import conflicting_records, tiny_network
 
@@ -36,7 +36,8 @@ def test_golden_run_budget_22(sample_net, pace_model):
 def test_golden_run_pop_order_and_incumbents(sample_net, pace_model):
     res = solve(sample_net, pace_model, HeuristicKind.SP, Query("s", "d", 22))
     pops = [e.path for e in events_of(res, "pop")]
-    assert pops == [("e1",), ("e2",), ("e1", "e4"), ("e2", "e6")]
+    # e2 ends 10 units from d and e1 ends 11 away, so e2 goes first at r = 1.
+    assert pops == [("e2",), ("e1",), ("e1", "e4"), ("e2", "e6")]
     incumbents = events_of(res, "incumbent")
     assert [e.path for e in incumbents] == [("e1", "e4", "e9"), ("e2", "e6", "e9")]
     assert incumbents[0].value == pytest.approx(0.32, abs=1e-9)
@@ -199,12 +200,12 @@ def assert_transcript(res, expected):
         (HeuristicKind.SP, 22, [
             E("push", ("e1",), value=1.0),
             E("push", ("e2",), value=1.0),
-            E("pop", ("e1",), value=1.0),
-            E("push", ("e1", "e4"), value=0.8),
-            E("prune", ("e1",), edge="e5", ik_min=8, path_min=8, node_min=8),
             E("pop", ("e2",), value=1.0),
             E("prune", ("e2",), edge="e3", ik_min=11, path_min=8, node_min=11),
             E("push", ("e2", "e6"), value=0.7),
+            E("pop", ("e1",), value=1.0),
+            E("push", ("e1", "e4"), value=0.8),
+            E("prune", ("e1",), edge="e5", ik_min=8, path_min=8, node_min=8),
             E("pop", ("e1", "e4"), value=0.8),
             E("prune", ("e1", "e4"), edge="e7", ik_min=13, path_min=14, node_min=8),
             E("candidate", ("e1", "e4", "e9"), value=0.32000000000000006),
@@ -222,21 +223,21 @@ def assert_transcript(res, expected):
             E("pop", ("e1",), value=1.0),
             E("push", ("e1", "e4"), value=1.0),
             E("push", ("e1", "e5"), value=1.0),
-            E("pop", ("e2",), value=1.0),
-            E("push", ("e2", "e3"), value=0.2),
-            E("push", ("e2", "e6"), value=1.0),
             E("pop", ("e1", "e4"), value=1.0),
             E("prune", ("e1", "e4"), edge="e7", ik_min=13, path_min=14, node_min=2),
             E("candidate", ("e1", "e4", "e9"), value=0.32000000000000006),
             E("incumbent", ("e1", "e4", "e9"), value=0.32000000000000006),
-            E("purge", value=0.32000000000000006, count=1),
+            E("purge", value=0.32000000000000006, count=0),
             E("pop", ("e1", "e5"), value=1.0),
             E("prune", ("e1", "e5"), edge="e8", ik_min=8, path_min=16, node_min=0),
+            E("pop", ("e2",), value=1.0),
+            E("push", ("e2", "e3"), value=0.2),
+            E("push", ("e2", "e6"), value=1.0),
             E("pop", ("e2", "e6"), value=1.0),
             E("prune", ("e2", "e6"), edge="e7", ik_min=13, path_min=13, node_min=2),
             E("candidate", ("e2", "e6", "e9"), value=0.7),
             E("incumbent", ("e2", "e6", "e9"), value=0.7),
-            E("purge", value=0.7, count=0),
+            E("purge", value=0.7, count=1),
         ]),
         (HeuristicKind.SP, 18, [
             E("init-prune", edge="e1", ik_min=8, node_min=11),
@@ -261,9 +262,9 @@ def test_golden_transcript_is_pinned(sample_net, pace_model, kind, budget, expec
 # ----------------------------------------------------- synthetic events
 
 
-def fallback_model(edge_specs):
+def fallback_model(edge_specs, coords=None):
     """Model over a tiny network where every edge is a point mass."""
-    net = tiny_network(edge_specs)
+    net = tiny_network(edge_specs, coords=coords)
     store = build_store(net, [], min_support=1)
     return net, CostModel(store, Mode.PACE)
 
@@ -286,43 +287,124 @@ def test_break_event_when_top_priority_cannot_beat_incumbent():
     assert purge.count == 0  # ties survive; only strictly worse labels go
 
 
-def two_way_merge(len_b_mid, len_c_mid):
-    """Two branches meeting at a middle node before the destination."""
-    return fallback_model(
-        [
-            ("p1", "a", "b", 5.0, 5.0),
-            ("p2", "a", "c", 5.0, 5.0),
-            ("p3", "b", "m", len_b_mid, 5.0),
-            ("p4", "c", "m", len_c_mid, 5.0),
-            ("p5", "m", "d", 20.0, 5.0),
-        ]
+def certain_grid():
+    """A 4 x 4 one-way grid from ``g00`` to ``g33``: 20 routes of 6 edges.
+
+    Every edge is 100 m at 10 m/s, a point mass at 10 units, so each
+    route takes 60 units.  Nodes sit on a real grid, 55 m apart north to
+    south and 30 m east to west, so the straight-line bound says how far
+    each node is from ``g33`` and stays below the edge lengths.
+    """
+    coords = {f"g{r}{c}": (57.0 - 0.0005 * r, 9.9 + 0.0005 * c) for r in range(4) for c in range(4)}
+    specs = [(f"s{r}{c}", f"g{r}{c}", f"g{r + 1}{c}", 100.0, 10.0) for r in range(3) for c in range(4)]
+    specs += [(f"e{r}{c}", f"g{r}{c}", f"g{r}{c + 1}", 100.0, 10.0) for r in range(4) for c in range(3)]
+    return fallback_model(specs, coords=coords)
+
+
+def test_ba_stops_after_the_first_certain_incumbent():
+    # At a budget of 90 every label has r = 1.  Ordered by length, the
+    # queue would go breadth-first and expand 13 labels before reaching
+    # g33; ordered by node_min it heads for g33 and expands one label per
+    # node on the way.  The incumbent at exactly 1.0 then stops the
+    # search at the next pop.
+    net, model = certain_grid()
+    res = solve(net, model, HeuristicKind.BA, Query("g00", "g33", 90))
+    assert res.path.edges == ("s00", "s10", "e20", "e21", "s22", "e32")
+    assert res.probability == 1.0
+    assert res.expanded_labels == 5
+    assert [e.path for e in events_of(res, "incumbent")] == [res.path.edges]
+    (brk,) = events_of(res, "break")
+    assert brk.path == ("s00", "s10", "e20", "e21", "e22")
+    assert brk.value == 1.0
+    kinds = [e.kind for e in res.transcript]
+    assert kinds[-4:] == ["candidate", "incumbent", "purge", "break"]
+
+
+def test_sp_and_ba_agree_on_probability_not_path():
+    # Among paths of equal probability the answer is the first one
+    # found, and each bound heads for g33 along its own ties: both
+    # answers are certain, along different routes.
+    net, model = certain_grid()
+    sp = solve(net, model, HeuristicKind.SP, Query("g00", "g33", 90))
+    ba = solve(net, model, HeuristicKind.BA, Query("g00", "g33", 90))
+    assert sp.probability == ba.probability == 1.0
+    assert sp.path.edges != ba.path.edges
+
+
+def weights_model(edge_specs, weights, path_weights=None):
+    """Pace model over a tiny network with the given edge and stored path weights."""
+    net = tiny_network(edge_specs)
+    store = WeightStore(
+        delta=1.0,
+        min_support=1,
+        max_unit_len=4,
+        mode=Mode.PACE,
+        edge_weights={eid: Histogram(h) for eid, h in weights.items()},
+        path_weights={key: JointDist(key, rows) for key, rows in (path_weights or {}).items()},
     )
+    return net, CostModel(store, Mode.PACE)
+
+
+MERGE = [("p1", "a", "b", 5.0, 5.0), ("p2", "a", "c", 5.0, 5.0), ("p3", "b", "m", 5.0, 5.0),
+         ("p4", "c", "m", 5.0, 5.0), ("p5", "m", "d", 5.0, 5.0)]
+
+
+def two_way_merge(b_mid, c_mid):
+    """Two branches meeting at ``m`` before ``d``; ``b_mid`` and ``c_mid``
+    are the weights of ``p3`` (``b -> m``) and ``p4`` (``c -> m``).
+
+    Each is 1 or 9 units, and every other edge takes 1 unit.  With ``sp``
+    and a budget of 10, ``p1`` and ``p2`` have ``r = 1`` but a label at
+    ``m`` only ``P(p3 = 1)`` or ``P(p4 = 1)``, so the queue takes ``p2``
+    while ``p1,p3`` waits at ``m``, and the branches meet there.
+    """
+    return weights_model(MERGE, {"p1": {1: 1.0}, "p2": {1: 1.0}, "p3": b_mid, "p4": c_mid, "p5": {1: 1.0}})
 
 
 def test_dominated_candidate_is_dropped():
-    net, model = two_way_merge(10.0, 15.0)  # 2 units versus 3 units
-    res = solve(net, model, HeuristicKind.SP, Query("a", "d", 20))
+    net, model = two_way_merge({1: 0.6, 9: 0.4}, {1: 0.5, 9: 0.5})
+    res = solve(net, model, HeuristicKind.SP, Query("a", "d", 10))
     assert res.path.edges == ("p1", "p3", "p5")
+    assert res.probability == pytest.approx(0.6, abs=1e-12)
     (drop,) = events_of(res, "dominated-drop")
     assert drop.path == ("p2", "p4")
     assert events_of(res, "dominated-out") == []
 
 
 def test_dominating_candidate_replaces_queued_label():
-    net, model = two_way_merge(15.0, 10.0)  # the later arrival is faster
-    res = solve(net, model, HeuristicKind.SP, Query("a", "d", 20))
+    net, model = two_way_merge({1: 0.5, 9: 0.5}, {1: 0.6, 9: 0.4})  # the later arrival is faster
+    res = solve(net, model, HeuristicKind.SP, Query("a", "d", 10))
     assert res.path.edges == ("p2", "p4", "p5")
+    assert res.probability == pytest.approx(0.6, abs=1e-12)
     (out,) = events_of(res, "dominated-out")
     assert out.path == ("p1", "p3")
     assert events_of(res, "dominated-drop") == []
 
 
 def test_equal_cost_candidate_is_dropped():
-    net, model = two_way_merge(10.0, 10.0)
-    res = solve(net, model, HeuristicKind.SP, Query("a", "d", 20))
+    net, model = two_way_merge({1: 0.5, 9: 0.5}, {1: 0.5, 9: 0.5})
+    res = solve(net, model, HeuristicKind.SP, Query("a", "d", 10))
     assert res.path.edges == ("p1", "p3", "p5")
     (drop,) = events_of(res, "dominated-drop")
     assert drop.path == ("p2", "p4")
+
+
+def test_unsettled_labels_are_kept_out_of_dominance():
+    # p1,p3 beats p2,p4 on total time at m, but both end inside a stored
+    # unit that runs on to d: (p3,p5) pairs a fast p3 with a slow p5, and
+    # (p4,p5) a fast p4 with a fast p5, so only p2,p4,p5 can make it.
+    # Dropping p2,p4 for dominance would answer no path.
+    weights = {"p1": {1: 1.0}, "p2": {1: 1.0}, "p3": {1: 0.6, 9: 0.4},
+               "p4": {1: 0.5, 9: 0.5}, "p5": {1: 0.5, 9: 0.5}}
+    joints = {("p3", "p5"): {(1, 9): 0.6, (9, 1): 0.4}, ("p4", "p5"): {(1, 1): 0.5, (9, 9): 0.5}}
+    net, model = weights_model(MERGE, weights, joints)
+    assert not model.store.is_settled(("p1", "p3"))
+    assert exact_spotar(net, model, Query("a", "d", 10))[0].edges == ("p2", "p4", "p5")
+    for kind in (HeuristicKind.SP, HeuristicKind.BA):
+        res = solve(net, model, kind, Query("a", "d", 10))
+        assert res.path.edges == ("p2", "p4", "p5")
+        assert res.probability == pytest.approx(0.5, abs=1e-12)
+        assert events_of(res, "dominated-drop") == events_of(res, "dominated-out") == []
 
 
 def test_self_loop_edges_are_skipped():
@@ -344,34 +426,35 @@ def test_source_without_outgoing_edges():
 
 
 @pytest.mark.parametrize(
-    "make,budget,expected",
+    "make,kind,budget,expected",
     [
-        (lambda: two_way_merge(10.0, 15.0), 20, [
+        (lambda: two_way_merge({1: 0.6, 9: 0.4}, {1: 0.5, 9: 0.5}), HeuristicKind.SP, 10, [
             E("push", ("p1",), value=1.0),
             E("push", ("p2",), value=1.0),
             E("pop", ("p1",), value=1.0),
-            E("push", ("p1", "p3"), value=1.0),
+            E("push", ("p1", "p3"), value=0.6),
             E("pop", ("p2",), value=1.0),
-            E("dominated-drop", ("p2", "p4"), value=1.0),
-            E("pop", ("p1", "p3"), value=1.0),
-            E("candidate", ("p1", "p3", "p5"), value=1.0),
-            E("incumbent", ("p1", "p3", "p5"), value=1.0),
-            E("purge", value=1.0, count=0),
+            E("dominated-drop", ("p2", "p4"), value=0.5),
+            E("pop", ("p1", "p3"), value=0.6),
+            E("candidate", ("p1", "p3", "p5"), value=0.6),
+            E("incumbent", ("p1", "p3", "p5"), value=0.6),
+            E("purge", value=0.6, count=0),
         ]),
-        (lambda: two_way_merge(15.0, 10.0), 20, [
+        (lambda: two_way_merge({1: 0.5, 9: 0.5}, {1: 0.6, 9: 0.4}), HeuristicKind.SP, 10, [
             E("push", ("p1",), value=1.0),
             E("push", ("p2",), value=1.0),
             E("pop", ("p1",), value=1.0),
-            E("push", ("p1", "p3"), value=1.0),
+            E("push", ("p1", "p3"), value=0.5),
             E("pop", ("p2",), value=1.0),
             E("dominated-out", ("p1", "p3")),
-            E("push", ("p2", "p4"), value=1.0),
-            E("pop", ("p2", "p4"), value=1.0),
-            E("candidate", ("p2", "p4", "p5"), value=1.0),
-            E("incumbent", ("p2", "p4", "p5"), value=1.0),
-            E("purge", value=1.0, count=0),
+            E("push", ("p2", "p4"), value=0.6),
+            E("pop", ("p2", "p4"), value=0.6),
+            E("candidate", ("p2", "p4", "p5"), value=0.6),
+            E("incumbent", ("p2", "p4", "p5"), value=0.6),
+            E("purge", value=0.6, count=0),
         ]),
-        (lambda: fallback_model([("loop", "a", "a", 5.0, 5.0), ("out", "a", "d", 5.0, 5.0)]), 5, [
+        (lambda: fallback_model([("loop", "a", "a", 5.0, 5.0), ("out", "a", "d", 5.0, 5.0)]),
+         HeuristicKind.SP, 5, [
             E("skip-cycle", ("loop",), edge="loop"),
             E("candidate", ("out",), value=1.0),
             E("incumbent", ("out",), value=1.0),
@@ -379,7 +462,7 @@ def test_source_without_outgoing_edges():
         ]),
         (lambda: fallback_model(
             [("m1", "a", "d", 5.0, 5.0), ("m2", "a", "b", 5.0, 5.0), ("m3", "b", "d", 5.0, 5.0)]
-        ), 2, [
+        ), HeuristicKind.SP, 2, [
             E("candidate", ("m1",), value=1.0),
             E("incumbent", ("m1",), value=1.0),
             E("purge", value=1.0, count=0),
@@ -389,38 +472,43 @@ def test_source_without_outgoing_edges():
     ],
     ids=["dominated-drop", "dominated-out", "skip-cycle", "break"],
 )
-def test_synthetic_transcript_is_pinned(make, budget, expected):
+def test_synthetic_transcript_is_pinned(make, kind, budget, expected):
     net, model = make()
-    assert_transcript(solve(net, model, HeuristicKind.SP, Query("a", "d", budget)), expected)
+    assert_transcript(solve(net, model, kind, Query("a", "d", budget)), expected)
 
 
 # -------------------------------------------------- queue and dominance
 
 
-def label(edges, end, entries, r):
+def label(edges, end, entries, r, node_min=0):
     cost = Histogram(entries)
     return Label(
         edges=tuple(edges),
         end_node=end,
         cost=cost,
         state=cost,
+        node_min=node_min,
         r=r,
         visited=frozenset(),
     )
 
 
-def test_queue_orders_by_priority_then_length_then_edges():
+def test_queue_orders_by_priority_then_node_min_then_length_then_edges():
     q = SearchQueue()
-    a = label(("z",), "n1", {1: 1.0}, 0.5)
-    b = label(("b", "c"), "n2", {1: 1.0}, 0.9)
-    c = label(("a",), "n3", {1: 1.0}, 0.9)
-    d = label(("b",), "n4", {1: 1.0}, 0.9)
-    for lab in (a, b, c, d):
+    a = label(("z",), "n1", {1: 1.0}, 0.5, node_min=0)
+    b = label(("b", "c"), "n2", {1: 1.0}, 0.9, node_min=3)
+    c = label(("a",), "n3", {1: 1.0}, 0.9, node_min=3)
+    d = label(("b",), "n4", {1: 1.0}, 0.9, node_min=3)
+    e = label(("y", "x", "w"), "n5", {1: 1.0}, 0.9, node_min=2)
+    f = label(("c",), "n6", {1: 1.0}, 0.9, node_min=4)
+    for lab in (a, b, c, d, e, f):
         q.push(lab)
-    assert q.pop() is c  # 0.9, one edge, "a" before "b"
+    assert q.pop() is e  # 0.9 and the nearest end node, though three edges
+    assert q.pop() is c  # 0.9, node_min 3, one edge, "a" before "b"
     assert q.pop() is d
-    assert q.pop() is b  # 0.9 but two edges
-    assert q.pop() is a
+    assert q.pop() is b  # 0.9, node_min 3, but two edges
+    assert q.pop() is f  # 0.9 but the farthest end node
+    assert q.pop() is a  # node_min 0 does not lift a lower priority
     assert q.pop() is None
 
 

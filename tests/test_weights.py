@@ -957,3 +957,31 @@ def test_fold_keyed_by_total_equals_reference_fold():
     assert steps_checked >= 2000
     assert skipped >= 150
     assert inconsistent >= 20
+
+
+def test_settled_prefix_extends_by_an_independent_suffix():
+    """A settled prefix's extensions cost the prefix convolved with the suffix alone.
+
+    This is what makes pace dominance between settled labels sound: two
+    settled labels at one node reach the same continuation through the
+    same suffix distribution.  ``is_settled`` must also match its
+    definition, that no suffix of the path is a proper prefix of a
+    stored key, and some prefixes must be unsettled.
+    """
+    rng = random.Random(41)
+    counts = {True: 0, False: 0}
+    for seed in range(12):
+        net, records = gen_instance(seed, nodes=10, density=0.6, joint_fraction=0.8)
+        store = build_store(net, records, min_support=10, max_unit_len=(4, 2, 3)[seed % 3])
+        model = CostModel(store, Mode.PACE)
+        open_prefixes = {key[:j] for key in store.stored_paths() for j in range(1, len(key))}
+        for p in random_simple_paths(net, rng, 10):
+            for n in range(1, len(p.edges)):
+                head = p.edges[:n]
+                settled = store.is_settled(head)
+                assert settled == all(head[s:] not in open_prefixes for s in range(n))
+                counts[settled] += 1
+                if settled:
+                    joined = convolve(path_cost(model, Path(head)), path_cost(model, Path(p.edges[n:])))
+                    assert path_cost(model, p).approx_eq(joined, tol=1e-12)
+    assert counts[True] and counts[False]
