@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -161,6 +162,36 @@ def test_probability_is_exactly_the_path_cost_on_random_instances():
                     assert res.probability == path_cost(model, res.path).cdf(query.budget)
                     answered += 1
     assert answered >= 100
+
+
+def test_search_effort_is_pinned():
+    """Answers and search effort on 200 small stores, pinned bit for bit.
+
+    A change to the search that keeps every answer but expands or
+    explores more (or less) moves the totals, and any other drift moves
+    the digest.
+    """
+    digest = hashlib.sha256()
+    expanded = explored = 0
+    for i in range(100):
+        net, records = gen_instance(i, joint_fraction=0.9, min_support=2)
+        for recs in (records, conflicting_records(records, random.Random(i))):
+            store = build_store(net, recs, min_support=2, mode=Mode.PACE, max_unit_len=3)
+            qrng = random.Random(f"query-{i}")
+            source, dest = qrng.sample(list(net.node_ids), 2)
+            shortest = build_min_tree(net, store, dest, 10**9).get_min(source)
+            query = Query(source, dest, shortest + qrng.randint(0, max(4, shortest)))
+            for mode in (Mode.PACE, Mode.EDGE):
+                model = CostModel(store, mode)
+                for kind in (HeuristicKind.SP, HeuristicKind.BA):
+                    res = solve(net, model, kind, query)
+                    path = res.path.edges if res.path else None
+                    row = (path, res.probability.hex(), res.expanded_labels, res.explored_edges)
+                    digest.update(repr(row).encode())
+                    expanded += res.expanded_labels
+                    explored += res.explored_edges
+    assert (expanded, explored) == (1218, 2529)
+    assert digest.hexdigest() == "48654f763be62d2a80889298c4b71acda63e867d3c08828b91cf5f50b56d5508"
 
 
 def test_solver_is_deterministic(sample_net, pace_model):
