@@ -26,7 +26,6 @@ METHODS: dict[str, tuple[HeuristicKind, Mode]] = {
 }
 
 DEFAULT_BUDGETS = (300, 500, 700, 1000)
-ALT_BUDGETS = (400, 600, 800, 1000)
 DEFAULT_BUCKETS = ((0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (3.0, 4.0))
 
 ROW_FIELDS = (

@@ -13,7 +13,6 @@ mismatch.  Set ``SPOTAR_LOG=1`` for progress chatter on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -84,8 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="bench config file (key = value)")
     p.add_argument("--out", required=True, help="per-query row CSV")
     p.add_argument("--agg", help="per-cell aggregate CSV")
-    p.add_argument("--alt-budgets", action="store_true",
-                   help=f"use budgets {','.join(map(str, bench_mod.ALT_BUDGETS))} instead of the default")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("verify", help="cross-check the search against brute force")
@@ -173,8 +170,6 @@ def cmd_query(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     store, net = _load_store_and_network(args)
     cfg = bench_mod.load_config(args.config) if args.config else bench_mod.BenchConfig()
-    if args.alt_budgets:
-        cfg = dataclasses.replace(cfg, budgets=bench_mod.ALT_BUDGETS)
     rows = bench_mod.run_bench(net, store, cfg)
     bench_mod.write_rows(rows, args.out)
     print(f"{len(rows)} rows written to {args.out}")

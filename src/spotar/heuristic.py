@@ -35,15 +35,12 @@ class HeuristicKind(enum.Enum):
 class MinTree:
     """Minimum travel times (in units) from every node to ``dest``.
 
-    Nodes whose minimum exceeds ``budget`` are absent.  ``next_hop``
-    gives the first edge of a minimal route for every reachable node
-    except the destination itself.
+    Nodes whose minimum exceeds ``budget`` are absent.
     """
 
     dest: str
     budget: int
     mins: dict[str, int]
-    next_hop: dict[str, str]
 
     def get_min(self, node_id: str) -> int | None:
         return self.mins.get(node_id)
@@ -54,29 +51,26 @@ def build_min_tree(net: Network, store: WeightStore, dest: str, budget: int) -> 
 
     Nothing beyond the budget is queued: an entry is pushed only when its
     time is at most ``budget``.  Entries within the budget are popped in
-    the order an uncut search would pop them, so ``mins`` and
-    ``next_hop`` are the uncut tree's, restricted to the budget.
+    the order an uncut search would pop them, so ``mins`` is the uncut
+    tree's, restricted to the budget.
     """
     if not net.has_node(dest):
         raise ValueError(f"unknown node {dest!r}")
     mins: dict[str, int] = {}
-    next_hop: dict[str, str] = {}
-    heap: list[tuple[int, str, str | None]] = [(0, dest, None)] if budget >= 0 else []
+    heap: list[tuple[int, str]] = [(0, dest)] if budget >= 0 else []
     push, pop = heapq.heappush, heapq.heappop
     min_time, in_edges = store.min_time, net.in_edges
     while heap:
-        d, node, via = pop(heap)
+        d, node = pop(heap)
         if node in mins:
             continue
         mins[node] = d
-        if via is not None:
-            next_hop[node] = via
         for e in in_edges(node):
             if e.from_node not in mins:
                 t = d + min_time(e.edge_id)
                 if t <= budget:
-                    push(heap, (t, e.from_node, e.edge_id))
-    return MinTree(dest, budget, mins, next_hop)
+                    push(heap, (t, e.from_node))
+    return MinTree(dest, budget, mins)
 
 
 class TreeBound:

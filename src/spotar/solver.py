@@ -3,15 +3,15 @@
 Labels are node-simple partial paths ordered by their priority: the
 probability mass that could still make the budget if the rest of the
 trip took only its minimum time (see :func:`spotar.heuristic.arrival_prob`),
-with ties going to the label nearest the destination.
-Extensions that reach the destination immediately challenge the
-incumbent answer and are never queued; an incumbent update purges every
-queued label that can no longer beat it, and the search stops as soon
-as the best queued priority cannot either.  A candidate whose cost is
-dominated by a queued label's at the same node is dropped, in ``PACE``
-mode only where no stored unit can still re-cover either label's last
-edges (see :func:`check_dominance`).  An extension whose stored
-units share no overlap mass has no cost distribution; it is skipped and
+with ties going to the label nearest the destination.  One step
+expands a prefix, the source's empty one first.  Extensions that reach
+the destination immediately challenge the incumbent answer and are
+never queued, and the search stops as soon as the best queued priority
+cannot beat it.  A candidate whose cost is dominated by a queued
+label's at the same node is dropped, in ``PACE`` mode only where no
+stored unit can still re-cover either label's last edges (see
+:func:`check_dominance`).  An extension whose stored units share no
+overlap mass has no cost distribution; it is skipped and
 recorded as a ``skip-inconsistent`` event.
 """
 
@@ -73,9 +73,11 @@ class SearchEvent(NamedTuple):
       ``dominated-drop``: ``(kind, path, None, value)``;
     * ``skip-cycle`` and ``skip-inconsistent``: ``(kind, path, edge)``;
     * ``dominated-out``: ``(kind, path)``;
-    * ``prune``: ``(kind, path, edge, None, ik_min, path_min, node_min)``;
-    * ``init-prune``: ``(kind, None, edge, None, ik_min, None, node_min)``;
-    * ``purge``: ``(kind, None, None, value, None, None, None, count)``.
+    * ``prune``: ``(kind, path, edge, None, ik_min, path_min, node_min)``.
+
+    ``path`` is the prefix being expanded where ``edge`` is set, so an
+    edge out of the source is skipped or pruned with path ``()`` and
+    ``path_min`` 0.
     """
 
     kind: str
@@ -85,7 +87,6 @@ class SearchEvent(NamedTuple):
     ik_min: int | None = None
     path_min: int | None = None
     node_min: int | None = None
-    count: int | None = None
 
 
 @dataclass(frozen=True)
@@ -131,17 +132,22 @@ class SearchQueue:
         nearest the destination, as A* breaks ties toward the goal), then
         toward shorter paths, then lexicographic edge ids, so runs are
         reproducible.  No two entries tie on all four: a search pushes
-        each path at most once, because every pushed path is one edge out
-        of the source or a popped label's path plus one edge, and each
-        label is popped at most once.
+        each path at most once, because every pushed path is the
+        source's empty path or a popped label's path plus one edge, and
+        each label is popped at most once.
 
-        The stopping rule and the incumbent purge need only that the
-        popped label has the largest ``r`` among live labels, so the
-        order among equal ``r`` is free.  Heading for the destination
-        there finds a path that makes the budget for certain early, and
-        because :meth:`~spotar.dist.Histogram.cdf` is exactly ``1.0``
-        once the whole support fits and never above it, an incumbent at
-        ``1.0`` ends the search at the next pop.
+        The stopping rule needs only that the popped label has the
+        largest ``r`` among live labels, so the order among equal ``r``
+        is free.  Heading for the destination there finds a path that
+        makes the budget for certain early, and because
+        :meth:`~spotar.dist.Histogram.cdf` is exactly ``1.0`` once the
+        whole support fits and never above it, an incumbent at ``1.0``
+        ends the search at the next pop.
+
+        The same order lets a label whose ``r`` is below the incumbent
+        stay queued: it is popped only once every label that could still
+        beat the incumbent is gone, and the stopping rule then ends the
+        search on it (see :func:`solve`).
         """
         while self._heap:
             label = heapq.heappop(self._heap)[-1]
@@ -158,16 +164,6 @@ class SearchQueue:
         found = [lab for lab in self._by_node.get(node_id, ()) if lab.alive]
         self._by_node[node_id] = found
         return found
-
-    def purge_below(self, threshold: float) -> int:
-        """Drop every live label whose priority is strictly below ``threshold``."""
-        removed = 0
-        for labels in self._by_node.values():
-            for lab in labels:
-                if lab.alive and lab.r < threshold:
-                    lab.alive = False
-                    removed += 1
-        return removed
 
 
 def check_dominance(queue: SearchQueue, candidate: Label) -> list[Label] | None:
@@ -211,6 +207,28 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
     """Find the path maximizing the chance of arriving within the budget.
 
     Returns a no-path result (probability 0) when nothing can make it.
+
+    One step expands a prefix: the source is the empty prefix, and every
+    popped label is the prefix of its path.  A label whose priority falls
+    below the incumbent stays queued until the stopping rule ends the
+    search; removing it the moment the incumbent passed it would change
+    no answer, no expansion and no explored edge:
+
+    * the queue pops the largest ``r`` first, so such a label (``r`` below
+      the incumbent's probability) can be popped only once every label
+      that could still beat the incumbent is gone, and then the stopping
+      rule (``r <= best_prob``) ends the search on it;
+    * it drops a candidate for dominance only if that candidate's ``r``
+      is at most its own: both end at the same node, so they share
+      ``node_min``, and first-order dominance gives the kept label the
+      higher ``cdf`` at every time.  That candidate could never be
+      expanded either;
+    * a candidate that dominates it removes a label that would never be
+      expanded.
+
+    First-hop labels pass through :func:`check_dominance` like any
+    other, which is sound for settled labels and changes nothing where
+    no two edges join the source to the same node.
     """
     t0 = time.perf_counter()
     for node_id in (query.source, query.dest):
@@ -227,81 +245,45 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
     best_path: Path | None = None
     best_prob = 0.0
 
-    def offer_incumbent(edges: tuple[str, ...], cost: Histogram) -> None:
+    def expand(
+        path: tuple[str, ...],
+        node: str,
+        state: Histogram | tuple[FoldStep, ...] | None,
+        visited: frozenset[str],
+        path_min: int,
+    ) -> None:
         nonlocal best_path, best_prob
-        prob = cost.cdf(query.budget)
-        record(("candidate", edges, None, prob))
-        if prob > best_prob:
-            best_path, best_prob = Path(edges), prob
-            record(("incumbent", edges, None, prob))
-            dropped = queue.purge_below(prob)
-            record(("purge", None, None, prob, None, None, None, dropped))
-
-    for e in net.out_edges(query.source):
-        if e.to_node == query.source:
-            record(("skip-cycle", (e.edge_id,), e.edge_id))
-            continue
-        ik = store.min_time(e.edge_id)
-        node_min = bound.get_min(e.to_node)
-        if node_min is None or ik + node_min > query.budget:
-            record(("init-prune", None, e.edge_id, None, ik, None, node_min))
-            continue
-        edges = (e.edge_id,)
-        cost, state = extend_cost(model, None, edges)
-        explored.add(e.edge_id)
-        if e.to_node == query.dest:
-            offer_incumbent(edges, cost)
-            continue
-        label = Label(
-            edges=edges,
-            end_node=e.to_node,
-            cost=cost,
-            state=state,
-            node_min=node_min,
-            r=arrival_prob(cost, node_min, query.budget),
-            visited=frozenset((query.source, e.to_node)),
-            settled=edge_mode or store.is_settled(edges),
-        )
-        record(("push", edges, None, label.r))
-        queue.push(label)
-
-    while True:
-        label = queue.pop()
-        if label is None:
-            break
-        if best_path is not None and label.r <= best_prob:
-            record(("break", label.edges, None, label.r))
-            break
-        expanded += 1
-        record(("pop", label.edges, None, label.r))
-        path_min = min_cost(label.cost)
-        for e in net.out_edges(label.end_node):
-            if e.to_node in label.visited:
-                record(("skip-cycle", label.edges, e.edge_id))
+        for e in net.out_edges(node):
+            if e.to_node in visited:
+                record(("skip-cycle", path, e.edge_id))
                 continue
             ik = store.min_time(e.edge_id)
             node_min = bound.get_min(e.to_node)
             if node_min is None or ik + path_min + node_min > query.budget:
-                record(("prune", label.edges, e.edge_id, None, ik, path_min, node_min))
+                record(("prune", path, e.edge_id, None, ik, path_min, node_min))
                 continue
-            edges = label.edges + (e.edge_id,)
+            edges = path + (e.edge_id,)
             explored.add(e.edge_id)
             try:
-                cost, state = extend_cost(model, label.state, edges)
+                cost, ext_state = extend_cost(model, state, edges)
             except InconsistentWeightsError:
-                record(("skip-inconsistent", label.edges, e.edge_id))
+                record(("skip-inconsistent", path, e.edge_id))
                 continue
             if e.to_node == query.dest:
-                offer_incumbent(edges, cost)
+                prob = cost.cdf(query.budget)
+                record(("candidate", edges, None, prob))
+                if prob > best_prob:
+                    best_path, best_prob = Path(edges), prob
+                    record(("incumbent", edges, None, prob))
                 continue
             candidate = Label(
                 edges=edges,
                 end_node=e.to_node,
                 cost=cost,
-                state=state,
+                state=ext_state,
                 node_min=node_min,
                 r=arrival_prob(cost, node_min, query.budget),
-                visited=label.visited | {e.to_node},
+                visited=visited | {e.to_node},
                 settled=edge_mode or store.is_settled(edges),
             )
             dominated = check_dominance(queue, candidate)
@@ -313,6 +295,15 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
                 record(("dominated-out", other.edges))
             record(("push", edges, None, candidate.r))
             queue.push(candidate)
+
+    expand((), query.source, None, frozenset((query.source,)), 0)
+    while (label := queue.pop()) is not None:
+        if best_path is not None and label.r <= best_prob:
+            record(("break", label.edges, None, label.r))
+            break
+        expanded += 1
+        record(("pop", label.edges, None, label.r))
+        expand(label.edges, label.end_node, label.state, label.visited, min_cost(label.cost))
 
     return SolveResult(
         path=best_path,

@@ -8,7 +8,6 @@ import pytest
 
 from spotar.bench import (
     AGG_FIELDS,
-    ALT_BUDGETS,
     DEFAULT_BUCKETS,
     DEFAULT_BUDGETS,
     METHODS,
@@ -55,7 +54,6 @@ def bench_rows(bench_instance):
 def test_default_config():
     cfg = BenchConfig()
     assert cfg.budgets == DEFAULT_BUDGETS == (300, 500, 700, 1000)
-    assert ALT_BUDGETS == (400, 600, 800, 1000)
     assert cfg.buckets == DEFAULT_BUCKETS == ((0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (3.0, 4.0))
     assert cfg.queries_per_cell == 5
     assert set(cfg.methods) == set(METHODS) == {"sp+pace", "sp+edge", "ba+pace", "ba+edge"}

@@ -10,7 +10,7 @@ import pytest
 
 import spotar.dist
 import spotar.oracle
-from spotar.bench import ALT_BUDGETS, read_rows
+from spotar.bench import read_rows
 from spotar.cli import main
 from spotar.weights import Mode, load_store
 
@@ -245,33 +245,6 @@ def test_bench_writes_rows_and_aggregates(store_file, tmp_path, capsys):
     assert len(rows) == 8
     assert {r.method for r in rows} == {"sp+pace", "ba+pace"}
     assert agg_csv.read_text().splitlines()[0].startswith("method,budget,")
-
-
-def test_bench_alt_budgets(store_file, tmp_path, capsys):
-    cfg = tmp_path / "bench.cfg"
-    cfg.write_text("buckets = 0-0.05\nqueries_per_cell = 1\nmethods = sp+pace\n")
-    rows_csv = tmp_path / "rows.csv"
-    rc = main(
-        [
-            "bench",
-            "--network",
-            NETWORK,
-            "--store",
-            store_file,
-            "--config",
-            str(cfg),
-            "--out",
-            str(rows_csv),
-            "--alt-budgets",
-        ]
-    )
-    assert rc == 0
-    capsys.readouterr()
-    rows = read_rows(str(rows_csv))
-    assert tuple(sorted({r.budget for r in rows})) == ALT_BUDGETS
-    # only the budgets change: the config's methods and buckets survive
-    assert {r.method for r in rows} == {"sp+pace"}
-    assert {(r.bucket_lo, r.bucket_hi) for r in rows} == {(0.0, 0.05)}
 
 
 def test_bench_bad_config(store_file, tmp_path, capsys):

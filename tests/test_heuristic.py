@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from spotar.dist import Histogram, min_cost
+from spotar.dist import Histogram
 from spotar.heuristic import (
     HeuristicKind,
     StraightLineBound,
@@ -36,16 +36,6 @@ def test_min_tree_sample_values(sample_net, sample_store):
     assert tree.mins == {"s": 18, "e": 11, "r": 10, "q": 5, "f": 8, "d": 0}
     assert tree.get_min("s") == 18
     assert tree.get_min("d") == 0
-
-
-def test_min_tree_next_hop_is_a_minimal_first_step(sample_net, sample_store):
-    tree = build_min_tree(sample_net, sample_store, "d", 22)
-    assert "d" not in tree.next_hop
-    for nid, first in tree.next_hop.items():
-        e = sample_net.edge(first)
-        assert e.from_node == nid
-        step = min_cost(sample_store.edge_weight(first))
-        assert step + tree.mins[e.to_node] == tree.mins[nid]
 
 
 def test_min_tree_budget_cutoff(sample_net, sample_store):
@@ -114,18 +104,16 @@ def test_bounds_are_admissible_on_random_instances():
 
 def unbounded_tree(net, store, dest):
     """Plain backward Dijkstra with no budget; ties pop in the same order."""
-    mins, next_hop = {}, {}
-    heap = [(0, dest, None)]
+    mins = {}
+    heap = [(0, dest)]
     while heap:
-        d, node, via = heapq.heappop(heap)
+        d, node = heapq.heappop(heap)
         if node in mins:
             continue
         mins[node] = d
-        if via is not None:
-            next_hop[node] = via
         for e in net.in_edges(node):
-            heapq.heappush(heap, (d + store.min_time(e.edge_id), e.from_node, e.edge_id))
-    return mins, next_hop
+            heapq.heappush(heap, (d + store.min_time(e.edge_id), e.from_node))
+    return mins
 
 
 def test_min_tree_is_the_unbounded_tree_cut_at_the_budget():
@@ -135,13 +123,12 @@ def test_min_tree_is_the_unbounded_tree_cut_at_the_budget():
         net, records = gen_instance(seed, nodes=9, density=0.2 + 0.05 * seed)
         store = build_store(net, records, min_support=10)
         dest = random.Random(seed).choice(list(net.node_ids))
-        mins, next_hop = unbounded_tree(net, store, dest)
+        mins = unbounded_tree(net, store, dest)
         budgets = {-1, 10**9} | {d + k for d in mins.values() for k in (-1, 0, 1)}
         for budget in sorted(budgets):
             tree = build_min_tree(net, store, dest, budget)
             want = {n: d for n, d in mins.items() if d <= budget}
             assert tree.mins == want
-            assert tree.next_hop == {n: e for n, e in next_hop.items() if n in want}
             for nid in net.node_ids:
                 assert tree.get_min(nid) == want.get(nid)
             checked += 1

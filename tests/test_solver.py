@@ -44,8 +44,8 @@ def test_golden_run_pop_order_and_incumbents(sample_net, pace_model):
     assert incumbents[0].value == pytest.approx(0.32, abs=1e-9)
     assert incumbents[1].value == pytest.approx(0.70, abs=1e-9)
     assert len(events_of(res, "candidate")) == 2
-    # Neither incumbent found anything below its bar to purge.
-    assert [e.count for e in events_of(res, "purge")] == [0, 0]
+    # The queue runs empty after the last pop: no label is left to stop on.
+    assert events_of(res, "break") == []
 
 
 def test_golden_run_prune_events(sample_net, pace_model):
@@ -60,7 +60,6 @@ def test_golden_run_prune_events(sample_net, pace_model):
         (("e1", "e4"), "e7", 13, 14, 8),  # 13+14+8 = 35 > 22
         (("e2", "e6"), "e7", 13, 13, 8),  # 13+13+8 = 34 > 22
     }
-    assert events_of(res, "init-prune") == []
 
 
 def test_golden_run_budget_21_prefers_correlated_route(sample_net, pace_model):
@@ -74,14 +73,19 @@ def test_golden_run_budget_21_prefers_correlated_route(sample_net, pace_model):
     assert cands[-1] == pytest.approx(0.28, abs=1e-9)
 
 
-def test_golden_run_budget_20_purges_queued_label(sample_net, pace_model):
+def test_golden_run_budget_20_stops_on_label_below_incumbent(sample_net, pace_model):
     res = solve(sample_net, pace_model, HeuristicKind.SP, Query("s", "d", 20))
     assert res.path.edges == ("e1", "e4", "e9")
     assert res.probability == pytest.approx(0.32, abs=1e-9)
     assert res.explored_edges == 4
     assert res.expanded_labels == 2
-    (purge,) = events_of(res, "purge")
-    assert purge.count == 1  # the one-edge label over e2 can reach 0.2 at best
+    # The one-edge label over e2 can reach 0.2 at best, below the
+    # incumbent's 0.32: it stays queued, and the search stops on it.
+    assert [e.path for e in events_of(res, "push")] == [("e1",), ("e2",), ("e1", "e4")]
+    assert ("e2",) not in [e.path for e in events_of(res, "pop")]
+    (brk,) = events_of(res, "break")
+    assert brk.path == ("e2",)
+    assert brk.value == pytest.approx(0.2, abs=1e-9)
 
 
 def test_golden_run_budget_18_init_prunes_first_edge(sample_net, pace_model):
@@ -90,10 +94,12 @@ def test_golden_run_budget_18_init_prunes_first_edge(sample_net, pace_model):
     assert res.probability == pytest.approx(0.28, abs=1e-9)
     assert res.explored_edges == 3
     assert res.expanded_labels == 2
-    (pruned,) = events_of(res, "init-prune")
+    pruned = events_of(res, "prune")[0]
+    assert pruned.path == ()  # an edge out of the source
     assert pruned.edge == "e1"
     assert pruned.ik_min == 8
-    assert pruned.node_min == 11  # 8 + 11 > 18
+    assert pruned.path_min == 0
+    assert pruned.node_min == 11  # 8 + 0 + 11 > 18
 
 
 def test_golden_run_budget_15_is_infeasible(sample_net, pace_model):
@@ -102,7 +108,7 @@ def test_golden_run_budget_15_is_infeasible(sample_net, pace_model):
     assert res.probability == 0.0
     assert res.explored_edges == 0
     assert res.expanded_labels == 0
-    assert len(events_of(res, "init-prune")) == 2
+    assert [(e.path, e.edge) for e in events_of(res, "prune")] == [((), "e1"), ((), "e2")]
 
 
 def test_edge_mode_prefers_the_other_route(sample_net, edge_model):
@@ -241,12 +247,10 @@ def assert_transcript(res, expected):
             E("prune", ("e1", "e4"), edge="e7", ik_min=13, path_min=14, node_min=8),
             E("candidate", ("e1", "e4", "e9"), value=0.32000000000000006),
             E("incumbent", ("e1", "e4", "e9"), value=0.32000000000000006),
-            E("purge", value=0.32000000000000006, count=0),
             E("pop", ("e2", "e6"), value=0.7),
             E("prune", ("e2", "e6"), edge="e7", ik_min=13, path_min=13, node_min=8),
             E("candidate", ("e2", "e6", "e9"), value=0.7),
             E("incumbent", ("e2", "e6", "e9"), value=0.7),
-            E("purge", value=0.7, count=0),
         ]),
         (HeuristicKind.BA, 22, [
             E("push", ("e1",), value=1.0),
@@ -258,7 +262,6 @@ def assert_transcript(res, expected):
             E("prune", ("e1", "e4"), edge="e7", ik_min=13, path_min=14, node_min=2),
             E("candidate", ("e1", "e4", "e9"), value=0.32000000000000006),
             E("incumbent", ("e1", "e4", "e9"), value=0.32000000000000006),
-            E("purge", value=0.32000000000000006, count=0),
             E("pop", ("e1", "e5"), value=1.0),
             E("prune", ("e1", "e5"), edge="e8", ik_min=8, path_min=16, node_min=0),
             E("pop", ("e2",), value=1.0),
@@ -268,10 +271,10 @@ def assert_transcript(res, expected):
             E("prune", ("e2", "e6"), edge="e7", ik_min=13, path_min=13, node_min=2),
             E("candidate", ("e2", "e6", "e9"), value=0.7),
             E("incumbent", ("e2", "e6", "e9"), value=0.7),
-            E("purge", value=0.7, count=1),
+            E("break", ("e2", "e3"), value=0.2),
         ]),
         (HeuristicKind.SP, 18, [
-            E("init-prune", edge="e1", ik_min=8, node_min=11),
+            E("prune", (), edge="e1", ik_min=8, path_min=0, node_min=11),
             E("push", ("e2",), value=0.2),
             E("pop", ("e2",), value=0.2),
             E("prune", ("e2",), edge="e3", ik_min=11, path_min=8, node_min=11),
@@ -280,7 +283,6 @@ def assert_transcript(res, expected):
             E("prune", ("e2", "e6"), edge="e7", ik_min=13, path_min=13, node_min=8),
             E("candidate", ("e2", "e6", "e9"), value=0.27999999999999997),
             E("incumbent", ("e2", "e6", "e9"), value=0.27999999999999997),
-            E("purge", value=0.27999999999999997, count=0),
         ]),
     ],
     ids=["sp-22", "ba-22", "sp-18"],
@@ -301,9 +303,9 @@ def fallback_model(edge_specs, coords=None):
 
 
 def test_break_event_when_top_priority_cannot_beat_incumbent():
-    # A direct one-unit edge answers the query at init time; the queued
-    # detour label survives the purge (its bound ties the incumbent)
-    # and the search stops the moment it reaches the top of the queue.
+    # A direct one-unit edge answers the query from the source; the
+    # queued detour label's bound only ties the incumbent, so the search
+    # stops the moment it reaches the top of the queue.
     net, model = fallback_model(
         [("m1", "a", "d", 5.0, 5.0), ("m2", "a", "b", 5.0, 5.0), ("m3", "b", "d", 5.0, 5.0)]
     )
@@ -314,8 +316,6 @@ def test_break_event_when_top_priority_cannot_beat_incumbent():
     (brk,) = events_of(res, "break")
     assert brk.path == ("m2",)
     assert brk.value == pytest.approx(1.0, abs=1e-12)
-    (purge,) = events_of(res, "purge")
-    assert purge.count == 0  # ties survive; only strictly worse labels go
 
 
 def certain_grid():
@@ -348,7 +348,7 @@ def test_ba_stops_after_the_first_certain_incumbent():
     assert brk.path == ("s00", "s10", "e20", "e21", "e22")
     assert brk.value == 1.0
     kinds = [e.kind for e in res.transcript]
-    assert kinds[-4:] == ["candidate", "incumbent", "purge", "break"]
+    assert kinds[-3:] == ["candidate", "incumbent", "break"]
 
 
 def test_sp_and_ba_agree_on_probability_not_path():
@@ -469,7 +469,6 @@ def test_source_without_outgoing_edges():
             E("pop", ("p1", "p3"), value=0.6),
             E("candidate", ("p1", "p3", "p5"), value=0.6),
             E("incumbent", ("p1", "p3", "p5"), value=0.6),
-            E("purge", value=0.6, count=0),
         ]),
         (lambda: two_way_merge({1: 0.5, 9: 0.5}, {1: 0.6, 9: 0.4}), HeuristicKind.SP, 10, [
             E("push", ("p1",), value=1.0),
@@ -482,21 +481,18 @@ def test_source_without_outgoing_edges():
             E("pop", ("p2", "p4"), value=0.6),
             E("candidate", ("p2", "p4", "p5"), value=0.6),
             E("incumbent", ("p2", "p4", "p5"), value=0.6),
-            E("purge", value=0.6, count=0),
         ]),
         (lambda: fallback_model([("loop", "a", "a", 5.0, 5.0), ("out", "a", "d", 5.0, 5.0)]),
          HeuristicKind.SP, 5, [
-            E("skip-cycle", ("loop",), edge="loop"),
+            E("skip-cycle", (), edge="loop"),
             E("candidate", ("out",), value=1.0),
             E("incumbent", ("out",), value=1.0),
-            E("purge", value=1.0, count=0),
         ]),
         (lambda: fallback_model(
             [("m1", "a", "d", 5.0, 5.0), ("m2", "a", "b", 5.0, 5.0), ("m3", "b", "d", 5.0, 5.0)]
         ), HeuristicKind.SP, 2, [
             E("candidate", ("m1",), value=1.0),
             E("incumbent", ("m1",), value=1.0),
-            E("purge", value=1.0, count=0),
             E("push", ("m2",), value=1.0),
             E("break", ("m2",), value=1.0),
         ]),
@@ -554,19 +550,6 @@ def test_queue_remove():
     assert q.labels_at("n") == [b]
     assert q.pop() is b
     assert q.pop() is None
-
-
-def test_queue_purge_below_is_strict():
-    q = SearchQueue()
-    low = label(("a",), "n", {1: 1.0}, 0.2)
-    at = label(("b",), "n", {2: 1.0}, 0.5)
-    high = label(("c",), "m", {3: 1.0}, 0.8)
-    for lab in (low, at, high):
-        q.push(lab)
-    assert q.purge_below(0.5) == 1
-    assert not low.alive
-    assert at.alive and high.alive
-    assert q.labels_at("n") == [at]
 
 
 def test_queue_labels_at_oldest_first():
