@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
-from itertools import chain, compress
-from operator import itemgetter, lt
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import ge, itemgetter, lt, sub
 
 MASS_TOL = 1e-9
 _DOM_EPS = 1e-12
@@ -109,6 +109,36 @@ def _entries(keys: Sequence, probs: Sequence[float], what: str) -> dict:
         entries = {k: p for k, p in entries.items() if p}
     _check_mass(entries, what)
     return entries
+
+
+def _entries_in_bulk(keys: list, probs: list[float], counts: list[int]) -> list[dict] | None:
+    """What :func:`_entries` returns for each of several objects, or ``None``.
+
+    The objects' keys and probabilities lie one after another in ``keys``
+    and ``probs``, ``counts[i]`` entries for object ``i``; all keys are of
+    one kind, times or rows.  The objects are checked together, one
+    C-level pass per rule: a key may be no larger than the one before it
+    only where a new object starts, no probability is zero, and each
+    object's mass is 1 within ``MASS_TOL``.  The result is ``None`` when
+    any rule fails; the caller then gives each object to :func:`_entries`,
+    which sorts, drops zeros or raises for it.
+    """
+    if 0.0 in probs:
+        return None
+    ends = list(accumulate(counts))
+    if not set(ends).issuperset(compress(count(1), map(ge, keys, islice(keys, 1, None)))):
+        return None
+    spans = list(map(slice, accumulate(counts, initial=0), ends))
+    groups = list(map(probs.__getitem__, spans))
+    if max(map(abs, map(sub, map(math.fsum, groups), repeat(1.0))), default=0.0) > MASS_TOL:
+        return None
+    return list(map(dict, map(zip, map(keys.__getitem__, spans), groups)))
+
+
+def _distinct_edges_in_bulk(keys: list[tuple[str, ...]]) -> bool:
+    """Whether every one of ``keys`` passes :func:`_check_edges`."""
+    lengths = list(map(len, keys))
+    return 0 not in lengths and list(map(len, map(set, keys))) == lengths
 
 
 class Histogram:

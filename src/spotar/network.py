@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .dist import DistributionError, _check_delta
 
@@ -25,20 +26,39 @@ class PathError(ValueError):
     """Raised when an edge sequence does not form a valid simple path."""
 
 
-@dataclass(frozen=True)
+# A network loads thousands of rows, and the search reads their fields on
+# every extension; slots keep those reads fast.  A frozen dataclass's own
+# ``__init__`` looks up ``object.__setattr__`` again for every field it
+# sets, so the rows' ``__init__`` sets them through this one binding.
+_set_field = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Node:
     node_id: str
     lat: float
     lon: float
 
+    def __init__(self, node_id: str, lat: float, lon: float) -> None:
+        _set_field(self, "node_id", node_id)
+        _set_field(self, "lat", lat)
+        _set_field(self, "lon", lon)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Edge:
     edge_id: str
     from_node: str
     to_node: str
     length: float  # meters
     speed_limit: float  # meters per second
+
+    def __init__(self, edge_id: str, from_node: str, to_node: str, length: float, speed_limit: float) -> None:
+        _set_field(self, "edge_id", edge_id)
+        _set_field(self, "from_node", from_node)
+        _set_field(self, "to_node", to_node)
+        _set_field(self, "length", length)
+        _set_field(self, "speed_limit", speed_limit)
 
 
 @dataclass(frozen=True)
@@ -113,8 +133,9 @@ class Network:
         for e in edge_map.values():
             out[e.from_node].append(e)
             incoming[e.to_node].append(e)
-        self._out = {nid: tuple(sorted(es, key=lambda e: e.edge_id)) for nid, es in out.items()}
-        self._in = {nid: tuple(sorted(es, key=lambda e: e.edge_id)) for nid, es in incoming.items()}
+        by_id = attrgetter("edge_id")
+        self._out = {nid: tuple(sorted(es, key=by_id)) for nid, es in out.items()}
+        self._in = {nid: tuple(sorted(es, key=by_id)) for nid, es in incoming.items()}
         self.max_speed = max((e.speed_limit for e in edge_map.values()), default=0.0)
 
     @property

@@ -15,9 +15,12 @@ when loaded.
 from __future__ import annotations
 
 import enum
+import gc
 import json
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import itemgetter
@@ -32,7 +35,9 @@ from .dist import (
     _check_probs,
     _check_times,
     _derived,
+    _distinct_edges_in_bulk,
     _entries,
+    _entries_in_bulk,
     _row_times,
     convolve,
     min_cost,
@@ -170,6 +175,9 @@ class WeightStore:
         self._edge_weights = dict(sorted(edge_weights.items()))
         self._path_weights = dict(sorted(path_weights.items()))
         self.fallback_edges = frozenset(fallback_edges)
+        unweighted = self.fallback_edges - self._edge_weights.keys()
+        if unweighted:
+            raise StoreError(f"fallback edge {min(unweighted)!r} has no weight")
         for eid, h in self._edge_weights.items():
             if h.delta != self.delta:
                 raise StoreError(f"edge {eid!r} has resolution {h.delta}, store has {self.delta}")
@@ -181,7 +189,7 @@ class WeightStore:
                 raise StoreError(f"stored path weight {key!r} must span at least 2 edges")
             if j.delta != self.delta:
                 raise StoreError(f"stored weight {key!r} has resolution {j.delta}")
-            for eid, column in zip(key, zip(*j.as_dict())):
+            for eid, column in zip(key, zip(*j._rows)):
                 support = supports.get(eid)
                 if support is None:
                     if eid not in self._edge_weights:
@@ -371,23 +379,112 @@ def _name_first_bad(idents: list, groups: list) -> NoReturn:
     raise StoreFormatError("malformed store")
 
 
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, leaving it as it was found on exit.
+
+    :func:`load_store` builds thousands of small objects, none of which
+    can reach itself again, so the collections their allocation would
+    trigger scan them all and find no cycle to free.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _header_int(doc: dict, name: str, least: int) -> int:
+    """The header field ``name``, which must be an ``int`` (not a ``bool``) of at least ``least``."""
+    value = doc[name]
+    if type(value) is not int or value < least:
+        raise StoreFormatError(f"{name} {value!r} is not an integer of at least {least}")
+    return value
+
+
+def _objects_in_bulk(
+    idents: list, n_edges: int, keys: list, probs: list[float], counts: list[int], delta: float
+) -> tuple[dict[str, Histogram], dict[tuple[str, ...], JointDist]] | None:
+    """The edge weights and stored paths of a checked document, or ``None``.
+
+    ``idents``, ``keys``, ``probs`` and ``counts`` are as in
+    :func:`load_store`.  The entries of all edge weights, then of all
+    stored paths, are checked by :func:`_entries_in_bulk`, and the path
+    keys by set sizes: each has distinct edges and no key repeats.  The
+    result is ``None`` when any of these checks fails.
+    """
+    split = sum(counts[:n_edges])
+    edge_entries = _entries_in_bulk(keys[:split], probs[:split], counts[:n_edges])
+    path_entries = _entries_in_bulk(keys[split:], probs[split:], counts[n_edges:])
+    path_keys = idents[n_edges:]
+    if (
+        edge_entries is None
+        or path_entries is None
+        or not _distinct_edges_in_bulk(path_keys)
+        or len(set(path_keys)) != len(path_keys)
+    ):
+        return None
+    edge_weights = dict(zip(idents[:n_edges], map(Histogram._checked, edge_entries, repeat(delta))))
+    path_weights = dict(zip(path_keys, map(JointDist._checked, path_keys, path_entries, repeat(delta))))
+    return edge_weights, path_weights
+
+
+def _objects_one_by_one(
+    idents: list, keys: list, probs: list[float], counts: list[int], delta: float
+) -> tuple[dict[str, Histogram], dict[tuple[str, ...], JointDist]]:
+    """What :func:`_objects_in_bulk` builds, one object at a time in document
+    order: each object's entries are sorted and its zero probabilities
+    dropped by :func:`_entries`, and the first object that breaks a rule
+    raises, named."""
+    edge_weights: dict[str, Histogram] = {}
+    path_weights: dict[tuple[str, ...], JointDist] = {}
+    for ident, a, b in zip(idents, accumulate(counts, initial=0), accumulate(counts)):
+        edge = isinstance(ident, str)
+        try:
+            entries = _entries(keys[a:b], probs[a:b], "histogram" if edge else "joint")
+            if not edge:
+                _check_edges(ident)
+        except DistributionError as exc:
+            raise StoreFormatError(f"{_name(ident)}: {exc}") from None
+        if edge:
+            edge_weights[ident] = Histogram._checked(entries, delta)
+        elif ident in path_weights:
+            raise StoreFormatError(f"{_name(ident)} appears twice")
+        else:
+            path_weights[ident] = JointDist._checked(ident, entries, delta)
+    return edge_weights, path_weights
+
+
+@_gc_paused()
 def load_store(path: str) -> WeightStore:
     """Read a store written by :func:`save_store`, checking the whole document.
 
-    Each property is checked by one pass over all of the document's entries
-    or values: every entry of an edge weight is a ``[time, probability]``
-    pair and every entry of a stored path a ``[row, probability]`` pair,
-    every row holds one time per edge of its path, every time is an ``int``
-    (not a ``bool``) of at least 1, and every probability a finite,
-    non-negative number.  Only when a pass fails are the stored objects
-    walked, to name the first bad edge or stored path.  Then each histogram
-    and joint is checked on its own (distinct edges, no duplicate time or
-    row, zero-probability entries dropped, mass 1 within ``MASS_TOL``) and
-    built without being validated again; :class:`WeightStore` checks that
-    each joint's times lie within its edges' supports.  The checks are the
-    functions of :mod:`spotar.dist` that the :class:`Histogram` and
-    :class:`JointDist` constructors call, and an error is the message they
-    raise, after the name of the edge or stored path.
+    The header must hold the format marker and version, a ``delta`` that is
+    a positive, finite JSON number (not a ``bool`` or a string), a
+    ``min_support`` that is an ``int`` (not a ``bool``) of at least 1, a
+    ``max_unit_len`` that is an ``int`` of at least 2, a known ``mode`` and
+    distinct ``fallback_edges`` ids.  Each property of the entries is
+    checked by one pass over all of the document's entries or values:
+    every entry of an edge weight is a ``[time, probability]`` pair and
+    every entry of a stored path a ``[row, probability]`` pair, every row
+    holds one time per edge of its path, every time is an ``int`` (not a
+    ``bool``) of at least 1, and every probability a finite, non-negative
+    number.  Only when a pass fails are the stored objects walked, to name
+    the first bad edge or stored path.  Then the histograms and joints are
+    checked (distinct edges, no duplicate time or row, zero-probability
+    entries dropped, mass 1 within ``MASS_TOL``, no stored path twice) and
+    built without being validated again: in bulk passes over all objects
+    at once, or, when one of those fails, one object at a time in document
+    order, which sorts entries, drops zeros and names the first bad object.
+    :class:`WeightStore` checks that each joint's times lie within its
+    edges' supports.  The checks are the functions of :mod:`spotar.dist`
+    that the :class:`Histogram` and :class:`JointDist` constructors call,
+    and an error is the message they raise, after the name of the edge or
+    stored path.  The cyclic garbage collector is paused while the store is
+    read: no object built can reach itself again, so a collection would
+    free nothing.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -399,11 +496,18 @@ def load_store(path: str) -> WeightStore:
     if doc.get("version") != STORE_VERSION:
         raise StoreFormatError(f"unsupported version {doc.get('version')!r}")
     try:
+        if type(doc["delta"]) not in (float, int):
+            raise StoreFormatError(f"delta {doc['delta']!r} is not a number")
         delta = _check_delta(float(doc["delta"]))
+        min_support = _header_int(doc, "min_support", 1)
+        max_unit_len = _header_int(doc, "max_unit_len", 2)
         mode = Mode.parse(_expect(doc["mode"], str, "mode"))
         fallback = _expect(doc["fallback_edges"], list, "fallback_edges")
         if not set(map(type, fallback)) <= {str}:
             raise StoreFormatError("fallback_edges must hold edge ids")
+        if len(set(fallback)) != len(fallback):
+            twice = Counter(fallback).most_common(1)[0][0]
+            raise StoreFormatError(f"fallback_edges lists {twice!r} twice")
         edge_docs = _expect(doc["edge_weights"], dict, "edge_weights")
         path_docs = _expect(doc["path_weights"], list, "path_weights")
         if not set(map(type, path_docs)) <= {dict}:
@@ -433,26 +537,13 @@ def load_store(path: str) -> WeightStore:
         except DistributionError:
             _name_first_bad(idents, groups)
         keys = firsts[:split] + list(map(tuple, rows))
-        edge_weights: dict[str, Histogram] = {}
-        path_weights: dict[tuple[str, ...], JointDist] = {}
-        for ident, a, b in zip(idents, accumulate(counts, initial=0), accumulate(counts)):
-            edge = isinstance(ident, str)
-            try:
-                entries = _entries(keys[a:b], probs[a:b], "histogram" if edge else "joint")
-                if not edge:
-                    _check_edges(ident)
-            except DistributionError as exc:
-                raise StoreFormatError(f"{_name(ident)}: {exc}") from None
-            if edge:
-                edge_weights[ident] = Histogram._checked(entries, delta)
-            elif ident in path_weights:
-                raise StoreFormatError(f"{_name(ident)} appears twice")
-            else:
-                path_weights[ident] = JointDist._checked(ident, entries, delta)
+        edge_weights, path_weights = _objects_in_bulk(
+            idents, n_edges, keys, probs, counts, delta
+        ) or _objects_one_by_one(idents, keys, probs, counts, delta)
         return WeightStore(
             delta=delta,
-            min_support=int(doc["min_support"]),
-            max_unit_len=int(doc["max_unit_len"]),
+            min_support=min_support,
+            max_unit_len=max_unit_len,
             mode=mode,
             edge_weights=edge_weights,
             path_weights=path_weights,

@@ -13,6 +13,8 @@ from spotar.dist import (
     DistributionError,
     Histogram,
     JointDist,
+    _entries,
+    _entries_in_bulk,
     convolve,
     dominates,
     format_histogram,
@@ -429,3 +431,51 @@ def test_exact_fraction_reference_self_check():
     h, exact = rand_hist(rng)
     assert sum(exact.values()) == Fraction(1)
     assert set(h.times()) == set(exact)
+
+
+def _random_object(rng: random.Random, rows: bool) -> tuple[list, list[float]]:
+    """Keys and probabilities of one object, in store order or, now and then,
+    out of order, with a repeated key, a zero probability or the wrong mass."""
+    n = rng.randint(1, 5)
+    keys = sorted({tuple(rng.randint(1, 4) for _ in range(2)) if rows else rng.randint(1, 9)
+                   for _ in range(n)})
+    probs = [1.0 / len(keys)] * len(keys)
+    fault = rng.randrange(8)
+    if fault == 0 and len(keys) > 1:
+        keys.reverse()
+    elif fault == 1 and len(keys) > 1:
+        keys[1] = keys[0]
+    elif fault == 2:
+        keys, probs = keys + [keys[-1] * 2 if not rows else (9, 9)], probs + [0.0]
+    elif fault == 3:
+        probs[0] += 0.1
+    elif fault == 4:
+        keys, probs = [], []
+    return keys, probs
+
+
+@pytest.mark.parametrize("rows", [False, True])
+def test_entries_in_bulk_equals_entries_object_by_object(rows):
+    """The bulk passes give, entry for entry and in order, what ``_entries``
+    gives for each object, or ``None`` when an object needs sorting, drops a
+    zero or breaks a rule."""
+    rng = random.Random(5)
+    taken = fell_back = 0
+    for _ in range(400):
+        objects = [_random_object(rng, rows) for _ in range(rng.randint(0, 4))]
+        keys = [k for ks, _ in objects for k in ks]
+        probs = [p for _, ps in objects for p in ps]
+        bulk = _entries_in_bulk(keys, probs, [len(ks) for ks, _ in objects])
+        if bulk is None:
+            fell_back += 1
+            assert any(
+                ks != sorted(set(ks)) or 0.0 in ps or abs(math.fsum(ps) - 1.0) > 1e-9
+                for ks, ps in objects
+            )
+            continue
+        taken += 1
+        assert len(bulk) == len(objects)
+        for got, (ks, ps) in zip(bulk, objects):
+            want = _entries(ks, ps, "joint")
+            assert list(got.items()) == list(want.items())
+    assert taken > 50 and fell_back > 50

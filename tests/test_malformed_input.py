@@ -81,6 +81,21 @@ STORE_CASES = [
         lambda d: d["edge_weights"].update(e1=[[8, 0.8], [10, 0.1]]),
         "edge 'e1': total mass",
     ),
+    ("min_support 2.7", lambda d: d.update(min_support=2.7), "min_support 2.7 is not an integer of at least 1"),
+    ("min_support '10'", lambda d: d.update(min_support="10"),
+     "min_support '10' is not an integer of at least 1"),
+    ("min_support true", lambda d: d.update(min_support=True),
+     "min_support True is not an integer of at least 1"),
+    ("min_support -3", lambda d: d.update(min_support=-3), "min_support -3 is not an integer of at least 1"),
+    ("max_unit_len 0", lambda d: d.update(max_unit_len=0), "max_unit_len 0 is not an integer of at least 2"),
+    ("max_unit_len 2.9", lambda d: d.update(max_unit_len=2.9),
+     "max_unit_len 2.9 is not an integer of at least 2"),
+    ("delta '1.0'", lambda d: d.update(delta="1.0"), "delta '1.0' is not a number"),
+    ("delta true", lambda d: d.update(delta=True), "delta True is not a number"),
+    ("fallback edge with no weight", lambda d: d.update(fallback_edges=["nope"]),
+     "fallback edge 'nope' has no weight"),
+    ("fallback edge listed twice", lambda d: d.update(fallback_edges=["e3", "e3", "e7", "e8"]),
+     "fallback_edges lists 'e3' twice"),
 ]
 
 
@@ -102,6 +117,35 @@ def test_query_rejects_malformed_store(store_doc, tmp_path, capsys, case, change
     capsys.readouterr()
     assert main(["query", "--network", NETWORK, "--store", str(store), *QUERY]) == 1
     assert expected in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "first_bad, later_bad, expected",
+    [
+        (
+            lambda d: d["edge_weights"].update(e1=[[8, 0.5], [8, 0.4], [10, 0.1]]),
+            lambda d: d["edge_weights"].update(e4=[[6, 0.8], [10, 0.1]]),
+            "edge 'e1': histogram lists 8 twice",
+        ),
+        (
+            lambda d: d["edge_weights"].update(e1=[[8, 0.8], [10, 0.1]]),
+            lambda d: _set_rows(d, [[[8, 6], 0.4], [[8, 6], 0.4], [[10, 10], 0.2]]),
+            "edge 'e1': total mass",
+        ),
+    ],
+    ids=["repeated time before mass 0.9", "mass 0.9 before duplicate row"],
+)
+def test_load_store_names_first_bad_object(store_doc, tmp_path, first_bad, later_bad, expected):
+    """With two bad objects, the error names the first in document order,
+    whichever of their rules a check over all objects would find first."""
+    doc = json.loads(json.dumps(store_doc))
+    first_bad(doc)
+    later_bad(doc)
+    store = tmp_path / "bad.json"
+    store.write_text(json.dumps(doc))
+    with pytest.raises(StoreFormatError) as loaded:
+        load_store(str(store))
+    assert str(loaded.value).startswith(expected)
 
 
 def test_build_rejects_infinite_trajectory_time(tmp_path, capsys):

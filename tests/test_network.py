@@ -38,6 +38,17 @@ def test_sample_network_edge_attributes(sample_net):
     assert e9.speed_limit == 6.5
 
 
+def test_rows_are_immutable_hashable_and_equal_by_fields(sample_net):
+    e9, q = sample_net.edge("e9"), sample_net.node("q")
+    for row, field in ((e9, "to_node"), (q, "lat")):
+        with pytest.raises(AttributeError):
+            setattr(row, field, "x")
+    assert e9 == Edge("e9", "q", "d", 32.5, 6.5)
+    assert q == Node("q", q.lat, q.lon)
+    assert {e9: 1, q: 2}[Edge("e9", "q", "d", 32.5, 6.5)] == 1
+    assert e9 != Edge("e9", "q", "d", 32.5, 7.0)
+
+
 def test_out_and_in_edges_sorted_by_id(sample_net):
     assert [e.edge_id for e in sample_net.out_edges("s")] == ["e1", "e2"]
     assert [e.edge_id for e in sample_net.out_edges("e")] == ["e4", "e5"]

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import pathlib
 import random
 
 import pytest
 
 from spotar.dist import MASS_TOL, Histogram, JointDist, _derived, convolve, min_cost, to_cost
-from spotar.network import Path, Query
+from spotar.network import Path, Query, load_network
 from spotar.oracle import enumerate_simple_paths, gen_instance
 from spotar.weights import (
     CostModel,
@@ -251,6 +253,8 @@ def test_store_validation_errors():
             edge_weights={"a": h, "b": h},
             path_weights={("a", "b"): JointDist(("a", "b"), {(5, 6): 1.0})},
         )
+    with pytest.raises(StoreError, match="fallback edge 'b' has no weight"):
+        WeightStore(**ok, edge_weights={"a": h}, path_weights={}, fallback_edges=["a", "b"])
 
 
 def test_store_lookup_errors(sample_store):
@@ -377,6 +381,28 @@ def test_load_store_rejects_bad_documents(tmp_path):
         load_store(str(f))
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_loaders_leave_gc_as_they_found_it(tmp_path, sample_store, enabled):
+    good = tmp_path / "w.json"
+    save_store(sample_store, str(good))
+    bad = tmp_path / "bad.json"
+    doc = json.loads(good.read_text())
+    doc["edge_weights"]["e1"] = [[8, 0.8], [10, 0.1]]
+    bad.write_text(json.dumps(doc))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        load_store(str(good))
+        assert gc.isenabled() is enabled
+        load_network(str(pathlib.Path(__file__).parent / "data" / "sample_network.csv"))
+        assert gc.isenabled() is enabled
+        with pytest.raises(StoreFormatError, match="edge 'e1': total mass"):
+            load_store(str(bad))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 def _assert_same_store(got, want):
     assert (got.delta, got.min_support, got.max_unit_len, got.mode, got.fallback_edges) == (
         want.delta, want.min_support, want.max_unit_len, want.mode, want.fallback_edges
@@ -416,6 +442,28 @@ def test_loaded_objects_equal_public_constructions(tmp_path, sample_store):
             assert j == public
             assert list(j.rows()) == list(public.rows())
         _assert_same_store(loaded, store)
+
+
+def test_bulk_build_equals_object_by_object_walk(tmp_path, monkeypatch, sample_store):
+    """Every store ``save_store`` writes is built by the bulk passes, and the
+    walk over one object at a time, which they fall back to, builds the same."""
+    from spotar import weights
+
+    stores = [sample_store]
+    for seed in range(3):
+        net, records = gen_instance(seed, nodes=10, density=0.6, joint_fraction=0.8)
+        stores.append(build_store(net, records, min_support=10))
+    bulk = weights._objects_in_bulk
+    built = []
+    for i, store in enumerate(stores):
+        out = tmp_path / f"w{i}.json"
+        save_store(store, str(out))
+        monkeypatch.setattr(weights, "_objects_in_bulk", lambda *a: built.append(bulk(*a)) or built[-1])
+        fast = load_store(str(out))
+        assert built[-1] is not None
+        monkeypatch.setattr(weights, "_objects_in_bulk", lambda *a: None)
+        _assert_same_store(fast, load_store(str(out)))
+        _assert_same_store(fast, store)
 
 
 def test_load_store_sorts_drops_zeros_and_converts(tmp_path, sample_store):
