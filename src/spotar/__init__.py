@@ -5,7 +5,7 @@ trajectories, then finds the route that maximizes the probability of
 arriving within a time budget.
 """
 
-from .dist import Histogram, JointDist, convolve, dominates, joint_product, min_cost, to_cost
+from .dist import Histogram, JointDist, convolve, dominates, min_cost
 from .heuristic import HeuristicKind, arrival_prob, build_min_tree, make_heuristic
 from .network import Edge, Network, Node, Path, Query, load_network, make_path, save_network
 from .oracle import exact_spotar, gen_instance, mc_arrival_prob, verify_instances
@@ -19,7 +19,6 @@ from .weights import (
     load_store,
     load_trajectories,
     path_cost,
-    path_joint,
     save_store,
 )
 
@@ -46,7 +45,6 @@ __all__ = [
     "dominates",
     "exact_spotar",
     "gen_instance",
-    "joint_product",
     "load_network",
     "load_store",
     "load_trajectories",
@@ -55,11 +53,9 @@ __all__ = [
     "mc_arrival_prob",
     "min_cost",
     "path_cost",
-    "path_joint",
     "save_network",
     "save_store",
     "solve",
-    "to_cost",
     "verify_instances",
     "__version__",
 ]

@@ -20,7 +20,7 @@ from . import bench as bench_mod
 from .dist import DistributionError, format_histogram
 from .heuristic import HeuristicKind
 from .network import Network, NetworkFormatError, PathError, Query, load_network
-from .oracle import verify_instances
+from .oracle import EnumerationLimitError, verify_instances
 from .solver import solve
 from .weights import (
     CostModel,
@@ -221,6 +221,7 @@ def main(argv: list[str] | None = None) -> int:
         StoreError,
         DistributionError,
         bench_mod.BenchConfigError,
+        EnumerationLimitError,
         ValueError,
         OSError,
     ) as exc:

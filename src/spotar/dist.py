@@ -228,12 +228,15 @@ def _derived(out: dict[int, float], delta: float) -> Histogram:
     histograms or joints, with ``delta`` taken from one of them.
 
     Such times are integers of at least 1 already, so they are not checked
-    again.  Float arithmetic can still underflow a probability to zero or
-    let the mass drift, so zero entries are dropped and the mass is checked.
+    again.  Float arithmetic can underflow a probability to zero, so zero
+    entries are dropped, and the entries are sorted by time.  The mass is
+    not checked again.  It was checked where the data entered, and each
+    checked weight may be up to ``MASS_TOL`` off 1, so a cost combined from
+    several of them may drift further: a check here would reject paths of a
+    store that :func:`spotar.weights.load_store` accepts.
     """
     if 0.0 in out.values():
         out = {t: p for t, p in out.items() if p}
-    _check_mass(out, "histogram")
     return Histogram._checked(dict(sorted(out.items())), delta)
 
 
@@ -363,31 +366,3 @@ class JointDist:
 
     def __repr__(self) -> str:
         return f"JointDist({self._edges!r}, {self._rows!r}, delta={self.delta!r})"
-
-
-def joint_product(a: JointDist, b: JointDist) -> JointDist:
-    """Independent combination of two joints over disjoint edge sets.
-
-    The result covers ``a.edges + b.edges`` with row probabilities
-    multiplied pairwise; correlation across the boundary is assumed
-    absent (that is the point of the product).
-    """
-    if a.delta != b.delta:
-        raise DistributionError(f"resolution mismatch: {a.delta} vs {b.delta}")
-    overlap = set(a.edges) & set(b.edges)
-    if overlap:
-        raise DistributionError(f"edge sets overlap: {sorted(overlap)!r}")
-    out: dict[tuple[int, ...], float] = {}
-    for row_a, pa in a.rows():
-        for row_b, pb in b.rows():
-            out[row_a + row_b] = pa * pb
-    return JointDist(a.edges + b.edges, out, a.delta)
-
-
-def to_cost(j: JointDist) -> Histogram:
-    """Collapse a joint to the distribution of total path travel time."""
-    out: dict[int, float] = {}
-    for row, p in j.rows():
-        t = sum(row)
-        out[t] = out.get(t, 0.0) + p
-    return Histogram(out, j.delta)

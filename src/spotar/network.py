@@ -251,10 +251,7 @@ def load_network(path: str, delta: float = 1.0) -> Network:
                 raise NetworkFormatError(f"line {lineno}: {exc}") from None
     if not nodes:
         raise NetworkFormatError("no #nodes section or no nodes")
-    try:
-        return Network(nodes, edges, delta)
-    except NetworkFormatError as exc:
-        raise NetworkFormatError(str(exc)) from None
+    return Network(nodes, edges, delta)
 
 
 def save_network(net: Network, path: str) -> None:

@@ -669,45 +669,6 @@ def _unit_table(store: WeightStore, unit: tuple[str, ...], o: int) -> UnitTable:
     return table
 
 
-def path_joint(model: CostModel, path: Path) -> JointDist:
-    """Explicit joint distribution of a path's per-edge travel times.
-
-    ``EDGE`` mode multiplies independent edge histograms.  ``PACE`` mode
-    fuses the covering units: consecutive units are joined on their
-    shared edges by conditioning the right unit on the overlap times,
-    then the result is renormalized.  Overlapping units that agree on no
-    overlap time raise :class:`InconsistentWeightsError`.
-
-    The row count is the product of the units' row counts, so this is
-    for inspection and small paths; use :func:`path_cost` for search.
-    """
-    acc: dict[tuple[int, ...], float] = {(): 1.0}
-    covered = 0
-    for s, unit in _units(model, path.edges):
-        o = covered - s
-        table = _unit_table(model.store, unit, o)
-        new: dict[tuple[int, ...], float] = {}
-        for row, p in acc.items():
-            group = table.get(row[len(row) - o :])
-            if group is None:
-                continue
-            denom, unit_rows = group
-            for rest, _, up in unit_rows:
-                full = row + rest
-                new[full] = new.get(full, 0.0) + p * up / denom
-        if o:
-            total = math.fsum(new.values())
-            if total <= _FUSE_TOL:
-                raise InconsistentWeightsError(
-                    f"overlapping weights for {unit!r} share no mass with the prefix"
-                )
-            if abs(total - 1.0) > _FUSE_TOL:
-                new = {row: p / total for row, p in new.items()}
-        acc = new
-        covered = s + len(unit)
-    return JointDist(path.edges, acc, model.store.delta)
-
-
 # One step of the pace fold: a cover unit's start index and edges, and the
 # fold state after it, {(total time, recent per-edge times): probability},
 # where the total is the elapsed time of every edge the cover has reached.
@@ -783,10 +744,10 @@ def _fold_cost(store: WeightStore, steps: tuple[FoldStep, ...]) -> Histogram:
 def path_cost(model: CostModel, path: Path) -> Histogram:
     """Distribution of a path's total travel time, evaluated from scratch.
 
-    Matches ``to_cost(path_joint(model, path))`` but never materializes
-    the joint: ``EDGE`` mode convolves the edge histograms left to right
-    and ``PACE`` mode folds the cover units from an empty start, as
-    :func:`extend_cost` does from a parent's steps.
+    ``EDGE`` mode convolves the edge histograms left to right and ``PACE``
+    mode folds the cover units from an empty start, as :func:`extend_cost`
+    does from a parent's steps.  The joint of the per-edge times is never
+    materialized.
     """
     store = model.store
     if model.mode is Mode.EDGE:

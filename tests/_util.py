@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from spotar.dist import Histogram, JointDist
+from spotar.dist import Histogram
 from spotar.network import Network, Node, Edge
 from spotar.weights import TrajectoryRecord
 
@@ -46,29 +46,10 @@ def exact_cdf(h: ExactHist, t: int) -> Fraction:
     return sum((p for tt, p in h.items() if tt <= t), Fraction(0))
 
 
-def rand_joint(
-    rng: random.Random,
-    edges: tuple[str, ...],
-    *,
-    max_rows: int = 5,
-    max_time: int = 12,
-    delta: float = 1.0,
-) -> JointDist:
-    """Random joint distribution over the given edge sequence."""
-    n_rows = rng.randint(1, max_rows)
-    rows: dict[tuple[int, ...], int] = {}
-    while len(rows) < n_rows:
-        key = tuple(rng.randint(1, max_time) for _ in edges)
-        rows[key] = rng.randint(1, 9)
-    total = sum(rows.values())
-    return JointDist(edges, {k: w / total for k, w in rows.items()}, delta)
-
-
 def tiny_network(
     edge_specs: list[tuple[str, str, str, float, float]],
     *,
     delta: float = 1.0,
-    spacing_m: float = 50.0,
     coords: dict[str, tuple[float, float]] | None = None,
 ) -> Network:
     """Network from ``(edge_id, from, to, length_m, speed_mps)`` rows.
@@ -85,14 +66,12 @@ def tiny_network(
             if name not in names:
                 names.append(name)
     # Cluster the nodes within a few meters of each other: 1e-5 deg of
-    # latitude is roughly one meter, so the grid pitch stays tiny
-    # compared to spacing_m-scale edge lengths.
+    # latitude is roughly one meter.
     coords = coords or {}
     nodes = [
         Node(name, *coords.get(name, (57.0 + 1e-5 * (i % 3), 9.9 + 1e-5 * (i // 3))))
         for i, name in enumerate(names)
     ]
-    assert spacing_m > 0
     edges = [
         Edge(eid, u, v, length, speed)
         for eid, u, v, length, speed in edge_specs

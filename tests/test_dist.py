@@ -18,13 +18,11 @@ from spotar.dist import (
     convolve,
     dominates,
     format_histogram,
-    joint_product,
     min_cost,
     point_mass,
-    to_cost,
 )
 
-from _util import exact_cdf, exact_convolve, rand_hist, rand_joint
+from _util import exact_cdf, exact_convolve, rand_hist
 
 
 def test_histogram_basics():
@@ -212,12 +210,6 @@ def test_convolve_equals_public_histogram_of_raw_sums():
     assert convolve(tiny, tiny).times() == (3, 4)
 
 
-def test_convolve_checks_the_mass_of_its_result():
-    half = Histogram._checked({1: 0.5}, 1.0)
-    with pytest.raises(DistributionError, match="total mass"):
-        convolve(half, point_mass(2))
-
-
 def grid_dominates(a, b):
     """Reference dominance test over the union of both supports, reading
     every time through the public accessors."""
@@ -355,63 +347,6 @@ def test_joint_basics():
 def test_joint_rejects_bad_rows(edges, rows):
     with pytest.raises(DistributionError):
         JointDist(edges, rows)
-
-
-def test_joint_product_golden():
-    j14 = JointDist(("e1", "e4"), {(8, 6): 0.8, (10, 10): 0.2})
-    j9 = JointDist(("e9",), {(5,): 0.4, (9,): 0.6})
-    prod = joint_product(j14, j9)
-    assert prod.edges == ("e1", "e4", "e9")
-    expect = {
-        (8, 6, 5): 0.32,
-        (8, 6, 9): 0.48,
-        (10, 10, 5): 0.08,
-        (10, 10, 9): 0.12,
-    }
-    assert set(prod.as_dict()) == set(expect)
-    for row, p in expect.items():
-        assert prod.as_dict()[row] == pytest.approx(p, abs=1e-9)
-
-
-def test_joint_product_rejects_overlap_and_mismatch():
-    a = JointDist(("x", "y"), {(1, 2): 1.0})
-    b = JointDist(("y", "z"), {(2, 3): 1.0})
-    with pytest.raises(DistributionError):
-        joint_product(a, b)
-    c = JointDist(("z",), {(3,): 1.0}, delta=60.0)
-    with pytest.raises(DistributionError):
-        joint_product(a, c)
-
-
-def test_to_cost_golden():
-    j = JointDist(
-        ("e1", "e4", "e9"),
-        {(8, 6, 5): 0.32, (8, 6, 9): 0.48, (10, 10, 5): 0.08, (10, 10, 9): 0.12},
-    )
-    c = to_cost(j)
-    expect = {19: 0.32, 23: 0.48, 25: 0.08, 29: 0.12}
-    assert set(c.times()) == set(expect)
-    for t, p in expect.items():
-        assert c.prob(t) == pytest.approx(p, abs=1e-9)
-
-
-def test_to_cost_of_product_equals_convolve_of_costs():
-    rng = random.Random(2104)
-    for _ in range(100):
-        a = rand_joint(rng, ("p", "q"))
-        b = rand_joint(rng, ("r",))
-        via_product = to_cost(joint_product(a, b))
-        via_convolve = convolve(to_cost(a), to_cost(b))
-        assert via_product.approx_eq(via_convolve, tol=1e-12)
-
-
-def test_marginal_of_product_recovers_factors():
-    rng = random.Random(2105)
-    for _ in range(100):
-        a = rand_joint(rng, ("p", "q"))
-        b = rand_joint(rng, ("r", "s"))
-        prod = joint_product(a, b)
-        assert prod.as_dict() == {ra + rb: pa * pb for ra, pa in a.rows() for rb, pb in b.rows()}
 
 
 def test_long_convolution_chain_keeps_mass():

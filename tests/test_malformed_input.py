@@ -276,3 +276,23 @@ def test_constructors_and_load_store_reject_alike(store_doc, tmp_path, case, edg
     with pytest.raises(StoreFormatError) as loaded:
         load_store(str(store))
     assert str(loaded.value) == f"{name}: {message}"
+
+
+def test_edge_query_on_a_store_whose_weights_drift_within_the_tolerance(store_doc, tmp_path, capsys):
+    """Every edge weight 0.9e-9 short of mass 1 loads, and an edge-mode
+    query over it answers: the mass of a cost convolved from several such
+    weights drifts past ``MASS_TOL``, so it is not checked again."""
+    doc = json.loads(json.dumps(store_doc))
+    for entries in doc["edge_weights"].values():
+        entries[0][1] -= 0.9e-9
+    store = tmp_path / "drifted.json"
+    store.write_text(json.dumps(doc))
+    load_store(str(store))
+    assert main(["query", "--network", NETWORK, "--store", str(store), *QUERY, "--mode", "edge"]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == ["path e2,e6,e9", "probability 0.38799999811"]
+
+
+def test_verify_reports_the_enumeration_limit(capsys):
+    """Brute force gives up on a dense instance with too many simple paths."""
+    assert main(["verify", "--nodes", "24", "--density", "1.0", "--instances", "1"]) == 1
+    assert _single_error_line(capsys) == "error: more than 100000 simple paths"

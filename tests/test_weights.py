@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from spotar.dist import MASS_TOL, Histogram, JointDist, _derived, convolve, min_cost, to_cost
+from spotar.dist import MASS_TOL, Histogram, JointDist, _derived, convolve, min_cost
 from spotar.network import Path, Query, load_network
 from spotar.oracle import enumerate_simple_paths, gen_instance
 from spotar.weights import (
@@ -33,7 +33,6 @@ from spotar.weights import (
     load_store,
     load_trajectories,
     path_cost,
-    path_joint,
     save_store,
 )
 
@@ -710,28 +709,6 @@ def test_path_cost_pace_golden_three_edges(pace_model):
     )
 
 
-def test_path_joint_golden(pace_model):
-    j = path_joint(pace_model, Path(("e1", "e4", "e9")))
-    assert j.edges == ("e1", "e4", "e9")
-    approx_dict(
-        j.as_dict(),
-        {(8, 6, 5): 0.32, (8, 6, 9): 0.48, (10, 10, 5): 0.08, (10, 10, 9): 0.12},
-    )
-
-
-def test_path_joint_edge_mode_is_product(edge_model):
-    j = path_joint(edge_model, Path(("e1", "e4")))
-    approx_dict(
-        j.as_dict(),
-        {(8, 6): 0.72, (8, 10): 0.18, (10, 6): 0.08, (10, 10): 0.02},
-    )
-
-
-def test_path_joint_mixes_stored_and_single_units(pace_model):
-    j = path_joint(pace_model, Path(("e2", "e3")))
-    approx_dict(j.as_dict(), {(8, 11): 0.2, (11, 11): 0.8})
-
-
 def overlap_store():
     """Two stored units sharing an edge, with disagreeing marginals."""
     units = [
@@ -751,12 +728,6 @@ def test_fusion_conditions_on_the_overlap():
     model = overlap_store()
     path = Path(("e1", "e4", "e9"))
     assert _cover(model.store, path.edges) == [(0, ("e1", "e4")), (1, ("e4", "e9"))]
-    j = path_joint(model, path)
-    approx_dict(
-        j.as_dict(),
-        {(8, 6, 5): 0.5, (8, 6, 9): 0.3, (10, 10, 9): 0.2},
-        tol=1e-12,
-    )
     approx_dict(path_cost(model, path).as_dict(), {19: 0.5, 23: 0.3, 29: 0.2}, tol=1e-12)
 
 
@@ -774,8 +745,6 @@ def test_fusion_renormalizes_partial_matches():
     path = Path(("u", "v", "w"))
     # The second unit only covers v=2; the v=3 prefix is dropped and the
     # survivors are renormalized.
-    j = path_joint(model, path)
-    approx_dict(j.as_dict(), {(1, 2, 7): 0.5, (1, 2, 9): 0.5}, tol=1e-12)
     approx_dict(path_cost(model, path).as_dict(), {10: 0.5, 12: 0.5}, tol=1e-12)
 
 
@@ -792,8 +761,6 @@ def test_fusion_with_no_shared_mass_raises():
     model = CostModel(unit_store(weights, units), Mode.PACE)
     path = Path(("u", "v", "w"))
     with pytest.raises(InconsistentWeightsError):
-        path_joint(model, path)
-    with pytest.raises(InconsistentWeightsError):
         path_cost(model, path)
 
 
@@ -806,7 +773,10 @@ def test_chain_store_cost():
 
 def test_path_cost_of_stored_path_is_exactly_its_weight(sample_store, pace_model):
     for key in sample_store.stored_paths():
-        assert path_cost(pace_model, Path(key)) == to_cost(sample_store.path_weight(key))
+        by_total = {}
+        for row, p in sample_store.path_weight(key).rows():
+            by_total[sum(row)] = by_total.get(sum(row), 0.0) + p
+        assert path_cost(pace_model, Path(key)) == Histogram(by_total, sample_store.delta)
 
 
 def test_path_cost_matches_explicit_joint_on_random_instances():
@@ -819,9 +789,7 @@ def test_path_cost_matches_explicit_joint_on_random_instances():
         for _ in range(5):
             src, dst = rng.sample(node_ids, 2)
             for p in enumerate_simple_paths(net, Query(src, dst, 1), max_edges=5)[:5]:
-                fast = path_cost(model, p)
-                slow = to_cost(path_joint(model, p))
-                assert fast.approx_eq(slow, tol=1e-12)
+                assert path_cost(model, p).approx_eq(joint_cost(model.store, p.edges), tol=1e-12)
                 checked += 1
     assert checked >= 80
 
@@ -848,7 +816,8 @@ def random_simple_paths(net, rng, count, max_edges=7):
 
 
 def test_extend_cost_along_random_paths():
-    """Extending edge by edge equals ``path_cost``; pace costs match the explicit joint.
+    """Extending edge by edge equals ``path_cost``; pace costs match the explicit
+    joint's (:func:`joint_cost`).
 
     Short stored units make covers of several overlapping units longer
     than the fold's remembered window.
@@ -865,7 +834,7 @@ def test_extend_cost_along_random_paths():
                 edge_cost, edge_state = extend_cost(edge, edge_state, prefix.edges)
                 assert edge_cost == path_cost(edge, prefix)
                 pace_cost, pace_state = extend_cost(pace, pace_state, prefix.edges)
-                assert pace_cost.approx_eq(to_cost(path_joint(pace, prefix)), tol=MASS_TOL)
+                assert pace_cost.approx_eq(joint_cost(store, prefix.edges), tol=MASS_TOL)
 
 
 def test_resumed_fold_equals_fold_from_scratch():
@@ -912,15 +881,18 @@ def test_resumed_fold_equals_fold_from_scratch():
     assert inconsistent >= 20
 
 
-def reference_fold(store, state, covered, s, unit):
+def reference_fold(store, state, covered, s, unit, window=None):
     """The fold with states keyed ``(done, tail)``: ``done`` is the elapsed
     time of the edges that have left the remembered tail.
 
     Returns the state after folding the cover unit ``unit`` at index ``s``
     onto ``state``, the state once ``covered`` edges are covered, and
     whether some grown tail dropped more times than the old tail held.
+    The tail remembers ``window`` times, by default as many as
+    :func:`_fold` remembers.
     """
-    window = store.max_stored_len - 1
+    if window is None:
+        window = store.max_stored_len - 1
     o = covered - s
     cut = max(0, min(window, covered) + len(unit) - o - window)
     if len(unit) == 1:
@@ -964,6 +936,17 @@ def reference_fold_cost(store, state):
         t = done + sum(tail)
         out[t] = out.get(t, 0.0) + p
     return _derived(out, store.delta)
+
+
+def joint_cost(store, edges):
+    """Total-time distribution of the explicit joint of ``edges``' times: the
+    reference fold over the reference cover, with the whole path as its
+    window, so that the tail keeps the time of every edge."""
+    state, covered = {(0, ()): 1.0}, 0
+    for s, unit in greedy_cover(store, edges):
+        state, _ = reference_fold(store, state, covered, s, unit, window=len(edges))
+        covered = s + len(unit)
+    return reference_fold_cost(store, state)
 
 
 def test_fold_keyed_by_total_equals_reference_fold():
