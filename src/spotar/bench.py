@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from statistics import fmean
 
 from .heuristic import HeuristicKind
@@ -27,31 +27,6 @@ METHODS: dict[str, tuple[HeuristicKind, Mode]] = {
 
 DEFAULT_BUDGETS = (300, 500, 700, 1000)
 DEFAULT_BUCKETS = ((0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (3.0, 4.0))
-
-ROW_FIELDS = (
-    "method",
-    "budget",
-    "bucket_lo",
-    "bucket_hi",
-    "query_id",
-    "probability",
-    "wall_time_s",
-    "explored_edges",
-    "expanded_labels",
-    "path_edges",
-)
-
-AGG_FIELDS = (
-    "method",
-    "budget",
-    "bucket_lo",
-    "bucket_hi",
-    "queries",
-    "mean_probability",
-    "mean_wall_time_s",
-    "mean_explored_edges",
-    "mean_expanded_labels",
-)
 
 
 class BenchConfigError(ValueError):
@@ -150,6 +125,9 @@ class BenchRow:
     path_edges: int
 
 
+ROW_FIELDS = tuple(f.name for f in fields(BenchRow))
+
+
 def gen_queries(net: Network, cfg: BenchConfig) -> list[BenchQuery]:
     """Sample node pairs per (budget, bucket) cell, seeded by the config.
 
@@ -219,6 +197,9 @@ class AggRow:
     mean_expanded_labels: float
 
 
+AGG_FIELDS = tuple(f.name for f in fields(AggRow))
+
+
 def aggregate(rows: list[BenchRow]) -> list[AggRow]:
     """Mean per (method, budget, bucket) cell, in row order of first use."""
     cells: dict[tuple[str, int, float, float], list[BenchRow]] = {}
@@ -254,28 +235,6 @@ def write_rows(rows: list[BenchRow], path: str) -> None:
         writer.writerow(ROW_FIELDS)
         for row in rows:
             writer.writerow([_fmt(getattr(row, name)) for name in ROW_FIELDS])
-
-
-def read_rows(path: str) -> list[BenchRow]:
-    """Read back a row CSV written by :func:`write_rows`."""
-    out: list[BenchRow] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for rec in csv.DictReader(fh):
-            out.append(
-                BenchRow(
-                    method=rec["method"],
-                    budget=int(rec["budget"]),
-                    bucket_lo=float(rec["bucket_lo"]),
-                    bucket_hi=float(rec["bucket_hi"]),
-                    query_id=int(rec["query_id"]),
-                    probability=float(rec["probability"]),
-                    wall_time_s=float(rec["wall_time_s"]),
-                    explored_edges=int(rec["explored_edges"]),
-                    expanded_labels=int(rec["expanded_labels"]),
-                    path_edges=int(rec["path_edges"]),
-                )
-            )
-    return out
 
 
 def write_aggregates(rows: list[BenchRow], path: str) -> None:

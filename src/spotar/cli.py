@@ -7,13 +7,12 @@ brute force on generated instances.
 
 Exit codes: 0 on success (including a no-path answer and an empty
 verification), 1 on usage or input errors, 2 when verification finds a
-mismatch.  Set ``SPOTAR_LOG=1`` for progress chatter on stderr.
+mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import bench as bench_mod
@@ -43,11 +42,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
-
-
-def _log(message: str) -> None:
-    if os.environ.get("SPOTAR_LOG"):
-        print(message, file=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_build(args: argparse.Namespace) -> int:
     net = load_network(args.network, delta=args.delta)
-    _log(f"loaded {net!r}")
     records = load_trajectories(net, args.trajectories)
     if not records:
         print("warning: no trajectories; all edges use speed-limit fallback", file=sys.stderr)
@@ -163,7 +156,6 @@ def cmd_query(args: argparse.Namespace) -> int:
         with open(args.dump_explored, "w", encoding="utf-8") as fh:
             for eid in sorted(result.explored_edge_ids):
                 fh.write(eid + "\n")
-        _log(f"explored edge ids written to {args.dump_explored}")
     return 0
 
 

@@ -180,15 +180,6 @@ class Histogram:
     def times(self) -> tuple[int, ...]:
         return tuple(self._entries)
 
-    def prob(self, t: int) -> float:
-        return self._entries.get(t, 0.0)
-
-    def as_dict(self) -> dict[int, float]:
-        return dict(self._entries)
-
-    def mass(self) -> float:
-        return math.fsum(self._entries.values())
-
     def cdf(self, t: int) -> float:
         """Probability of a travel time of at most ``t`` units.
 
@@ -203,13 +194,6 @@ class Histogram:
         if t >= next(reversed(entries)):
             return 1.0
         return min(1.0, math.fsum(compress(entries.values(), map(t.__ge__, entries))))
-
-    def approx_eq(self, other: Histogram, tol: float = MASS_TOL) -> bool:
-        """True if both histograms agree pointwise within ``tol``."""
-        if self.delta != other.delta:
-            return False
-        times = set(self._entries) | set(other._entries)
-        return all(abs(self.prob(t) - other.prob(t)) <= tol for t in times)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Histogram):
@@ -345,12 +329,6 @@ class JointDist:
     def rows(self) -> Iterator[tuple[tuple[int, ...], float]]:
         """Yield (time-vector, probability) pairs in row-sorted order."""
         return iter(self._rows.items())
-
-    def as_dict(self) -> dict[tuple[int, ...], float]:
-        return dict(self._rows)
-
-    def mass(self) -> float:
-        return math.fsum(self._rows.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, JointDist):

@@ -133,6 +133,8 @@ def mc_arrival_prob(
     model: CostModel, path: Path, budget: int, n: int, rng: random.Random
 ) -> float:
     """Monte-Carlo estimate of the on-time probability over ``n`` draws."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     draw = _prep_sampler(model, path)
     hits = sum(1 for _ in range(n) if draw(rng) <= budget)
     return hits / n

@@ -22,9 +22,8 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from operator import itemgetter
-from typing import NoReturn
 
 from .dist import (
     DistributionError,
@@ -361,24 +360,6 @@ def _expect(value: object, kind: type, name: str):
     return value
 
 
-def _name_first_bad(idents: list, groups: list) -> NoReturn:
-    """Raise for the first stored object whose entries fail a check that
-    :func:`load_store` makes in bulk; called only once a bulk check failed."""
-    for ident, entries in zip(idents, groups):
-        name = _name(ident)
-        if type(entries) is not list or not set(map(type, entries)) <= {list}:
-            raise StoreFormatError(f"{name}: entries must be a list of lists")
-        if not set(map(len, entries)) <= {2}:
-            raise StoreFormatError(f"{name}: an entry is not a pair")
-        firsts = [entry[0] for entry in entries]
-        try:
-            _check_times(firsts if isinstance(ident, str) else _row_times(firsts, len(ident)))
-            _check_probs([entry[1] for entry in entries])
-        except DistributionError as exc:
-            raise StoreFormatError(f"{name}: {exc}") from None
-    raise StoreFormatError("malformed store")
-
-
 @contextmanager
 def _gc_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector, leaving it as it was found on exit.
@@ -405,20 +386,38 @@ def _header_int(doc: dict, name: str, least: int) -> int:
 
 
 def _objects_in_bulk(
-    idents: list, n_edges: int, keys: list, probs: list[float], counts: list[int], delta: float
+    idents: list, n_edges: int, groups: list, delta: float
 ) -> tuple[dict[str, Histogram], dict[tuple[str, ...], JointDist]] | None:
-    """The edge weights and stored paths of a checked document, or ``None``.
+    """The edge weights and stored paths of a document, or ``None``.
 
-    ``idents``, ``keys``, ``probs`` and ``counts`` are as in
-    :func:`load_store`.  The entries of all edge weights, then of all
-    stored paths, are checked by :func:`_entries_in_bulk`, and the path
-    keys by set sizes: each has distinct edges and no key repeats.  The
-    result is ``None`` when any of these checks fails.
+    ``idents`` and ``groups`` are as in :func:`load_store`, with the
+    ``n_edges`` edge weights first.  Each rule is one pass over all of
+    the document's entries or objects: every entry is a pair, every row
+    holds one time per edge of its path, the times and probabilities
+    pass :func:`_check_times` and :func:`_check_probs`, the entries
+    pass :func:`_entries_in_bulk`, and each path key has distinct edges
+    and appears once.  The result is ``None`` when any pass fails.
     """
+    if not set(map(type, groups)) <= {list}:
+        return None
+    counts = list(map(len, groups))
+    flat = list(chain.from_iterable(groups))
+    if not (set(map(type, flat)) <= {list} and set(map(len, flat)) <= {2}):
+        return None
+    firsts = list(map(itemgetter(0), flat))
     split = sum(counts[:n_edges])
-    edge_entries = _entries_in_bulk(keys[:split], probs[:split], counts[:n_edges])
-    path_entries = _entries_in_bulk(keys[split:], probs[split:], counts[n_edges:])
+    times, rows = firsts[:split], firsts[split:]
     path_keys = idents[n_edges:]
+    widths = chain.from_iterable(map(repeat, map(len, path_keys), counts[n_edges:]))
+    if not (set(map(type, rows)) <= {list} and list(map(len, rows)) == list(widths)):
+        return None
+    try:
+        _check_times(times + list(chain.from_iterable(rows)))
+        probs = _check_probs(list(map(itemgetter(1), flat)))
+    except DistributionError:
+        return None
+    edge_entries = _entries_in_bulk(times, probs[:split], counts[:n_edges])
+    path_entries = _entries_in_bulk(list(map(tuple, rows)), probs[split:], counts[n_edges:])
     if (
         edge_entries is None
         or path_entries is None
@@ -432,28 +431,38 @@ def _objects_in_bulk(
 
 
 def _objects_one_by_one(
-    idents: list, keys: list, probs: list[float], counts: list[int], delta: float
+    idents: list, groups: list, delta: float
 ) -> tuple[dict[str, Histogram], dict[tuple[str, ...], JointDist]]:
-    """What :func:`_objects_in_bulk` builds, one object at a time in document
-    order: each object's entries are sorted and its zero probabilities
-    dropped by :func:`_entries`, and the first object that breaks a rule
-    raises, named."""
+    """What :func:`_objects_in_bulk` checks and builds, one object at a time in
+    document order: every rule is applied to an object before the next, its
+    entries are sorted and its zero probabilities dropped by :func:`_entries`,
+    and the first object that breaks a rule raises, named."""
     edge_weights: dict[str, Histogram] = {}
     path_weights: dict[tuple[str, ...], JointDist] = {}
-    for ident, a, b in zip(idents, accumulate(counts, initial=0), accumulate(counts)):
+    for ident, entries in zip(idents, groups):
         edge = isinstance(ident, str)
+        name = _name(ident)
+        if type(entries) is not list or not set(map(type, entries)) <= {list}:
+            raise StoreFormatError(f"{name}: entries must be a list of lists")
+        if not set(map(len, entries)) <= {2}:
+            raise StoreFormatError(f"{name}: an entry is not a pair")
+        keys = list(map(itemgetter(0), entries))
         try:
-            entries = _entries(keys[a:b], probs[a:b], "histogram" if edge else "joint")
-            if not edge:
+            _check_times(keys if edge else _row_times(keys, len(ident)))
+            probs = _check_probs(list(map(itemgetter(1), entries)))
+            if edge:
+                built = _entries(keys, probs, "histogram")
+            else:
+                built = _entries(list(map(tuple, keys)), probs, "joint")
                 _check_edges(ident)
         except DistributionError as exc:
-            raise StoreFormatError(f"{_name(ident)}: {exc}") from None
+            raise StoreFormatError(f"{name}: {exc}") from None
         if edge:
-            edge_weights[ident] = Histogram._checked(entries, delta)
+            edge_weights[ident] = Histogram._checked(built, delta)
         elif ident in path_weights:
-            raise StoreFormatError(f"{_name(ident)} appears twice")
+            raise StoreFormatError(f"{name} appears twice")
         else:
-            path_weights[ident] = JointDist._checked(ident, entries, delta)
+            path_weights[ident] = JointDist._checked(ident, built, delta)
     return edge_weights, path_weights
 
 
@@ -461,30 +470,15 @@ def _objects_one_by_one(
 def load_store(path: str) -> WeightStore:
     """Read a store written by :func:`save_store`, checking the whole document.
 
-    The header must hold the format marker and version, a ``delta`` that is
-    a positive, finite JSON number (not a ``bool`` or a string), a
-    ``min_support`` that is an ``int`` (not a ``bool``) of at least 1, a
-    ``max_unit_len`` that is an ``int`` of at least 2, a known ``mode`` and
-    distinct ``fallback_edges`` ids.  Each property of the entries is
-    checked by one pass over all of the document's entries or values:
-    every entry of an edge weight is a ``[time, probability]`` pair and
-    every entry of a stored path a ``[row, probability]`` pair, every row
-    holds one time per edge of its path, every time is an ``int`` (not a
-    ``bool``) of at least 1, and every probability a finite, non-negative
-    number.  Only when a pass fails are the stored objects walked, to name
-    the first bad edge or stored path.  Then the histograms and joints are
-    checked (distinct edges, no duplicate time or row, zero-probability
-    entries dropped, mass 1 within ``MASS_TOL``, no stored path twice) and
-    built without being validated again: in bulk passes over all objects
-    at once, or, when one of those fails, one object at a time in document
-    order, which sorts entries, drops zeros and names the first bad object.
-    :class:`WeightStore` checks that each joint's times lie within its
-    edges' supports.  The checks are the functions of :mod:`spotar.dist`
-    that the :class:`Histogram` and :class:`JointDist` constructors call,
-    and an error is the message they raise, after the name of the edge or
-    stored path.  The cyclic garbage collector is paused while the store is
-    read: no object built can reach itself again, so a collection would
-    free nothing.
+    A stored object's entries follow the rules of the :class:`Histogram`
+    and :class:`JointDist` constructors, checked by the same functions, and
+    an error is their message after the object's name.  A document that
+    passes the whole-document passes of :func:`_objects_in_bulk`, as every
+    store :func:`save_store` writes does, is built by them alone; any other
+    is walked one object at a time in document order, so the error names
+    the first bad object.  The cyclic garbage collector is paused meanwhile:
+    no object built can reach itself again, so a collection would free
+    nothing.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -518,28 +512,9 @@ def load_store(path: str) -> WeightStore:
         # Every stored object, edges first: its edge id or path key, and its JSON entries.
         idents = [*edge_docs, *map(tuple, key_lists)]
         groups = [*edge_docs.values(), *map(itemgetter("rows"), path_docs)]
-        if not set(map(type, groups)) <= {list}:
-            _name_first_bad(idents, groups)
-        counts = list(map(len, groups))
-        flat = list(chain.from_iterable(groups))
-        if not (set(map(type, flat)) <= {list} and set(map(len, flat)) <= {2}):
-            _name_first_bad(idents, groups)
-        firsts = list(map(itemgetter(0), flat))
-        n_edges = len(edge_docs)
-        split = sum(counts[:n_edges])
-        rows = firsts[split:]
-        widths = chain.from_iterable(map(repeat, map(len, idents[n_edges:]), counts[n_edges:]))
-        if not (set(map(type, rows)) <= {list} and list(map(len, rows)) == list(widths)):
-            _name_first_bad(idents, groups)
-        try:
-            _check_times(firsts[:split] + list(chain.from_iterable(rows)))
-            probs = _check_probs(list(map(itemgetter(1), flat)))
-        except DistributionError:
-            _name_first_bad(idents, groups)
-        keys = firsts[:split] + list(map(tuple, rows))
         edge_weights, path_weights = _objects_in_bulk(
-            idents, n_edges, keys, probs, counts, delta
-        ) or _objects_one_by_one(idents, keys, probs, counts, delta)
+            idents, len(edge_docs), groups, delta
+        ) or _objects_one_by_one(idents, groups, delta)
         return WeightStore(
             delta=delta,
             min_support=min_support,

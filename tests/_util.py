@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from spotar.dist import Histogram
 from spotar.network import Network, Node, Edge
 from spotar.weights import TrajectoryRecord
@@ -32,6 +34,15 @@ def rand_hist(
     entries = {t: w / total for t, w in zip(times, weights)}
     exact = {t: Fraction(w, total) for t, w in zip(times, weights)}
     return Histogram(entries, delta), exact
+
+
+def approx_dict(got, want, tol: float = 1e-9) -> None:
+    """Assert that two mappings, or their ``(key, value)`` pairs, have the
+    same keys and values within ``tol``."""
+    got, want = dict(got), dict(want)
+    assert set(got) == set(want)
+    for k, v in want.items():
+        assert got[k] == pytest.approx(v, abs=tol), k
 
 
 def exact_convolve(a: ExactHist, b: ExactHist) -> ExactHist:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 
 import pytest
@@ -18,7 +19,6 @@ from spotar.bench import (
     gen_queries,
     load_config,
     parse_config,
-    read_rows,
     run_bench,
     write_aggregates,
     write_rows,
@@ -197,17 +197,18 @@ def test_write_read_rows_round_trip(tmp_path, bench_rows):
     write_rows(bench_rows, str(f))
     header = f.read_text().splitlines()[0]
     assert header == "method,budget,bucket_lo,bucket_hi,query_id,probability,wall_time_s,explored_edges,expanded_labels,path_edges"
-    back = read_rows(str(f))
+    with open(f, newline="", encoding="utf-8") as fh:
+        back = list(csv.DictReader(fh))
     assert len(back) == len(bench_rows)
     for a, b in zip(back, bench_rows):
-        assert a.method == b.method
-        assert a.budget == b.budget
-        assert (a.bucket_lo, a.bucket_hi) == (b.bucket_lo, b.bucket_hi)
-        assert a.query_id == b.query_id
-        assert a.probability == pytest.approx(b.probability, abs=1e-9)
-        assert a.explored_edges == b.explored_edges
-        assert a.expanded_labels == b.expanded_labels
-        assert a.path_edges == b.path_edges
+        assert a["method"] == b.method
+        assert int(a["budget"]) == b.budget
+        assert (float(a["bucket_lo"]), float(a["bucket_hi"])) == (b.bucket_lo, b.bucket_hi)
+        assert int(a["query_id"]) == b.query_id
+        assert float(a["probability"]) == pytest.approx(b.probability, abs=1e-9)
+        assert int(a["explored_edges"]) == b.explored_edges
+        assert int(a["expanded_labels"]) == b.expanded_labels
+        assert int(a["path_edges"]) == b.path_edges
 
 
 def test_row_csv_stable_across_runs(tmp_path, bench_instance, bench_rows):

@@ -22,17 +22,13 @@ from spotar.dist import (
     point_mass,
 )
 
-from _util import exact_cdf, exact_convolve, rand_hist
+from _util import approx_dict, exact_cdf, exact_convolve, rand_hist
 
 
 def test_histogram_basics():
     h = Histogram({10: 0.25, 2: 0.5, 7: 0.25})
     assert h.times() == (2, 7, 10)
     assert list(h.items()) == [(2, 0.5), (7, 0.25), (10, 0.25)]
-    assert h.prob(7) == 0.25
-    assert h.prob(3) == 0.0
-    assert h.as_dict() == {2: 0.5, 7: 0.25, 10: 0.25}
-    assert h.mass() == pytest.approx(1.0, abs=1e-15)
     assert len(h) == 3
     assert h.delta == 1.0
 
@@ -73,7 +69,7 @@ def test_cdf_of_convolutions_is_at_most_one_and_exactly_one_at_the_end():
         for _ in range(rng.randint(1, 4)):
             total = convolve(total, rand_hist(rng, max_support=6, max_time=20)[0])
         times = total.times()
-        rounded += total.mass() != 1.0
+        rounded += math.fsum(p for _, p in total.items()) != 1.0
         assert all(total.cdf(t) <= 1.0 for t in times)
         assert total.cdf(times[-1]) == 1.0
         assert total.cdf(times[-1] + 7) == 1.0
@@ -129,20 +125,17 @@ def test_histogram_mass_tolerance_is_tight():
         Histogram({3: 0.5, 4: 0.5 + 5e-9})
 
 
-def test_histogram_equality_and_approx_eq():
+def test_histogram_equality():
     a = Histogram({3: 0.5, 4: 0.5})
     b = Histogram({4: 0.5, 3: 0.5})
     assert a == b
     assert a != Histogram({3: 0.5, 5: 0.5})
     assert a != Histogram({3: 0.5, 4: 0.5}, delta=60.0)
-    assert a.approx_eq(Histogram({3: 0.5 + 1e-10, 4: 0.5 - 1e-10}))
-    assert not a.approx_eq(Histogram({3: 0.6, 4: 0.4}))
-    assert not a.approx_eq(Histogram({3: 0.5, 4: 0.5}, delta=60.0))
 
 
 def test_point_mass_and_min_cost():
     h = point_mass(11, delta=60.0)
-    assert h.as_dict() == {11: 1.0}
+    assert list(h.items()) == [(11, 1.0)]
     assert h.delta == 60.0
     assert min_cost(h) == 11
     assert min_cost(Histogram({8: 0.9, 10: 0.1})) == 8
@@ -152,11 +145,7 @@ def test_convolve_golden_pair():
     # Sum of {8: .9, 10: .1} and {8: .8, 10: .2}.
     a = Histogram({8: 0.9, 10: 0.1})
     b = Histogram({8: 0.8, 10: 0.2})
-    c = convolve(a, b)
-    expect = {16: 0.72, 18: 0.26, 20: 0.02}
-    assert set(c.times()) == set(expect)
-    for t, p in expect.items():
-        assert c.prob(t) == pytest.approx(p, abs=1e-9)
+    approx_dict(convolve(a, b).items(), {16: 0.72, 18: 0.26, 20: 0.02})
 
 
 def test_convolve_requires_matching_resolution():
@@ -169,11 +158,8 @@ def test_convolve_matches_exact_enumeration():
     for _ in range(200):
         a, ea = rand_hist(rng)
         b, eb = rand_hist(rng)
-        got = convolve(a, b)
         want = exact_convolve(ea, eb)
-        assert set(got.times()) == set(want)
-        for t, p in want.items():
-            assert got.prob(t) == pytest.approx(float(p), abs=1e-12)
+        approx_dict(convolve(a, b).items(), {t: float(p) for t, p in want.items()}, tol=1e-12)
 
 
 def test_convolve_commutative_and_associative():
@@ -184,10 +170,10 @@ def test_convolve_commutative_and_associative():
         c, _ = rand_hist(rng)
         ab = convolve(a, b)
         ba = convolve(b, a)
-        assert ab.approx_eq(ba, tol=1e-12)
+        approx_dict(ab.items(), ba.items(), tol=1e-12)
         left = convolve(ab, c)
         right = convolve(a, convolve(b, c))
-        assert left.approx_eq(right, tol=1e-12)
+        approx_dict(left.items(), right.items(), tol=1e-12)
 
 
 def test_convolve_equals_public_histogram_of_raw_sums():
@@ -213,12 +199,12 @@ def test_convolve_equals_public_histogram_of_raw_sums():
 def grid_dominates(a, b):
     """Reference dominance test over the union of both supports, reading
     every time through the public accessors."""
-    grid = sorted(set(a.times()) | set(b.times()))
+    pa, pb = dict(a.items()), dict(b.items())
     cum_a = cum_b = 0.0
     strict = False
-    for t in grid:
-        cum_a += a.prob(t)
-        cum_b += b.prob(t)
+    for t in sorted(pa.keys() | pb.keys()):
+        cum_a += pa.get(t, 0.0)
+        cum_b += pb.get(t, 0.0)
         if cum_a < cum_b - _DOM_EPS:
             return False
         if cum_a > cum_b + _DOM_EPS:
@@ -232,16 +218,16 @@ def test_dominates_equals_grid_reference():
     for _ in range(300):
         a, _ = rand_hist(rng, max_time=12)
         b, _ = rand_hist(rng, max_time=12)
-        pairs += [(a, b), (a, Histogram(a.as_dict()))]
+        pairs += [(a, b), (a, Histogram(dict(a.items())))]
     for _ in range(100):
         a, _ = rand_hist(rng, max_time=6)
         b, _ = rand_hist(rng, max_time=6)
         shift = max(a.times()) + rng.randint(0, 3)  # disjoint supports
-        pairs.append((a, Histogram({t + shift: p for t, p in b.as_dict().items()})))
+        pairs.append((a, Histogram({t + shift: p for t, p in b.items()})))
     for _ in range(100):
         # a mass of at most _DOM_EPS moved one time later: within the tolerance
         a, _ = rand_hist(rng, max_support=5, max_time=8)
-        entries = a.as_dict()
+        entries = dict(a.items())
         t = rng.choice(list(entries))
         gap = min(entries[t], _DOM_EPS) * rng.choice((0.5, 1.0))
         entries[t] -= gap
@@ -327,8 +313,6 @@ def test_joint_basics():
     j = JointDist(("a", "b"), {(8, 6): 0.8, (10, 10): 0.2})
     assert j.edges == ("a", "b")
     assert list(j.rows()) == [((8, 6), 0.8), ((10, 10), 0.2)]
-    assert j.as_dict() == {(8, 6): 0.8, (10, 10): 0.2}
-    assert j.mass() == pytest.approx(1.0, abs=1e-15)
     assert len(j) == 2
 
 
@@ -355,7 +339,7 @@ def test_long_convolution_chain_keeps_mass():
     for _ in range(50):
         h, _ = rand_hist(rng, max_support=3, max_time=9)
         total = convolve(total, h)
-    assert abs(total.mass() - 1.0) <= 1e-9
+    assert abs(math.fsum(p for _, p in total.items()) - 1.0) <= 1e-9
     assert total.cdf(10**6) == pytest.approx(1.0, abs=1e-9)
 
 

@@ -1,8 +1,19 @@
-"""The package's public names: ``spotar.__all__`` is what ``import *`` gives."""
+"""The package's public names, and what importing the package pulls in.
+
+``spotar.__all__`` is what ``import *`` gives, and the runtime needs
+nothing beyond the standard library.
+"""
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import spotar
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def test_every_name_in_all_resolves():
@@ -17,3 +28,30 @@ def test_star_import_gives_exactly_all():
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(spotar.__all__)
     assert all(namespace[name] is getattr(spotar, name) for name in namespace)
+
+
+# Imports every module of the package in a fresh interpreter and prints,
+# one per line, the modules that this added to ``sys.modules``.
+_IMPORT_ALL = """
+import sys
+before = set(sys.modules)
+import importlib, pkgutil, spotar
+for info in pkgutil.iter_modules(spotar.__path__):
+    importlib.import_module("spotar." + info.name)
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_runtime_imports_only_the_standard_library():
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_ALL],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        check=True,
+    )
+    added = proc.stdout.split()
+    assert "spotar.weights" in added and "spotar.cli" in added
+    allowed = {*sys.stdlib_module_names, "spotar"}
+    outside = [name for name in added if name.partition(".")[0] not in allowed]
+    assert outside == []

@@ -132,12 +132,34 @@ def test_query_rejects_malformed_store(store_doc, tmp_path, capsys, case, change
             lambda d: _set_rows(d, [[[8, 6], 0.4], [[8, 6], 0.4], [[10, 10], 0.2]]),
             "edge 'e1': total mass",
         ),
+        (
+            lambda d: d["edge_weights"].update(e1=[[8, 0.8], [10, 0.1]]),
+            lambda d: d["edge_weights"].update(e4=[[6.5, 0.8], [10, 0.2]]),
+            "edge 'e1': total mass",
+        ),
+        (
+            lambda d: d["edge_weights"].update(e1=[[8, 0.5], [8, 0.4], [10, 0.1]]),
+            lambda d: _set_rows(d, [[[8, 6, 6], 0.8], [[10, 10], 0.2]]),
+            "edge 'e1': histogram lists 8 twice",
+        ),
+        (
+            lambda d: d["edge_weights"].update(e1=[[10, 0.1], [8, 0.9]]),
+            lambda d: d["edge_weights"].update(e4=[[6.5, 0.8], [10, 0.2]]),
+            "edge 'e4': travel time 6.5 is not an integer",
+        ),
     ],
-    ids=["repeated time before mass 0.9", "mass 0.9 before duplicate row"],
+    ids=[
+        "repeated time before mass 0.9",
+        "mass 0.9 before duplicate row",
+        "mass 0.9 before time 6.5",
+        "repeated time before row of the wrong width",
+        "unsorted but valid before time 6.5",
+    ],
 )
 def test_load_store_names_first_bad_object(store_doc, tmp_path, first_bad, later_bad, expected):
-    """With two bad objects, the error names the first in document order,
-    whichever of their rules a check over all objects would find first."""
+    """With two changed objects, the error names the first bad one in document
+    order, whichever of their rules a check over all objects would find first;
+    an object that is only out of order is not bad."""
     doc = json.loads(json.dumps(store_doc))
     first_bad(doc)
     later_bad(doc)

@@ -168,6 +168,12 @@ def test_mc_arrival_prob_matches_closed_form_edge_mode(edge_model):
     assert abs(got - want) <= 3.0 * se
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_mc_arrival_prob_needs_a_draw(pace_model, n):
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        mc_arrival_prob(pace_model, Path(("e1", "e4", "e9")), 23, n, random.Random(7))
+
+
 def partial_overlap_model():
     """Fusing drops one prefix, so the sampler must restart sometimes."""
     units = {
@@ -291,7 +297,7 @@ def test_gen_instance_stores_fuse_on_any_path():
             src, dst = rng.sample(node_ids, 2)
             for p in enumerate_simple_paths(net, Query(src, dst, 1), max_edges=5)[:10]:
                 total = path_cost(pace, p)
-                assert abs(total.mass() - 1.0) <= 1e-9
+                assert abs(math.fsum(q for _, q in total.items()) - 1.0) <= 1e-9
 
 
 def test_gen_instance_rejects_bad_parameters():
