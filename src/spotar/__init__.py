@@ -6,7 +6,7 @@ arriving within a time budget.
 """
 
 from .dist import Histogram, JointDist, convolve, dominates, min_cost
-from .heuristic import HeuristicKind, arrival_prob, build_min_tree, make_heuristic
+from .heuristic import HeuristicKind, build_min_tree, make_heuristic
 from .network import Edge, Network, Node, Path, Query, load_network, make_path, save_network
 from .oracle import exact_spotar, gen_instance, mc_arrival_prob, verify_instances
 from .solver import SolveResult, solve
@@ -38,7 +38,6 @@ __all__ = [
     "SolveResult",
     "TrajectoryRecord",
     "WeightStore",
-    "arrival_prob",
     "build_min_tree",
     "build_store",
     "convolve",

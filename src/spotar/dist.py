@@ -181,19 +181,9 @@ class Histogram:
         return tuple(self._entries)
 
     def cdf(self, t: int) -> float:
-        """Probability of a travel time of at most ``t`` units.
-
-        Exactly ``1.0`` when ``t`` is at or past the last time, whatever
-        the stored probabilities sum to; below it, the ``fsum`` of the
-        probabilities at times up to ``t``, clamped to at most ``1.0``.
-        So a path that makes the budget for certain scores exactly
-        ``1.0``, and no score exceeds it: an answer at ``1.0`` cannot be
-        beaten, which lets the search stop there.
-        """
+        """Probability of a travel time of at most ``t`` units (see :func:`_cdf`)."""
         entries = self._entries
-        if t >= next(reversed(entries)):
-            return 1.0
-        return min(1.0, math.fsum(compress(entries.values(), map(t.__ge__, entries))))
+        return _cdf(entries, next(reversed(entries)), t)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Histogram):
@@ -205,6 +195,32 @@ class Histogram:
 
     def __repr__(self) -> str:
         return f"Histogram({self._entries!r}, delta={self.delta!r})"
+
+
+def _cdf(times: Mapping[int, float], last: int, t: int) -> float:
+    """Probability of a time of at most ``t``, from ``{time: probability}``
+    in any order, whose largest time is ``last``.
+
+    Exactly ``1.0`` when ``t`` is at or past ``last``, whatever the
+    probabilities sum to; below it, the ``fsum`` of the probabilities at
+    times up to ``t``, clamped to at most ``1.0``.  So a path that makes
+    the budget for certain scores exactly ``1.0``, and no score exceeds
+    it: an answer at ``1.0`` cannot be beaten, which lets the search stop
+    there.  ``fsum`` is exactly rounded, so the order of ``times`` does
+    not change the result.
+    """
+    if t >= last:
+        return 1.0
+    return min(1.0, math.fsum(compress(times.values(), map(t.__ge__, times))))
+
+
+def times_cdf(times: Mapping[int, float], t: int) -> float:
+    """:meth:`Histogram.cdf` of the histogram over ``times``, without building it.
+
+    ``times`` maps travel times, in any order, to positive probabilities,
+    as the entries of a :func:`_derived` histogram before they are sorted.
+    """
+    return _cdf(times, max(times), t)
 
 
 def _derived(out: dict[int, float], delta: float) -> Histogram:

@@ -14,9 +14,8 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .dist import Histogram
 from .network import Network
-from .weights import WeightStore
+from .weights import WeightStore, _no_weight
 
 
 class HeuristicKind(enum.Enum):
@@ -59,15 +58,19 @@ def build_min_tree(net: Network, store: WeightStore, dest: str, budget: int) -> 
     mins: dict[str, int] = {}
     heap: list[tuple[int, str]] = [(0, dest)] if budget >= 0 else []
     push, pop = heapq.heappush, heapq.heappop
-    min_time, in_edges = store.min_time, net.in_edges
+    # read straight from the store's and the network's tables, one lookup per edge
+    min_times, in_edges = store._min_times, net._in
     while heap:
         d, node = pop(heap)
         if node in mins:
             continue
         mins[node] = d
-        for e in in_edges(node):
+        for e in in_edges[node]:
             if e.from_node not in mins:
-                t = d + min_time(e.edge_id)
+                try:
+                    t = d + min_times[e.edge_id]
+                except KeyError:
+                    raise _no_weight(e.edge_id) from None
                 if t <= budget:
                     push(heap, (t, e.from_node))
     return MinTree(dest, budget, mins)
@@ -118,18 +121,3 @@ def make_heuristic(
     if kind is HeuristicKind.SP:
         return TreeBound(build_min_tree(net, store, dest, budget))
     return StraightLineBound(net, dest)
-
-
-def arrival_prob(cost: Histogram, node_min: int | None, budget: int) -> float:
-    """Chance that a partial trip still fits the budget.
-
-    Sums the path-so-far mass over times ``k`` with
-    ``k + node_min <= budget``, which is one CDF lookup.  This is the
-    search's priority: an upper bound on the completion probability of
-    any extension.  It is exactly ``1.0`` when the whole support fits
-    (see :meth:`Histogram.cdf`), which is then the true bound, and never
-    above it.
-    """
-    if node_min is None:
-        return 0.0
-    return cost.cdf(budget - node_min)

@@ -2,16 +2,15 @@
 
 Labels are node-simple partial paths ordered by their priority: the
 probability mass that could still make the budget if the rest of the
-trip took only its minimum time (see :func:`spotar.heuristic.arrival_prob`),
-with ties going to the label nearest the destination.  One step
-expands a prefix, the source's empty one first.  Extensions that reach
-the destination immediately challenge the incumbent answer and are
-never queued, and the search stops as soon as the best queued priority
-cannot beat it.  A candidate whose cost is dominated by a queued
-label's at the same node is dropped, in ``PACE`` mode only where no
-stored unit can still re-cover either label's last edges (see
-:func:`check_dominance`).  An extension whose stored units share no
-overlap mass has no cost distribution; it is skipped and
+trip took only its minimum time, with ties going to the label nearest
+the destination.  One step expands a prefix, the source's empty one
+first.  Extensions that reach the destination immediately challenge the
+incumbent answer and are never queued, and the search stops as soon as
+the best queued priority cannot beat it.  A candidate whose cost is
+dominated by a queued label's at the same node is dropped, in ``PACE``
+mode only where no stored unit can still re-cover either label's last
+edges (see :func:`check_dominance`).  An extension whose stored units
+share no overlap mass has no cost distribution; it is skipped and
 recorded as a ``skip-inconsistent`` event.
 """
 
@@ -24,8 +23,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import dist
-from .dist import Histogram, min_cost
-from .heuristic import HeuristicKind, arrival_prob, make_heuristic
+from .dist import Histogram, _derived, min_cost, times_cdf
+from .heuristic import HeuristicKind, make_heuristic
 from .network import Network, Path, Query
 from .weights import CostModel, FoldStep, InconsistentWeightsError, Mode, extend_cost
 
@@ -34,31 +33,38 @@ from .weights import CostModel, FoldStep, InconsistentWeightsError, Mode, extend
 class Label:
     """A partial path under consideration.
 
-    ``edges`` are the path's edge ids.  ``cost`` is its travel-time
-    distribution, equal to ``path_cost(model, Path(edges))``.  ``state`` is what
-    :func:`spotar.weights.extend_cost` returned with it, and an extension
-    derives its cost from it: in ``EDGE`` mode the state is the cost and
-    an extension is one convolution; in ``PACE`` mode it is the cover
-    units with the fold state after each, and an extension keeps the
-    steps of the leading units its cover shares with this path and
-    folds the one unit after them.  ``node_min`` is the bound's
-    fewest remaining time units from ``end_node`` to the destination,
-    and ``r``, the queue priority, is
-    ``arrival_prob(cost, node_min, budget)``; among equal ``r`` the
-    queue prefers the smaller ``node_min``.  ``visited`` holds every
-    node on the path for cycle avoidance.  ``settled`` says whether the
-    label takes part in dominance (see :func:`check_dominance`).
+    ``edges`` are the path's edge ids.  ``cost`` and ``state`` are what
+    :func:`spotar.weights.extend_cost` returned for them.  In ``EDGE``
+    mode the cost is the path's travel-time :class:`Histogram`, equal to
+    ``path_cost(model, Path(edges))``, and the state is the cost: an
+    extension is one convolution.  In ``PACE`` mode the cost is the
+    path's per-total times ``{total: probability}``, unsorted, and the
+    state is the cover units with the fold state after each: an
+    extension keeps the steps of the leading units its cover shares with
+    this path and folds the one unit after them.  ``hist`` is the cost
+    as a :class:`Histogram`: the cost itself in ``EDGE`` mode; in
+    ``PACE`` mode ``None`` until :func:`check_dominance` first compares
+    the label, which builds it from the per-total times and keeps it.
+
+    ``node_min`` is the bound's fewest remaining time units from
+    ``end_node`` to the destination.  ``r``, the queue priority, is the
+    cost's ``cdf`` at ``budget - node_min``, read from the per-total
+    times in ``PACE`` mode; among equal ``r`` the queue prefers the
+    smaller ``node_min``.  ``visited`` holds every node on the path for
+    cycle avoidance.  ``settled`` says whether the label takes part in
+    dominance (see :func:`check_dominance`).
     """
 
     edges: tuple[str, ...]
     end_node: str
-    cost: Histogram
+    cost: Histogram | dict[int, float]
     state: Histogram | tuple[FoldStep, ...]
     node_min: int
     r: float
     visited: frozenset[str]
     settled: bool = True
     alive: bool = True
+    hist: Histogram | None = None
 
 
 class SearchEvent(NamedTuple):
@@ -166,7 +172,14 @@ class SearchQueue:
         return found
 
 
-def check_dominance(queue: SearchQueue, candidate: Label) -> list[Label] | None:
+def _histogram(label: Label, delta: float) -> Histogram:
+    """``label.hist``, built from the label's per-total times when it has none yet."""
+    if label.hist is None:
+        label.hist = _derived(label.cost, delta)
+    return label.hist
+
+
+def check_dominance(queue: SearchQueue, candidate: Label, delta: float) -> list[Label] | None:
     """Compare a candidate against queued labels at the same node.
 
     Returns ``None`` when an existing label has the same cost or a
@@ -176,19 +189,22 @@ def check_dominance(queue: SearchQueue, candidate: Label) -> list[Label] | None:
     dominates, which are discarded instead (empty when the costs are
     incomparable).
 
-    Only settled labels are compared.  In ``EDGE`` mode every label is
-    settled: an extension's cost is the label's cost convolved with the
-    added edges' weights, and convolving two costs with the same
-    distribution keeps first-order dominance.  In ``PACE`` mode a label
-    is settled when no stored path weight starts inside its edges and
-    runs past its end (:meth:`~spotar.weights.WeightStore.is_settled`).
-    Every cover unit an extension adds then starts at or after the
-    label's end, so it is conditioned only on the added edges, and the
-    extension's cost is again the label's cost convolved with a
-    distribution of the added edges alone.  An unsettled label's
-    extension can re-cover its last edges and condition on their times,
-    so two labels ordered by their total times can swap order once
-    extended; an unsettled label is kept without a comparison.
+    Only settled labels are compared, as :class:`Histogram` values of
+    resolution ``delta``; a ``PACE`` label's is built from its per-total
+    times the first time it is compared (see :class:`Label`).  In
+    ``EDGE`` mode every label is settled: an extension's cost is the
+    label's cost convolved with the added edges' weights, and convolving
+    two costs with the same distribution keeps first-order dominance.  In
+    ``PACE`` mode a label is settled when no stored path weight starts
+    inside its edges and runs past its end, that is when no suffix of its
+    edges is a proper prefix of a stored key.  Every cover unit an
+    extension adds then starts at or after the label's end, so it is
+    conditioned only on the added edges, and the extension's cost is
+    again the label's cost convolved with a distribution of the added
+    edges alone.  An unsettled label's extension can re-cover its last
+    edges and condition on their times, so two labels ordered by their
+    total times can swap order once extended; an unsettled label is kept
+    without a comparison.
     """
     dominated: list[Label] = []
     if not candidate.settled:
@@ -196,9 +212,10 @@ def check_dominance(queue: SearchQueue, candidate: Label) -> list[Label] | None:
     for other in queue.labels_at(candidate.end_node):
         if not other.settled:
             continue
-        if other.cost == candidate.cost or dist.dominates(other.cost, candidate.cost):
+        theirs, mine = _histogram(other, delta), _histogram(candidate, delta)
+        if theirs == mine or dist.dominates(theirs, mine):
             return None
-        if dist.dominates(candidate.cost, other.cost):
+        if dist.dominates(mine, theirs):
             dominated.append(other)
     return dominated
 
@@ -207,6 +224,22 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
     """Find the path maximizing the chance of arriving within the budget.
 
     Returns a no-path result (probability 0) when nothing can make it.
+
+    A label's priority ``r`` is its cost's ``cdf`` at ``budget -
+    node_min``: the mass of the path so far at times ``k`` with ``k +
+    node_min <= budget``.  Every completion of the path takes at least
+    ``node_min`` more units, so in ``EDGE`` mode, and in ``PACE`` mode
+    for a settled label, whose extensions add time to its cost without
+    changing it, ``r`` is an upper bound on the probability of any
+    extension.  It is exactly ``1.0`` when the whole support fits, which
+    is then the true bound, and never above it.  An unsettled ``PACE``
+    label's extension can re-cover its last edges with a stored unit
+    whose times are faster, so there ``r`` can fall short of it.  In
+    ``PACE`` mode ``r``, a candidate's probability and the minimum a
+    popped label adds to the prune test are read from the per-total
+    times, unsorted, with the :class:`Histogram` rule
+    (:func:`~spotar.dist.times_cdf` and the smallest total), so they equal
+    what the sorted histogram gives bit for bit.
 
     One step expands a prefix: the source is the empty prefix, and every
     popped label is the prefix of its path.  A label whose priority falls
@@ -236,6 +269,11 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
             raise ValueError(f"unknown node {node_id!r}")
     store = model.store
     edge_mode = model.mode is Mode.EDGE
+    within, least = (Histogram.cdf, min_cost) if edge_mode else (times_cdf, min)
+    # a PACE label is settled when none of its last max_stored_len - 1 suffixes is an open prefix
+    open_prefixes = store._open_prefixes
+    suffixes = [slice(-k, None) for k in range(1, store.max_stored_len)]
+    delta = store.delta
     bound = make_heuristic(heuristic, net, store, query.dest, query.budget)
     events: list[tuple] = []
     record = events.append
@@ -270,7 +308,7 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
                 record(("skip-inconsistent", path, e.edge_id))
                 continue
             if e.to_node == query.dest:
-                prob = cost.cdf(query.budget)
+                prob = within(cost, query.budget)
                 record(("candidate", edges, None, prob))
                 if prob > best_prob:
                     best_path, best_prob = Path(edges), prob
@@ -282,11 +320,12 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
                 cost=cost,
                 state=ext_state,
                 node_min=node_min,
-                r=arrival_prob(cost, node_min, query.budget),
+                r=within(cost, query.budget - node_min),
                 visited=visited | {e.to_node},
-                settled=edge_mode or store.is_settled(edges),
+                settled=edge_mode or open_prefixes.isdisjoint(map(edges.__getitem__, suffixes)),
+                hist=cost if edge_mode else None,
             )
-            dominated = check_dominance(queue, candidate)
+            dominated = check_dominance(queue, candidate, delta)
             if dominated is None:
                 record(("dominated-drop", edges, None, candidate.r))
                 continue
@@ -303,7 +342,7 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
             break
         expanded += 1
         record(("pop", label.edges, None, label.r))
-        expand(label.edges, label.end_node, label.state, label.visited, min_cost(label.cost))
+        expand(label.edges, label.end_node, label.state, label.visited, least(label.cost))
 
     return SolveResult(
         path=best_path,

@@ -53,6 +53,11 @@ class StoreError(ValueError):
     """Raised for lookups or constructions that violate store rules."""
 
 
+def _no_weight(edge_id: str) -> StoreError:
+    """The error for a lookup of an edge that the store has no weight for."""
+    return StoreError(f"no weight for edge {edge_id!r}")
+
+
 class StoreFormatError(StoreError):
     """Raised when a serialized store fails to parse or validate."""
 
@@ -199,6 +204,7 @@ class WeightStore:
                         f"stored weight {key!r} has times for {eid!r} outside its edge weight"
                     )
         self._max_len = max(map(len, self._path_weights), default=1)
+        # a path is settled when none of its suffixes is one of these (see spotar.solver)
         self._open_prefixes = frozenset(key[:j] for key in self._path_weights for j in range(1, len(key)))
         self._min_times = {eid: min_cost(h) for eid, h in self._edge_weights.items()}
 
@@ -206,14 +212,14 @@ class WeightStore:
         try:
             return self._edge_weights[edge_id]
         except KeyError:
-            raise StoreError(f"no weight for edge {edge_id!r}") from None
+            raise _no_weight(edge_id) from None
 
     def min_time(self, edge_id: str) -> int:
         """Smallest travel time of an edge's weight, in units."""
         try:
             return self._min_times[edge_id]
         except KeyError:
-            raise StoreError(f"no weight for edge {edge_id!r}") from None
+            raise _no_weight(edge_id) from None
 
     def edge_ids(self) -> tuple[str, ...]:
         return tuple(self._edge_weights)
@@ -224,9 +230,6 @@ class WeightStore:
         except KeyError:
             raise StoreError(f"no stored weight for path {tuple(edges)!r}") from None
 
-    def has_path_weight(self, edges: Sequence[str]) -> bool:
-        return tuple(edges) in self._path_weights
-
     def stored_paths(self) -> tuple[tuple[str, ...], ...]:
         return tuple(self._path_weights)
 
@@ -234,17 +237,6 @@ class WeightStore:
     def max_stored_len(self) -> int:
         """Edge span of the longest stored path weight (1 if none)."""
         return self._max_len
-
-    def is_settled(self, edges: tuple[str, ...]) -> bool:
-        """Whether no stored path weight starts inside ``edges`` and runs past its end.
-
-        That holds when no suffix of ``edges`` is a proper prefix of a
-        stored key.  A stored key spans at most :attr:`max_stored_len`
-        edges, so only the last ``max_stored_len - 1`` suffixes are looked up.
-        """
-        n = len(edges)
-        prefixes = self._open_prefixes
-        return not any(edges[s:] in prefixes for s in range(max(0, n + 1 - self._max_len), n))
 
     def __repr__(self) -> str:
         return (
@@ -573,8 +565,9 @@ def _extend_cover(
     a single one, so at most ``max_stored_len - 1`` starts are looked up.
     """
     n = len(edges) - 1
+    stored = store._path_weights
     for s in range(max(0, n + 1 - store.max_stored_len), n):
-        if store.has_path_weight(edges[s:]):
+        if edges[s:] in stored:
             break
     else:
         return len(prefix), (n, edges[n:])
@@ -708,12 +701,20 @@ def _fold(
     return steps + ((s, unit, new),)
 
 
-def _fold_cost(store: WeightStore, steps: tuple[FoldStep, ...]) -> Histogram:
-    """Total-time distribution of the last fold state."""
+def _fold_times(steps: tuple[FoldStep, ...]) -> dict[int, float]:
+    """Per-total times of the last fold state: ``{total: probability}``.
+
+    Each total's probability is summed left to right in state order, and
+    totals whose probability underflowed to zero are dropped.  The totals
+    are not sorted; :func:`~spotar.dist._derived` turns them into the
+    path's cost :class:`Histogram`.
+    """
     out: dict[int, float] = {}
     for (total, _), p in steps[-1][2].items():
         out[total] = out.get(total, 0.0) + p
-    return _derived(out, store.delta)
+    if 0.0 in out.values():
+        out = {t: p for t, p in out.items() if p}
+    return out
 
 
 def path_cost(model: CostModel, path: Path) -> Histogram:
@@ -733,23 +734,27 @@ def path_cost(model: CostModel, path: Path) -> Histogram:
     steps: tuple[FoldStep, ...] = ()
     for s, unit in _cover(store, path.edges):
         steps = _fold(store, steps, s, unit)
-    return _fold_cost(store, steps)
+    return _derived(_fold_times(steps), store.delta)
 
 
 def extend_cost(
     model: CostModel, prefix_state: Histogram | tuple[FoldStep, ...] | None, edges: tuple[str, ...]
-) -> tuple[Histogram, Histogram | tuple[FoldStep, ...]]:
+) -> tuple[Histogram | dict[int, float], Histogram | tuple[FoldStep, ...]]:
     """Cost of the path ``edges`` and the state to extend it by, from the state of its prefix.
 
     ``prefix_state`` is what this function returned for ``edges`` minus
-    its last edge, or ``None`` for a one-edge path.  The cost equals
-    :func:`path_cost` exactly.  In ``EDGE`` mode the state is the cost
-    histogram, and the prefix cost is convolved with the last edge's
-    weight: that is the last step of the left fold :func:`path_cost`
-    performs.  In ``PACE`` mode the state is the fold steps.  The new edge
-    can change the end of the cover: :func:`_extend_cover` finds how many
-    of the prefix's units the path keeps and the one unit after them, and
-    only that unit is folded, onto the kept units' steps.
+    its last edge, or ``None`` for a one-edge path.  In ``EDGE`` mode the
+    cost is the :func:`path_cost` histogram exactly, and it is also the
+    state: the prefix cost is convolved with the last edge's weight,
+    which is the last step of the left fold :func:`path_cost` performs.
+    In ``PACE`` mode the state is the fold steps.  The new edge can change
+    the end of the cover: :func:`_extend_cover` finds how many of the
+    prefix's units the path keeps and the one unit after them, and only
+    that unit is folded, onto the kept units' steps.  The cost is then
+    the per-total times of :func:`_fold_times`, unsorted, whose
+    :func:`~spotar.dist._derived` histogram is the :func:`path_cost`
+    histogram exactly: the search reads its priorities and minimum from
+    them and sorts them only when it compares two labels for dominance.
     """
     store = model.store
     if model.mode is Mode.EDGE:
@@ -759,4 +764,4 @@ def extend_cost(
     steps = prefix_state or ()
     k, (s, unit) = _extend_cover(store, steps, edges)
     steps = _fold(store, steps[:k], s, unit)
-    return _fold_cost(store, steps), steps
+    return _fold_times(steps), steps

@@ -19,7 +19,7 @@ from _util import rand_hist
 from spotar.bench import BenchConfig, ROW_FIELDS, run_bench
 from spotar.cli import main
 from spotar.dist import Histogram, convolve, dominates, min_cost
-from spotar.heuristic import HeuristicKind, StraightLineBound, arrival_prob, build_min_tree
+from spotar.heuristic import HeuristicKind, StraightLineBound, build_min_tree
 from spotar.network import Query, make_path
 from spotar.oracle import enumerate_simple_paths, gen_instance, mc_arrival_prob, verify_instances
 from spotar.solver import solve
@@ -88,8 +88,8 @@ def test_distribution_goldens_match_hand_calculations(sample_net, sample_store, 
         (("e1",), tree.get_min("e"), 1.0),
     ]
     for path, node_min, want in cases:
-        got_p = arrival_prob(path_cost(pace_model, make_path(sample_net, path)), node_min, 22)
-        check(problems, abs(got_p - want) <= TOL, f"arrival_prob{path} = {got_p}, want {want}")
+        got_p = path_cost(pace_model, make_path(sample_net, path)).cdf(22 - node_min)
+        check(problems, abs(got_p - want) <= TOL, f"priority of {path} = {got_p}, want {want}")
 
     a = Histogram({14: 0.8, 20: 0.2})
     b = Histogram({13: 0.7, 20: 0.3})

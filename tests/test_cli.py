@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import pathlib
 import subprocess
 import sys
@@ -270,6 +271,32 @@ def test_verify_reports_ok(capsys):
     assert lines[0].startswith("seed=0 mode=pace heuristic=sp query=")
     assert all(line.endswith(" ok") for line in lines[:-1])
     assert lines[-1] == "checked 12 cases: 12 ok, 0 mismatches"
+
+
+# The three runs of the CI workflow's brute-force steps, with the sha256 of
+# their output: any change to an answer, or to how one is printed, moves one.
+CI_VERIFY_RUNS = [
+    (
+        "--seed 0 --instances 200",
+        "654765d0fcfb815462d4b5e6f5cd5845b6b8734e79514268a63a774c717156a0",
+    ),
+    (
+        "--seed 1 --instances 200 --joint-fraction 0.9 --min-support 2",
+        "ec4c6bcad03782a68cf95c2156d7ed91b5f4b5019631d8f14213ca44fb495491",
+    ),
+    (
+        "--seed 1 --instances 200 --joint-fraction 0.9 --min-support 2 --max-unit-len 3",
+        "12271d938c5c11bc90fd66d8492d18af3450fecbc509d614816d71958c538698",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, digest", CI_VERIFY_RUNS, ids=["default", "dense", "dense-short-units"])
+def test_ci_verify_output_is_pinned(capsys, args, digest):
+    assert main(["verify", *args.split()]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "checked 800 cases: 800 ok, 0 mismatches"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_zero_instances(capsys):

@@ -13,7 +13,6 @@ from spotar.heuristic import (
     HeuristicKind,
     StraightLineBound,
     TreeBound,
-    arrival_prob,
     build_min_tree,
     make_heuristic,
 )
@@ -135,32 +134,35 @@ def test_min_tree_is_the_unbounded_tree_cut_at_the_budget():
     assert checked > 200
 
 
+# A label's priority, the chance that the path so far still fits the
+# budget once the bound's remaining minimum is added, is its cost's cdf
+# at budget - node_min.
+
+
 def test_arrival_prob_goldens(pace_model):
     from spotar.network import Path
     from spotar.weights import path_cost
 
     c14 = path_cost(pace_model, Path(("e1", "e4")))  # at node q, min 5 to go
-    assert arrival_prob(c14, 5, 22) == pytest.approx(0.8, abs=1e-9)
+    assert c14.cdf(22 - 5) == pytest.approx(0.8, abs=1e-9)
     c26 = path_cost(pace_model, Path(("e2", "e6")))
-    assert arrival_prob(c26, 5, 22) == pytest.approx(0.7, abs=1e-9)
+    assert c26.cdf(22 - 5) == pytest.approx(0.7, abs=1e-9)
     c1 = path_cost(pace_model, Path(("e1",)))  # at node e, min 11 to go
-    assert arrival_prob(c1, 11, 22) == pytest.approx(1.0, abs=1e-9)
+    assert c1.cdf(22 - 11) == 1.0
 
 
 def test_arrival_prob_unreachable_and_exhausted():
     h = Histogram({5: 1.0})
-    assert arrival_prob(h, None, 100) == 0.0
-    assert arrival_prob(h, 10, 12) == 0.0  # 5 spent, 10 to go, 12 allowed
-    assert arrival_prob(h, 7, 12) == 1.0
+    assert h.cdf(12 - 20) == 0.0  # more to go than the whole budget
+    assert h.cdf(12 - 10) == 0.0  # 5 spent, 10 to go, 12 allowed
+    assert h.cdf(12 - 7) == 1.0
 
 
 def test_arrival_prob_equals_indicator_sum():
     rng = random.Random(513)
     for _ in range(200):
         h, _ = rand_hist(rng)
-        node_min = rng.choice([None, 0, rng.randint(1, 20)])
+        node_min = rng.choice([0, rng.randint(1, 20)])
         budget = rng.randint(1, 40)
-        want = math.fsum(
-            p for t, p in h.items() if node_min is not None and t + node_min <= budget
-        )
-        assert arrival_prob(h, node_min, budget) == pytest.approx(want, abs=1e-12)
+        want = math.fsum(p for t, p in h.items() if t + node_min <= budget)
+        assert h.cdf(budget - node_min) == pytest.approx(want, abs=1e-12)

@@ -7,12 +7,13 @@ import random
 
 import pytest
 
-from spotar.dist import Histogram, JointDist
+import spotar.solver as solver_module
+from spotar.dist import Histogram, JointDist, _derived
 from spotar.heuristic import HeuristicKind, build_min_tree
-from spotar.network import Query
+from spotar.network import Edge, Network, Path, Query
 from spotar.oracle import exact_spotar, gen_instance
 from spotar.solver import Label, SearchEvent, SearchQueue, check_dominance, solve
-from spotar.weights import CostModel, Mode, WeightStore, build_store, path_cost
+from spotar.weights import CostModel, Mode, StoreError, WeightStore, build_store, path_cost
 
 from _util import conflicting_records, tiny_network
 
@@ -171,13 +172,16 @@ def test_probability_is_exactly_the_path_cost_on_random_instances():
 
 
 def test_search_effort_is_pinned():
-    """Answers and search effort on 200 small stores, pinned bit for bit.
+    """Answers, search effort and events on 200 small stores, pinned bit for bit.
 
     A change to the search that keeps every answer but expands or
     explores more (or less) moves the totals, and any other drift moves
-    the digest.
+    the first digest.  The second covers every event of every solve, with
+    its float value as ``float.hex``, so a last-bit change in a priority
+    moves it even where no answer or count changes.
     """
     digest = hashlib.sha256()
+    event_digest = hashlib.sha256()
     expanded = explored = 0
     for i in range(100):
         net, records = gen_instance(i, joint_fraction=0.9, min_support=2)
@@ -194,10 +198,58 @@ def test_search_effort_is_pinned():
                     path = res.path.edges if res.path else None
                     row = (path, res.probability.hex(), res.expanded_labels, res.explored_edges)
                     digest.update(repr(row).encode())
+                    for event in res.events:
+                        fields = tuple(f.hex() if type(f) is float else f for f in event)
+                        event_digest.update(repr(fields).encode())
                     expanded += res.expanded_labels
                     explored += res.explored_edges
     assert (expanded, explored) == (1218, 2529)
     assert digest.hexdigest() == "48654f763be62d2a80889298c4b71acda63e867d3c08828b91cf5f50b56d5508"
+    assert event_digest.hexdigest() == "3edc230f785c708bd26dbe302b1c6a5bdf723e4de23f8351bfaec92f44ca84e8"
+
+
+def test_every_label_matches_its_path_cost(monkeypatch):
+    """Each label ``solve`` offers for dominance carries what :class:`Label` says.
+
+    In ``PACE`` mode its cost is per-total times whose histogram is the
+    path's ``path_cost`` and whose priority is that histogram's ``cdf``
+    at ``budget - node_min``, bit for bit; it is settled exactly when no
+    suffix of its edges is a proper prefix of a stored key.  In ``EDGE``
+    mode the cost is the histogram itself and every label is settled.
+    """
+    offered = []
+
+    def recording(queue, candidate, delta):
+        offered.append((candidate.edges, candidate.cost, candidate.hist, candidate.r,
+                        candidate.node_min, candidate.settled))
+        return check_dominance(queue, candidate, delta)
+
+    monkeypatch.setattr(solver_module, "check_dominance", recording)
+    counts = {True: 0, False: 0}
+    for i in range(60):
+        net, records = gen_instance(i, joint_fraction=0.9, min_support=2)
+        store = build_store(net, records, min_support=2, mode=Mode.PACE, max_unit_len=2 + i % 3)
+        open_prefixes = {key[:j] for key in store.stored_paths() for j in range(1, len(key))}
+        qrng = random.Random(f"query-{i}")
+        source, dest = qrng.sample(list(net.node_ids), 2)
+        shortest = build_min_tree(net, store, dest, 10**9).get_min(source)
+        query = Query(source, dest, shortest + qrng.randint(0, max(4, shortest)))
+        for mode in (Mode.PACE, Mode.EDGE):
+            model = CostModel(store, mode)
+            for kind in (HeuristicKind.SP, HeuristicKind.BA):
+                offered.clear()
+                solve(net, model, kind, query)
+                for edges, cost, hist, r, node_min, settled in offered:
+                    want = path_cost(model, Path(edges))
+                    if mode is Mode.PACE:
+                        assert type(cost) is dict and hist is None
+                        assert _derived(cost, store.delta) == want
+                        assert settled == all(edges[s:] not in open_prefixes for s in range(len(edges)))
+                        counts[settled] += 1
+                    else:
+                        assert cost == want and hist is cost and settled
+                    assert r.hex() == want.cdf(query.budget - node_min).hex()
+    assert counts[True] >= 60 and counts[False] >= 60
 
 
 def test_solver_is_deterministic(sample_net, pace_model):
@@ -214,6 +266,18 @@ def test_solver_rejects_unknown_nodes(sample_net, pace_model):
         solve(sample_net, pace_model, HeuristicKind.SP, Query("zz", "d", 10))
     with pytest.raises(ValueError):
         solve(sample_net, pace_model, HeuristicKind.SP, Query("s", "zz", 10))
+
+
+@pytest.mark.parametrize("mode", [Mode.PACE, Mode.EDGE])
+@pytest.mark.parametrize("kind", [HeuristicKind.SP, HeuristicKind.BA])
+def test_solver_names_a_network_edge_with_no_weight(sample_net, sample_store, mode, kind):
+    """The store's lookups raise :class:`StoreError`, not ``KeyError``, for
+    an edge of the network that the store has no weight for."""
+    nodes = [sample_net.node(n) for n in sample_net.node_ids]
+    edges = [sample_net.edge(e) for e in sample_net.edge_ids] + [Edge("ex", "s", "d", 100.0, 8.0)]
+    net = Network(nodes, edges, delta=sample_net.delta)
+    with pytest.raises(StoreError, match="no weight for edge 'ex'"):
+        solve(net, CostModel(sample_store, mode), kind, Query("s", "d", 22))
 
 
 # ------------------------------------------------- pinned transcripts
@@ -429,7 +493,7 @@ def test_unsettled_labels_are_kept_out_of_dominance():
                "p4": {1: 0.5, 9: 0.5}, "p5": {1: 0.5, 9: 0.5}}
     joints = {("p3", "p5"): {(1, 9): 0.6, (9, 1): 0.4}, ("p4", "p5"): {(1, 1): 0.5, (9, 9): 0.5}}
     net, model = weights_model(MERGE, weights, joints)
-    assert not model.store.is_settled(("p1", "p3"))
+    assert ("p3", "p5") in model.store.stored_paths()  # starts inside p1,p3 and runs past it
     assert exact_spotar(net, model, Query("a", "d", 10))[0].edges == ("p2", "p4", "p5")
     for kind in (HeuristicKind.SP, HeuristicKind.BA):
         res = solve(net, model, kind, Query("a", "d", 10))
@@ -508,12 +572,12 @@ def test_synthetic_transcript_is_pinned(make, kind, budget, expected):
 
 
 def label(edges, end, entries, r, node_min=0):
-    cost = Histogram(entries)
+    """A PACE label: its cost is per-total times, its Histogram not yet built."""
     return Label(
         edges=tuple(edges),
         end_node=end,
-        cost=cost,
-        state=cost,
+        cost=dict(entries),
+        state=(),
         node_min=node_min,
         r=r,
         visited=frozenset(),
@@ -569,15 +633,23 @@ def test_check_dominance_decisions():
     existing = label(("x",), "n", {2: 1.0}, 0.9)
     q.push(existing)
     same = label(("y",), "n", {2: 1.0}, 0.9)
-    assert check_dominance(q, same) is None
+    assert check_dominance(q, same, 1.0) is None
+    assert existing.hist == same.hist == Histogram({2: 1.0})
     worse = label(("y",), "n", {3: 1.0}, 0.9)
-    assert check_dominance(q, worse) is None
+    assert check_dominance(q, worse, 1.0) is None
     better = label(("y",), "n", {1: 1.0}, 0.9)
-    assert check_dominance(q, better) == [existing]
-    crossing = label(("y",), "n", {1: 0.5, 4: 0.5}, 0.9)
-    assert check_dominance(q, crossing) == []
+    assert check_dominance(q, better, 1.0) == [existing]
+    crossing = label(("y",), "n", {4: 0.5, 1: 0.5}, 0.9)
+    assert check_dominance(q, crossing, 1.0) == []
+    assert crossing.hist == Histogram({1: 0.5, 4: 0.5})
+    assert list(crossing.hist.items()) == [(1, 0.5), (4, 0.5)]
     elsewhere = label(("y",), "m", {3: 1.0}, 0.9)
-    assert check_dominance(q, elsewhere) == []
+    assert check_dominance(q, elsewhere, 1.0) == []
+    assert elsewhere.hist is None  # nothing to compare with, so no Histogram is built
+    unsettled = label(("y",), "n", {1: 1.0}, 0.9)
+    unsettled.settled = False
+    assert check_dominance(q, unsettled, 1.0) == []
+    assert unsettled.hist is None
 
 
 def test_check_dominance_can_replace_several():
@@ -587,5 +659,5 @@ def test_check_dominance_can_replace_several():
     q.push(slow_a)
     q.push(slow_b)
     fast = label(("z",), "n", {1: 1.0}, 0.9)
-    out = check_dominance(q, fast)
+    out = check_dominance(q, fast, 1.0)
     assert set(map(id, out)) == {id(slow_a), id(slow_b)}

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from spotar.dist import MASS_TOL, Histogram, JointDist, _derived, convolve, min_cost
+from spotar.dist import MASS_TOL, Histogram, JointDist, _derived, convolve, min_cost, times_cdf
 from spotar.network import Path, Query, load_network
 from spotar.oracle import enumerate_simple_paths, gen_instance
 from spotar.weights import (
@@ -26,7 +26,7 @@ from spotar.weights import (
     _cover,
     _extend_cover,
     _fold,
-    _fold_cost,
+    _fold_times,
     build_store,
     extend_cost,
     grid_seconds,
@@ -257,8 +257,8 @@ def test_store_lookup_errors(sample_store):
         sample_store.path_weight(("e1", "e5"))
     assert "e1" in sample_store.edge_ids()
     assert "e99" not in sample_store.edge_ids()
-    assert sample_store.has_path_weight(("e1", "e4"))
-    assert not sample_store.has_path_weight(("e1", "e5"))
+    assert ("e1", "e4") in sample_store.stored_paths()
+    assert ("e1", "e5") not in sample_store.stored_paths()
 
 
 def test_min_time_is_the_first_time_of_each_edge_weight(tmp_path):
@@ -564,11 +564,12 @@ def min_units_dp(store, edges):
     single edges); a lower bound for any covering the greedy could emit.
     """
     n = len(edges)
+    stored = set(store.stored_paths())
     placements = []
     for s in range(n):
         placements.append((s, s + 1))
         for e in range(s + 2, n + 1):
-            if store.has_path_weight(edges[s:e]):
+            if edges[s:e] in stored:
                 placements.append((s, e))
     best = [0] + [n + 99] * n
     for c in range(n):
@@ -671,7 +672,7 @@ def test_one_extension_replaces_two_units():
     for n in range(1, 6):
         parent = state
         cost, state = extend_cost(model, state, edges[:n])
-        assert cost == path_cost(model, Path(edges[:n]))
+        assert _derived(cost, model.store.delta) == path_cost(model, Path(edges[:n]))
     assert [step[:2] for step in state] == [(0, ("A", "B")), (1, ("B", "C", "D", "E"))]
     assert len(parent) == 3 and state[0] is parent[0]
     approx_dict(cost.items(), {5: 0.5, 10: 0.5}, tol=1e-12)
@@ -832,7 +833,8 @@ def test_extend_cost_along_random_paths():
 
 
 def test_resumed_fold_equals_fold_from_scratch():
-    """A pace extension resumed from its parent's steps is bit-identical to ``path_cost``.
+    """A pace extension resumed from its parent's steps is bit-identical to ``path_cost``:
+    the histogram of the per-total times it returns equals ``path_cost``'s.
 
     Redrawn times make routes disagree on the edges they share, so some
     paths cannot be fused: the extension must raise exactly where the
@@ -859,7 +861,8 @@ def test_resumed_fold_equals_fold_from_scratch():
                         inconsistent += 1
                         break
                     cost, grown = extend_cost(model, state, prefix.edges)
-                    assert cost == want
+                    assert type(cost) is dict and 0.0 not in cost.values()
+                    assert _derived(cost, model.store.delta) == want
                     assert [step[:2] for step in grown] == greedy_cover(model.store, prefix.edges)
                     if state is not None:
                         shared = 0
@@ -976,7 +979,7 @@ def test_fold_keyed_by_total_equals_reference_fold():
                     ref[k:] = [want]
                     got = list(steps[-1][2].items())
                     assert got == [((done + sum(tail), tail), q) for (done, tail), q in want.items()]
-                    assert _fold_cost(store, steps) == reference_fold_cost(store, want)
+                    assert _derived(_fold_times(steps), store.delta) == reference_fold_cost(store, want)
                     steps_checked += 1
                     skipped += grew_past
     assert steps_checked >= 2000
@@ -984,14 +987,65 @@ def test_fold_keyed_by_total_equals_reference_fold():
     assert inconsistent >= 20
 
 
+def assert_times_read_as_their_histogram(times, delta=1.0):
+    """The solver's reads of per-total times equal the sorted histogram's,
+    bit for bit, at every time from below the minimum to past the maximum."""
+    hist = _derived(times, delta)
+    assert 0.0 not in times.values()
+    assert min(times) == min_cost(hist)
+    for t in range(min(times) - 1, max(times) + 2):
+        assert times_cdf(times, t).hex() == hist.cdf(t).hex()
+
+
+def test_per_total_times_read_as_their_histogram():
+    """``times_cdf`` and the smallest total of the per-total times that
+    ``extend_cost`` returns equal ``Histogram.cdf`` and ``min_cost`` of
+    their histogram, on random paths and where a total underflows to 0.
+
+    The underflow store has two edges whose slowest and fastest times
+    have probability 1e-200, so the fold's products at totals 2 and 18
+    underflow to ``0.0``; both totals must be dropped, which moves the
+    minimum to 6 and the time at which the ``cdf`` is exactly 1 to 14.
+    """
+    tiny = {1: 1e-200, 5: 1.0, 9: 1e-200}
+    model = CostModel(unit_store({"a": Histogram(tiny), "b": Histogram(tiny)}, []), Mode.PACE)
+    times, state = extend_cost(model, extend_cost(model, None, ("a",))[1], ("a", "b"))
+    assert [p for (total, _), p in state[-1][2].items() if total in (2, 18)] == [0.0, 0.0]
+    assert sorted(times) == [6, 10, 14]
+    assert times == _fold_times(state)
+    assert [times_cdf(times, t) for t in (5, 6, 14)] == [0.0, 2e-200, 1.0]
+    assert_times_read_as_their_histogram(times)
+    # a hand-built state whose smallest and largest totals carry no mass
+    steps = ((0, ("a", "b"), {(7, (3, 4)): 0.25, (2, (1, 1)): 0.0, (5, (2, 3)): 0.75, (9, (4, 5)): 0.0}),)
+    assert _fold_times(steps) == {7: 0.25, 5: 0.75}
+    assert_times_read_as_their_histogram(_fold_times(steps))
+
+    rng = random.Random(2024)
+    checked = 0
+    for seed in range(10):
+        net, records = gen_instance(seed, nodes=8, density=0.6, joint_fraction=0.9, min_support=2)
+        for recs in (records, conflicting_records(records, rng)):
+            model = CostModel(build_store(net, recs, min_support=2, max_unit_len=2 + seed % 3), Mode.PACE)
+            for p in random_simple_paths(net, rng, 10):
+                state = None
+                for n in range(1, len(p.edges) + 1):
+                    try:
+                        times, state = extend_cost(model, state, p.edges[:n])
+                    except InconsistentWeightsError:
+                        break
+                    assert_times_read_as_their_histogram(times, model.store.delta)
+                    checked += 1
+    assert checked >= 500
+
+
 def test_settled_prefix_extends_by_an_independent_suffix():
     """A settled prefix's extensions cost the prefix convolved with the suffix alone.
 
     This is what makes pace dominance between settled labels sound: two
     settled labels at one node reach the same continuation through the
-    same suffix distribution.  ``is_settled`` must also match its
-    definition, that no suffix of the path is a proper prefix of a
-    stored key, and some prefixes must be unsettled.
+    same suffix distribution.  A prefix is settled when no suffix of it
+    is a proper prefix of a stored key, and some prefixes must be
+    unsettled.
     """
     rng = random.Random(41)
     counts = {True: 0, False: 0}
@@ -1003,8 +1057,7 @@ def test_settled_prefix_extends_by_an_independent_suffix():
         for p in random_simple_paths(net, rng, 10):
             for n in range(1, len(p.edges)):
                 head = p.edges[:n]
-                settled = store.is_settled(head)
-                assert settled == all(head[s:] not in open_prefixes for s in range(n))
+                settled = all(head[s:] not in open_prefixes for s in range(n))
                 counts[settled] += 1
                 if settled:
                     joined = convolve(path_cost(model, Path(head)), path_cost(model, Path(p.edges[n:])))
