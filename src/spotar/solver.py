@@ -172,13 +172,6 @@ class SearchQueue:
         return found
 
 
-def _histogram(label: Label, delta: float) -> Histogram:
-    """``label.hist``, built from the label's per-total times when it has none yet."""
-    if label.hist is None:
-        label.hist = _derived(label.cost, delta)
-    return label.hist
-
-
 def check_dominance(queue: SearchQueue, candidate: Label, delta: float) -> list[Label] | None:
     """Compare a candidate against queued labels at the same node.
 
@@ -209,10 +202,15 @@ def check_dominance(queue: SearchQueue, candidate: Label, delta: float) -> list[
     dominated: list[Label] = []
     if not candidate.settled:
         return dominated
+    mine = candidate.hist
     for other in queue.labels_at(candidate.end_node):
         if not other.settled:
             continue
-        theirs, mine = _histogram(other, delta), _histogram(candidate, delta)
+        theirs = other.hist
+        if theirs is None:
+            theirs = other.hist = _derived(other.cost, delta)
+        if mine is None:
+            mine = candidate.hist = _derived(candidate.cost, delta)
         if theirs == mine or dist.dominates(theirs, mine):
             return None
         if dist.dominates(mine, theirs):
