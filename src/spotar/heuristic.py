@@ -81,9 +81,10 @@ class TreeBound:
 
     def __init__(self, tree: MinTree) -> None:
         self.tree = tree
+        self._mins = tree.mins
 
     def get_min(self, node_id: str) -> int | None:
-        return self.tree.get_min(node_id)
+        return self._mins.get(node_id)
 
 
 class StraightLineBound:

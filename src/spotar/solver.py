@@ -26,7 +26,7 @@ from . import dist
 from .dist import Histogram, _derived, min_cost, times_cdf
 from .heuristic import HeuristicKind, make_heuristic
 from .network import Network, Path, Query
-from .weights import CostModel, FoldStep, InconsistentWeightsError, Mode, extend_cost
+from .weights import CostModel, FoldStep, InconsistentWeightsError, Mode, _no_weight, extend_cost
 
 
 @dataclass(slots=True)
@@ -272,6 +272,7 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
     open_prefixes = store._open_prefixes
     suffixes = [slice(-k, None) for k in range(1, store.max_stored_len)]
     delta = store.delta
+    min_times = store._min_times
     bound = make_heuristic(heuristic, net, store, query.dest, query.budget)
     events: list[tuple] = []
     record = events.append
@@ -293,7 +294,10 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
             if e.to_node in visited:
                 record(("skip-cycle", path, e.edge_id))
                 continue
-            ik = store.min_time(e.edge_id)
+            try:
+                ik = min_times[e.edge_id]
+            except KeyError:
+                raise _no_weight(e.edge_id) from None
             node_min = bound.get_min(e.to_node)
             if node_min is None or ik + path_min + node_min > query.budget:
                 record(("prune", path, e.edge_id, None, ik, path_min, node_min))

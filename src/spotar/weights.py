@@ -620,8 +620,8 @@ def _unit_table(store: WeightStore, unit: tuple[str, ...], o: int) -> UnitTable:
     validated.
     """
     if len(unit) == 1:
-        return {(): (1.0, [((t,), t, p) for t, p in store.edge_weight(unit[0]).items()])}
-    rows = store.path_weight(unit).rows()
+        return {(): (1.0, [((t,), t, p) for t, p in store.edge_weight(unit[0])._entries.items()])}
+    rows = store._path_weights[unit]._rows.items()  # a cover unit of two or more edges is a stored key
     if not o:
         return {(): (1.0, [(row, sum(row), p) for row, p in rows])}
     groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], int, float]]] = {}

@@ -16,6 +16,21 @@ import spotar
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
+# Removing a public name, or adding one, is a decision; this list makes it visible.
+PUBLIC = [
+    "CostModel", "Edge", "HeuristicKind", "Histogram", "JointDist", "Mode", "Network", "Node",
+    "Path", "Query", "SolveResult", "TrajectoryRecord", "WeightStore", "__version__",
+    "build_min_tree", "build_store", "convolve", "dominates", "exact_spotar", "gen_instance",
+    "load_network", "load_store", "load_trajectories", "make_heuristic", "make_path",
+    "mc_arrival_prob", "min_cost", "path_cost", "save_network", "save_store", "solve",
+    "verify_instances",
+]
+
+
+def test_all_is_pinned():
+    assert sorted(spotar.__all__) == sorted(PUBLIC)
+
+
 def test_every_name_in_all_resolves():
     assert len(set(spotar.__all__)) == len(spotar.__all__)
     missing = [name for name in spotar.__all__ if not hasattr(spotar, name)]
