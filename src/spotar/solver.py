@@ -49,8 +49,9 @@ class Label:
     ``node_min`` is the bound's fewest remaining time units from
     ``end_node`` to the destination.  ``r``, the queue priority, is the
     cost's ``cdf`` at ``budget - node_min``, read from the per-total
-    times in ``PACE`` mode; among equal ``r`` the queue prefers the
-    smaller ``node_min``.  ``visited`` holds every node on the path for
+    times in ``PACE`` mode: an upper bound on the probability of any
+    extension, except for an unsettled ``PACE`` label (see :func:`solve`).
+    Among equal ``r`` the queue prefers the smaller ``node_min``.  ``visited`` holds every node on the path for
     cycle avoidance.  ``settled`` says whether the label takes part in
     dominance (see :func:`check_dominance`).
     """
