@@ -11,6 +11,7 @@ sparse supports; nothing is binned or interpolated after construction.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
 from itertools import accumulate, chain, compress, count, islice, repeat
@@ -237,7 +238,7 @@ def _derived(out: dict[int, float], delta: float) -> Histogram:
     """
     if 0.0 in out.values():
         out = {t: p for t, p in out.items() if p}
-    return Histogram._checked(dict(sorted(out.items())), delta)
+    return Histogram._checked({t: out[t] for t in sorted(out)}, delta)
 
 
 def point_mass(t: int, delta: float = 1.0) -> Histogram:
@@ -250,17 +251,71 @@ def min_cost(h: Histogram) -> int:
     return next(iter(h._entries))
 
 
-def convolve(a: Histogram, b: Histogram) -> Histogram:
-    """Distribution of the sum of two independent travel times."""
+def convolve(a: Histogram, b: Histogram, limit: int | None = None) -> Histogram:
+    """Distribution of the sum of two independent travel times.
+
+    The loops run over ``b``'s times from the largest down and, for each,
+    over ``a``'s times from the smallest up, so every sum adds its
+    products in increasing time of ``a``, starting from 0.0.
+
+    With a ``limit``, the sum is kept exactly up to ``limit`` and the rest
+    of its mass is one entry at ``limit + 1``.  The loop over ``a`` stops
+    at the last sum within the limit, so no product above it is computed,
+    and every kept sum adds the same products in the same order as
+    without a limit: it is equal bit for bit.  The rest is the sum, over
+    ``b``'s times ``tb``, of ``b``'s probability at ``tb`` times ``a``'s
+    mass past ``limit - tb``.  Rounding is monotone, so each of its terms
+    is at least every product above the limit that it stands for, and
+    the entry is there whenever the full sum has mass above the limit.
+    Where every such product underflows to 0.0, the full sum has no
+    entry there, as :func:`_derived` drops it.  The rest is then 0.0, and
+    no entry is added, unless some of its terms stay above 0.0, which
+    needs products below the smallest normal float (about 1e-308): only
+    then does the rest keep an entry the full sum lacks.  ``a`` may
+    itself be kept so, with its rest at its own ``limit + 1``; the rest
+    then counts as mass at that time.
+    """
     if a.delta != b.delta:
         raise DistributionError(f"resolution mismatch: {a.delta} vs {b.delta}")
+    ea, eb = a._entries, b._entries
+    items_a = ea.items()
     out: dict[int, float] = {}
-    items_b = b._entries.items()
-    for ta, pa in a._entries.items():
-        for tb, pb in items_b:
+    get = out.get
+    if limit is None or next(reversed(ea)) + next(reversed(eb)) <= limit:
+        for tb, pb in reversed(eb.items()):
+            for ta, pa in items_a:
+                t = ta + tb
+                out[t] = get(t, 0.0) + pa * pb
+        return _derived(out, a.delta)
+    times_a = list(ea)
+    n = len(times_a)
+    tails = list(accumulate(reversed(ea.values())))  # tails[i]: a's mass at its last i + 1 times
+    rest = 0.0
+    for tb, pb in reversed(eb.items()):
+        fit = bisect_right(times_a, limit - tb)
+        if fit < n:
+            rest += pb * tails[n - 1 - fit]
+        for ta, pa in items_a if fit == n else islice(items_a, fit):
             t = ta + tb
-            out[t] = out.get(t, 0.0) + pa * pb
+            out[t] = get(t, 0.0) + pa * pb
+    if rest:
+        out[limit + 1] = rest
     return _derived(out, a.delta)
+
+
+def clip(h: Histogram, limit: int) -> Histogram:
+    """``h`` kept up to ``limit``, with the rest of its mass at ``limit + 1``.
+
+    ``h`` itself when it has no mass past the limit; otherwise the rest
+    is the ``fsum`` of the probabilities past it.  It keeps a single
+    edge's weight as :func:`convolve` with a ``limit`` keeps a sum.
+    """
+    entries = h._entries
+    if next(reversed(entries)) <= limit:
+        return h
+    kept = {t: p for t, p in entries.items() if t <= limit}
+    kept[limit + 1] = math.fsum(p for t, p in entries.items() if t > limit)
+    return Histogram._checked(kept, h.delta)
 
 
 def dominates(a: Histogram, b: Histogram) -> bool:

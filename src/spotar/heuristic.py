@@ -90,10 +90,14 @@ class TreeBound:
 class StraightLineBound:
     """Crow-flight distance at the network's top speed, floored to units.
 
-    Never exceeds the tree bound as long as edge lengths dominate the
-    straight-line distance between their endpoints.  Each node's value is
-    computed once and remembered; a bound serves one destination, so one
-    solve.
+    Never exceeds the tree bound, and is consistent (it drops by at most
+    an edge's minimum time along the edge), as long as every edge's
+    minimum time is at least the crow-flight time between its endpoints
+    at the top speed.  Edge lengths of at least the straight-line
+    distance give that only for edges that fall back to their
+    speed-limit time: an observed time can beat it.  Each node's value
+    is computed once and remembered; a bound serves one destination, so
+    one solve.
     """
 
     def __init__(self, net: Network, dest: str) -> None:

@@ -3,13 +3,14 @@
 Labels are node-simple partial paths ordered by their priority: the
 probability mass that could still make the budget if the rest of the
 trip took only its minimum time, with ties going to the label nearest
-the destination.  One step expands a prefix, the source's empty one
-first.  Extensions that reach the destination immediately challenge the
-incumbent answer and are never queued, and the search stops as soon as
-the best queued priority cannot beat it.  A candidate whose cost is
-dominated by a queued label's at the same node is dropped, in ``PACE``
-mode only where no stored unit can still re-cover either label's last
-edges (see :func:`check_dominance`).  An extension whose stored units
+the destination.  In ``EDGE`` mode a label keeps its cost only up to
+the last time that can still make the budget.  One step expands a
+prefix, the source's empty one first.  Extensions that reach the
+destination immediately challenge the incumbent answer and are never
+queued, and the search stops as soon as the best queued priority cannot
+beat it.  A candidate whose cost is dominated by a queued label's at the
+same node is dropped, in ``PACE`` mode only where no stored unit can
+still re-cover either label's last edges (see :func:`check_dominance`).  An extension whose stored units
 share no overlap mass has no cost distribution; it is skipped and
 recorded as a ``skip-inconsistent`` event.
 """
@@ -23,10 +24,18 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import dist
-from .dist import Histogram, _derived, min_cost, times_cdf
+from .dist import Histogram, _derived, clip, min_cost, times_cdf
 from .heuristic import HeuristicKind, make_heuristic
 from .network import Network, Path, Query
-from .weights import CostModel, FoldStep, InconsistentWeightsError, Mode, _no_weight, extend_cost
+from .weights import (
+    CostModel,
+    FoldStep,
+    InconsistentWeightsError,
+    Mode,
+    _no_weight,
+    extend_cost,
+    path_cost,
+)
 
 
 @dataclass(slots=True)
@@ -35,16 +44,26 @@ class Label:
 
     ``edges`` are the path's edge ids.  ``cost`` and ``state`` are what
     :func:`spotar.weights.extend_cost` returned for them.  In ``EDGE``
-    mode the cost is the path's travel-time :class:`Histogram`, equal to
-    ``path_cost(model, Path(edges))``, and the state is the cost: an
-    extension is one convolution.  In ``PACE`` mode the cost is the
+    mode the cost is a travel-time :class:`Histogram` and the state is
+    the cost: an extension is one convolution.  A one-edge label's cost
+    is its edge's weight, which is ``path_cost(model, Path(edges))``.  A
+    longer label's cost is ``path_cost`` kept up to its limit, ``budget -
+    node_min``: equal to it, bit for bit, at every time up to the limit,
+    with the rest of the mass in one entry at ``limit + 1``, there
+    whenever ``path_cost`` has mass past the limit (see
+    :func:`~spotar.dist.convolve`).  No completion can use that rest: it
+    takes at least ``node_min`` more units, so only times up to the limit
+    can still make the budget.  In ``PACE`` mode the cost is the
     path's per-total times ``{total: probability}``, unsorted, and the
     state is the cover units with the fold state after each: an
     extension keeps the steps of the leading units its cover shares with
     this path and folds the one unit after them.  ``hist`` is the cost
-    as a :class:`Histogram`: the cost itself in ``EDGE`` mode; in
-    ``PACE`` mode ``None`` until :func:`check_dominance` first compares
-    the label, which builds it from the per-total times and keeps it.
+    as :func:`check_dominance` compares it, a :class:`Histogram` kept up
+    to the limit in ``EDGE`` mode: a longer label's cost itself; for a
+    one-edge label, and in ``PACE`` mode, ``None`` until
+    :func:`check_dominance` first compares the label, which builds it
+    (its weight kept up to the limit, or the histogram of its per-total
+    times) and keeps it.
 
     ``node_min`` is the bound's fewest remaining time units from
     ``end_node`` to the destination.  ``r``, the queue priority, is the
@@ -173,7 +192,9 @@ class SearchQueue:
         return found
 
 
-def check_dominance(queue: SearchQueue, candidate: Label, delta: float) -> list[Label] | None:
+def check_dominance(
+    queue: SearchQueue, candidate: Label, delta: float, limit: int | None = None
+) -> list[Label] | None:
     """Compare a candidate against queued labels at the same node.
 
     Returns ``None`` when an existing label has the same cost or a
@@ -186,9 +207,20 @@ def check_dominance(queue: SearchQueue, candidate: Label, delta: float) -> list[
     Only settled labels are compared, as :class:`Histogram` values of
     resolution ``delta``; a ``PACE`` label's is built from its per-total
     times the first time it is compared (see :class:`Label`).  In
-    ``EDGE`` mode every label is settled: an extension's cost is the
-    label's cost convolved with the added edges' weights, and convolving
-    two costs with the same distribution keeps first-order dominance.  In
+    ``EDGE`` mode every label is settled, and ``limit`` is ``budget -
+    node_min`` at the node, the same for every label there.  Each label
+    is compared kept up to the limit, with the rest of its mass at
+    ``limit + 1``; a one-edge label's weight is kept so the first time it
+    is compared.  That is sound whenever the bound is admissible, the
+    condition the prune already needs.  Every completion from the node
+    takes some ``s >= node_min`` units, independent of the label's time,
+    and makes the budget with probability ``sum_s P(s) * F(budget - s)``,
+    where ``F`` is the label's ``cdf``; it reads ``F`` only at times up to
+    the limit, where the kept cost is exact.  So a label whose kept cost
+    is the same or dominates another's gives every completion at least
+    that label's probability.  The entries at ``limit + 1`` hold total
+    masses: comparing them can only make a decision stricter or block
+    it, and the part up to the limit justifies any decision left.  In
     ``PACE`` mode a label is settled when no stored path weight starts
     inside its edges and runs past its end, that is when no suffix of its
     edges is a proper prefix of a stored key.  Every cover unit an
@@ -209,9 +241,13 @@ def check_dominance(queue: SearchQueue, candidate: Label, delta: float) -> list[
             continue
         theirs = other.hist
         if theirs is None:
-            theirs = other.hist = _derived(other.cost, delta)
+            theirs = other.hist = (
+                _derived(other.cost, delta) if limit is None else clip(other.cost, limit)
+            )
         if mine is None:
-            mine = candidate.hist = _derived(candidate.cost, delta)
+            mine = candidate.hist = (
+                _derived(candidate.cost, delta) if limit is None else clip(candidate.cost, limit)
+            )
         if theirs == mine or dist.dominates(theirs, mine):
             return None
         if dist.dominates(mine, theirs):
@@ -261,6 +297,30 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
     First-hop labels pass through :func:`check_dominance` like any
     other, which is sound for settled labels and changes nothing where
     no two edges join the source to the same node.
+
+    In ``EDGE`` mode a label ending at ``w`` keeps its cost only up to
+    ``limit = budget - node_min(w)``, with the rest of its mass at
+    ``limit + 1`` (see :class:`Label`); a one-edge label keeps its
+    weight whole.  The kept entries are exact by induction.  When the
+    bound is consistent on the edge ``e`` from ``v`` to ``w``, that is
+    ``node_min(v) <= min_time(e) + node_min(w)``, every sum up to ``w``'s
+    limit adds a time of the parent no later than ``limit(w) -
+    min_time(e) <= limit(v)``: the parent's exact entries, added in the
+    same order as in the whole convolution, while the parent's rest adds
+    only past ``w``'s limit.  Where the bound is not consistent on ``e``,
+    the child is convolved from the parent's whole ``path_cost``
+    instead.  ``sp`` is consistent by construction, and ``ba`` is
+    wherever every edge's minimum time is at least its crow-flight time
+    at top speed, so the whole cost is built only for stores that break
+    that.  What the search reads is then unchanged: ``r`` and a
+    candidate's probability read entries up to the limit (a candidate's
+    ``node_min`` is 0, so its limit is the budget) and whether any mass
+    lies past it, which the rest entry says; the minimum a popped label
+    adds to the prune test is at most its limit, because the prune
+    pushed it only then, so it is an exact entry.  Dominance compares
+    the kept costs (see :func:`check_dominance`).  All of this holds
+    unless products of probabilities underflow, below the smallest
+    normal float (see :func:`~spotar.dist.convolve`).
     """
     t0 = time.perf_counter()
     for node_id in (query.source, query.dest):
@@ -289,8 +349,10 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
         state: Histogram | tuple[FoldStep, ...] | None,
         visited: frozenset[str],
         path_min: int,
+        parent_min: int,  # the prefix's node_min; 0 for the source, which has no cost
     ) -> None:
         nonlocal best_path, best_prob
+        whole = None  # the prefix's unclipped cost, built for the first inconsistent edge
         for e in net.out_edges(node):
             if e.to_node in visited:
                 record(("skip-cycle", path, e.edge_id))
@@ -305,8 +367,15 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
                 continue
             edges = path + (e.edge_id,)
             explored.add(e.edge_id)
+            limit = query.budget - node_min
+            prior = state
+            if edge_mode and parent_min > ik + node_min:
+                # the bound is not consistent on e: the child needs the prefix's cost past its limit
+                if whole is None:
+                    whole = path_cost(model, Path(path))
+                prior = whole
             try:
-                cost, ext_state = extend_cost(model, state, edges)
+                cost, ext_state = extend_cost(model, prior, edges, limit)
             except InconsistentWeightsError:
                 record(("skip-inconsistent", path, e.edge_id))
                 continue
@@ -323,12 +392,12 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
                 cost=cost,
                 state=ext_state,
                 node_min=node_min,
-                r=within(cost, query.budget - node_min),
+                r=within(cost, limit),
                 visited=visited | {e.to_node},
                 settled=edge_mode or open_prefixes.isdisjoint(map(edges.__getitem__, suffixes)),
-                hist=cost if edge_mode else None,
+                hist=cost if edge_mode and path else None,
             )
-            dominated = check_dominance(queue, candidate, delta)
+            dominated = check_dominance(queue, candidate, delta, limit if edge_mode else None)
             if dominated is None:
                 record(("dominated-drop", edges, None, candidate.r))
                 continue
@@ -338,14 +407,21 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
             record(("push", edges, None, candidate.r))
             queue.push(candidate)
 
-    expand((), query.source, None, frozenset((query.source,)), 0)
+    expand((), query.source, None, frozenset((query.source,)), 0, 0)
     while (label := queue.pop()) is not None:
         if best_path is not None and label.r <= best_prob:
             record(("break", label.edges, None, label.r))
             break
         expanded += 1
         record(("pop", label.edges, None, label.r))
-        expand(label.edges, label.end_node, label.state, label.visited, least(label.cost))
+        expand(
+            label.edges,
+            label.end_node,
+            label.state,
+            label.visited,
+            least(label.cost),
+            label.node_min,
+        )
 
     return SolveResult(
         path=best_path,

@@ -214,13 +214,6 @@ class WeightStore:
         except KeyError:
             raise _no_weight(edge_id) from None
 
-    def min_time(self, edge_id: str) -> int:
-        """Smallest travel time of an edge's weight, in units."""
-        try:
-            return self._min_times[edge_id]
-        except KeyError:
-            raise _no_weight(edge_id) from None
-
     def edge_ids(self) -> tuple[str, ...]:
         return tuple(self._edge_weights)
 
@@ -738,15 +731,22 @@ def path_cost(model: CostModel, path: Path) -> Histogram:
 
 
 def extend_cost(
-    model: CostModel, prefix_state: Histogram | tuple[FoldStep, ...] | None, edges: tuple[str, ...]
+    model: CostModel,
+    prefix_state: Histogram | tuple[FoldStep, ...] | None,
+    edges: tuple[str, ...],
+    limit: int | None = None,
 ) -> tuple[Histogram | dict[int, float], Histogram | tuple[FoldStep, ...]]:
     """Cost of the path ``edges`` and the state to extend it by, from the state of its prefix.
 
     ``prefix_state`` is what this function returned for ``edges`` minus
     its last edge, or ``None`` for a one-edge path.  In ``EDGE`` mode the
-    cost is the :func:`path_cost` histogram exactly, and it is also the
-    state: the prefix cost is convolved with the last edge's weight,
-    which is the last step of the left fold :func:`path_cost` performs.
+    cost is also the state: the prefix cost is convolved with the last
+    edge's weight, which is the last step of the left fold
+    :func:`path_cost` performs, so without a ``limit`` the cost is the
+    :func:`path_cost` histogram exactly.  With one, the convolution keeps
+    the cost only up to ``limit`` and puts the rest of its mass at
+    ``limit + 1`` (see :func:`~spotar.dist.convolve`).  A one-edge path's
+    cost is its edge's weight, whole, and ``PACE`` mode ignores the limit.
     In ``PACE`` mode the state is the fold steps.  The new edge can change
     the end of the cover: :func:`_extend_cover` finds how many of the
     prefix's units the path keeps and the one unit after them, and only
@@ -759,7 +759,7 @@ def extend_cost(
     store = model.store
     if model.mode is Mode.EDGE:
         weight = store.edge_weight(edges[-1])
-        cost = weight if prefix_state is None else convolve(prefix_state, weight)
+        cost = weight if prefix_state is None else convolve(prefix_state, weight, limit)
         return cost, cost
     steps = prefix_state or ()
     k, (s, unit) = _extend_cover(store, steps, edges)

@@ -273,7 +273,7 @@ def test_verify_reports_ok(capsys):
     assert lines[-1] == "checked 12 cases: 12 ok, 0 mismatches"
 
 
-# The three runs of the CI workflow's brute-force steps, with the sha256 of
+# The four runs of the CI workflow's brute-force steps, with the sha256 of
 # their output: any change to an answer, or to how one is printed, moves one.
 CI_VERIFY_RUNS = [
     (
@@ -288,10 +288,16 @@ CI_VERIFY_RUNS = [
         "--seed 1 --instances 200 --joint-fraction 0.9 --min-support 2 --max-unit-len 3",
         "12271d938c5c11bc90fd66d8492d18af3450fecbc509d614816d71958c538698",
     ),
+    (
+        "--seed 2 --instances 200 --nodes 10 --density 0.6",
+        "bcb6580decb1f62ef73ce22cddfb330d2dbd90f6e9b53c7abf212538a0e52100",
+    ),
 ]
 
 
-@pytest.mark.parametrize("args, digest", CI_VERIFY_RUNS, ids=["default", "dense", "dense-short-units"])
+@pytest.mark.parametrize(
+    "args, digest", CI_VERIFY_RUNS, ids=["default", "dense", "dense-short-units", "dense-network"]
+)
 def test_ci_verify_output_is_pinned(capsys, args, digest):
     assert main(["verify", *args.split()]) == 0
     out = capsys.readouterr().out

@@ -15,6 +15,7 @@ from spotar.dist import (
     JointDist,
     _entries,
     _entries_in_bulk,
+    clip,
     convolve,
     dominates,
     format_histogram,
@@ -194,6 +195,62 @@ def test_convolve_equals_public_histogram_of_raw_sums():
         assert got == want
         assert list(got.items()) == list(want.items())
     assert convolve(tiny, tiny).times() == (3, 4)
+
+
+def test_convolve_with_a_limit_keeps_the_sum_up_to_it():
+    """Up to the limit the entries are the unlimited sum's, bit for bit;
+    past it there is one entry, at ``limit + 1``, exactly when the sum has
+    mass there, and it holds that mass.  Convolving a kept sum again, with
+    a limit at most its own plus the added weight's minimum, keeps the
+    entries of the whole sum up to the new limit, bit for bit."""
+    rng = random.Random(2105)
+    kept_rest = 0
+    for _ in range(300):
+        a = rand_hist(rng, max_support=8, max_time=40)[0]
+        b = rand_hist(rng, max_support=5, max_time=20)[0]
+        c = rand_hist(rng, max_support=5, max_time=20)[0]
+        whole = convolve(a, b)
+        assert convolve(a, b, None) == whole
+        limit = rng.randint(1, max(whole.times()) + 2)
+        got = dict(convolve(a, b, limit).items())
+        past = [p for t, p in whole.items() if t > limit]
+        assert {t: p for t, p in got.items() if t <= limit} == {
+            t: p for t, p in whole.items() if t <= limit
+        }
+        assert [t for t in got if t > limit] == ([limit + 1] if past else [])
+        if past:
+            assert got[limit + 1] == pytest.approx(math.fsum(past), rel=1e-12)
+            kept_rest += 1
+        then = limit + rng.randint(0, min_cost(c))
+        twice = dict(convolve(convolve(a, b, limit), c, then).items())
+        assert {t: p for t, p in twice.items() if t <= then} == {
+            t: p for t, p in convolve(whole, c).items() if t <= then
+        }
+    assert kept_rest >= 100
+
+
+def test_convolve_with_a_limit_adds_no_entry_for_underflowed_mass():
+    """Past the limit of 6 the only product, 1e-200 squared, underflows to
+    0.0: the unlimited sum has no entry there, and neither has the kept one."""
+    a = Histogram({1: 1.0, 5: 1e-200})
+    assert convolve(a, a, 6) == convolve(a, a) == Histogram({2: 1.0, 6: 2e-200})
+    assert convolve(a, a, 5) == Histogram({2: 1.0, 6: 2e-200})
+
+
+def test_clip_keeps_a_histogram_up_to_the_limit():
+    h = Histogram({2: 0.25, 5: 0.25, 7: 0.125, 9: 0.375})
+    assert clip(h, 9) is h
+    assert clip(h, 12) is h
+    assert dict(clip(h, 5).items()) == {2: 0.25, 5: 0.25, 6: 0.5}
+    assert dict(clip(h, 1).items()) == {2: 1.0}
+    assert clip(clip(h, 5), 5) == clip(h, 5)
+    rng = random.Random(2106)
+    for _ in range(100):
+        a, b = rand_hist(rng, max_support=8)[0], rand_hist(rng)[0]
+        limit = rng.randint(2, 40)
+        clipped, kept = dict(clip(convolve(a, b), limit).items()), dict(convolve(a, b, limit).items())
+        assert clipped.keys() == kept.keys()
+        assert clipped == {t: pytest.approx(p, rel=1e-12) if t > limit else p for t, p in kept.items()}
 
 
 def grid_dominates(a, b):

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from spotar.dist import Histogram
+from spotar.dist import Histogram, min_cost
 from spotar.heuristic import (
     HeuristicKind,
     StraightLineBound,
@@ -111,7 +111,7 @@ def unbounded_tree(net, store, dest):
             continue
         mins[node] = d
         for e in net.in_edges(node):
-            heapq.heappush(heap, (d + store.min_time(e.edge_id), e.from_node))
+            heapq.heappush(heap, (d + min_cost(store.edge_weight(e.edge_id)), e.from_node))
     return mins
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 
 import pytest
@@ -13,7 +14,15 @@ from spotar.heuristic import HeuristicKind, build_min_tree
 from spotar.network import Edge, Network, Path, Query
 from spotar.oracle import exact_spotar, gen_instance
 from spotar.solver import Label, SearchEvent, SearchQueue, check_dominance, solve
-from spotar.weights import CostModel, Mode, StoreError, WeightStore, build_store, path_cost
+from spotar.weights import (
+    CostModel,
+    Mode,
+    StoreError,
+    TrajectoryRecord,
+    WeightStore,
+    build_store,
+    path_cost,
+)
 
 from _util import conflicting_records, tiny_network
 
@@ -215,17 +224,25 @@ def test_every_label_matches_its_path_cost(monkeypatch):
     path's ``path_cost`` and whose priority is that histogram's ``cdf``
     at ``budget - node_min``, bit for bit; it is settled exactly when no
     suffix of its edges is a proper prefix of a stored key.  In ``EDGE``
-    mode the cost is the histogram itself and every label is settled.
+    mode every label is settled and is compared clipped at ``limit =
+    budget - node_min``.  A one-edge label's cost is its ``path_cost``,
+    and its histogram is built when it is first compared.  A longer
+    label's cost is its histogram; it equals ``path_cost``, bit for bit,
+    at every time up to the limit, and has one entry above, at
+    ``limit + 1``, holding the rest of the mass, exactly when ``path_cost``
+    has mass there.  The priority is ``path_cost``'s, bit for bit, in
+    both modes.
     """
     offered = []
 
-    def recording(queue, candidate, delta):
+    def recording(queue, candidate, delta, limit=None):
         offered.append((candidate.edges, candidate.cost, candidate.hist, candidate.r,
-                        candidate.node_min, candidate.settled))
-        return check_dominance(queue, candidate, delta)
+                        candidate.node_min, candidate.settled, limit))
+        return check_dominance(queue, candidate, delta, limit)
 
     monkeypatch.setattr(solver_module, "check_dominance", recording)
     counts = {True: 0, False: 0}
+    clipped = 0
     for i in range(60):
         net, records = gen_instance(i, joint_fraction=0.9, min_support=2)
         store = build_store(net, records, min_support=2, mode=Mode.PACE, max_unit_len=2 + i % 3)
@@ -239,17 +256,101 @@ def test_every_label_matches_its_path_cost(monkeypatch):
             for kind in (HeuristicKind.SP, HeuristicKind.BA):
                 offered.clear()
                 solve(net, model, kind, query)
-                for edges, cost, hist, r, node_min, settled in offered:
+                for edges, cost, hist, r, node_min, settled, limit in offered:
                     want = path_cost(model, Path(edges))
                     if mode is Mode.PACE:
-                        assert type(cost) is dict and hist is None
+                        assert type(cost) is dict and hist is None and limit is None
                         assert _derived(cost, store.delta) == want
                         assert settled == all(edges[s:] not in open_prefixes for s in range(len(edges)))
                         counts[settled] += 1
+                    elif len(edges) == 1:
+                        assert cost == want and hist is None and settled
+                        assert limit == query.budget - node_min
                     else:
-                        assert cost == want and hist is cost and settled
+                        assert hist is cost and settled
+                        assert limit == query.budget - node_min
+                        kept = {t: p for t, p in want.items() if t <= limit}
+                        rest = [p for t, p in want.items() if t > limit]
+                        if not rest:
+                            assert cost == want
+                        else:
+                            assert dict(cost.items()) == {**kept, limit + 1: pytest.approx(sum(rest))}
+                            clipped += 1
                     assert r.hex() == want.cdf(query.budget - node_min).hex()
     assert counts[True] >= 60 and counts[False] >= 60
+    assert clipped >= 10
+
+
+def test_clipped_costs_answer_as_whole_costs_do(monkeypatch):
+    """Edge labels kept only up to ``budget - node_min`` give the same answers.
+
+    Dense ten-node stores with every observed time scaled by 1-3, so
+    costs spread past their limits, are solved at 1.5, 2 and 3 times the
+    minimum with the clip and again with ``extend_cost`` given no limit.
+    The probabilities agree bit for bit with each other and with brute
+    force, no solve expands more with the clip, and some expand less.
+    """
+    whole_extend = solver_module.extend_cost
+
+    def unclipped(model, state, edges, limit=None):
+        return whole_extend(model, state, edges)
+
+    changed = 0
+    for i in range(200):
+        net, records = gen_instance(i, nodes=10, density=0.6, min_support=2)
+        rng = random.Random(i)
+        records = [
+            TrajectoryRecord(r.path, tuple(t * rng.randint(1, 3) for t in r.times), r.count)
+            for r in records
+        ]
+        store = build_store(net, records, min_support=2, mode=Mode.EDGE)
+        model = CostModel(store, Mode.EDGE)
+        source, dest = random.Random(f"query-{i}").sample(list(net.node_ids), 2)
+        shortest = build_min_tree(net, store, dest, 10**9).get_min(source)
+        for factor in (1.5, 2, 3):
+            query = Query(source, dest, round(factor * shortest))
+            want = exact_spotar(net, model, query)[1]
+            for kind in (HeuristicKind.SP, HeuristicKind.BA):
+                clip = solve(net, model, kind, query)
+                with monkeypatch.context() as m:
+                    m.setattr(solver_module, "extend_cost", unclipped)
+                    whole = solve(net, model, kind, query)
+                assert clip.probability.hex() == whole.probability.hex() == want.hex()
+                assert clip.expanded_labels <= whole.expanded_labels
+                assert clip.explored_edges <= whole.explored_edges
+                changed += (clip.expanded_labels, clip.explored_edges) != (
+                    whole.expanded_labels, whole.explored_edges)
+    assert changed >= 5
+
+
+def test_inconsistent_bound_clips_from_the_whole_prefix():
+    """A child of a clipped label whose edge beats the bound starts from the whole prefix.
+
+    ``e3`` (``b -> d``) is 605 m of crow flight at the top speed of 10 m/s,
+    60 units, but takes 5, so ``ba``'s bound drops from 60 at ``b`` to 0
+    at ``d`` over a 5-unit edge.  ``e1`` and ``e2`` take 10 or 60 units,
+    so ``s -> d`` takes 25, 75 or 125 with probabilities 1/4, 1/2, 1/4.
+    ``ba`` keeps the label ``e1,e2`` only up to ``budget - 60`` and puts
+    the mass at 70 past it; convolving that with ``e3`` would score 1.0.
+    """
+    per_deg = 6_371_000.0 * math.pi / 180.0
+    coords = {"d": (57.0, 9.9), "b": (57.0 + 605.0 / per_deg, 9.9)}
+    coords["a"] = (coords["b"][0] + 1e-5, 9.9)
+    coords["s"] = (coords["b"][0] + 2e-5, 9.9)
+    net = tiny_network(
+        [("e1", "s", "a", 100.0, 10.0), ("e2", "a", "b", 100.0, 10.0), ("e3", "b", "d", 605.0, 10.0)],
+        coords=coords,
+    )
+    route = Path(("e1", "e2", "e3"))
+    records = [TrajectoryRecord(route, (10, 10, 5), 1), TrajectoryRecord(route, (60, 60, 5), 1)]
+    model = CostModel(build_store(net, records, mode=Mode.EDGE), Mode.EDGE)
+    assert math.floor(net.distance_m("b", "d") / 10.0) == 60
+    for budget in (90, 100, 110):
+        query = Query("s", "d", budget)
+        assert exact_spotar(net, model, query) == (route, 0.75)
+        for kind in (HeuristicKind.SP, HeuristicKind.BA):
+            res = solve(net, model, kind, query)
+            assert (res.path, res.probability) == (route, 0.75)
 
 
 def test_solver_is_deterministic(sample_net, pace_model):

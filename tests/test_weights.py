@@ -262,7 +262,11 @@ def test_store_lookup_errors(sample_store):
 
 
 def test_min_time_is_the_first_time_of_each_edge_weight(tmp_path):
-    """After a build and after a load, for plain and shifted trajectories."""
+    """After a build and after a load, for plain and shifted trajectories.
+
+    The search reads each edge's minimum from ``_min_times``; an edge the
+    store does not weigh has none, and ``edge_weight`` names it.
+    """
     rng = random.Random(31)
     for seed in range(6):
         net, records = gen_instance(seed, nodes=7, density=0.5, joint_fraction=0.9)
@@ -271,10 +275,11 @@ def test_min_time_is_the_first_time_of_each_edge_weight(tmp_path):
             out = tmp_path / f"{seed}.json"
             save_store(built, str(out))
             for store in (built, load_store(str(out))):
-                for eid in store.edge_ids():
-                    assert store.min_time(eid) == min_cost(store.edge_weight(eid))
+                assert store._min_times == {
+                    eid: min_cost(store.edge_weight(eid)) for eid in store.edge_ids()
+                }
                 with pytest.raises(StoreError, match="no weight for edge 'e99'"):
-                    store.min_time("e99")
+                    store.edge_weight("e99")
 
 
 def test_build_store_rejects_unknown_edge(sample_net):
