@@ -7,8 +7,8 @@ arriving within a time budget.
 
 from .dist import Histogram, JointDist, convolve, dominates, min_cost
 from .heuristic import HeuristicKind, build_min_tree, make_heuristic
-from .network import Edge, Network, Node, Path, Query, load_network, make_path, save_network
-from .oracle import exact_spotar, gen_instance, mc_arrival_prob, verify_instances
+from .network import Edge, Network, Node, Path, Query, load_network, make_path
+from .oracle import exact_spotar, gen_instance, verify_instances
 from .solver import SolveResult, solve
 from .weights import (
     CostModel,
@@ -49,10 +49,8 @@ __all__ = [
     "load_trajectories",
     "make_heuristic",
     "make_path",
-    "mc_arrival_prob",
     "min_cost",
     "path_cost",
-    "save_network",
     "save_store",
     "solve",
     "verify_instances",

@@ -306,12 +306,15 @@ def convolve(a: Histogram, b: Histogram, limit: int | None = None) -> Histogram:
 def clip(h: Histogram, limit: int) -> Histogram:
     """``h`` kept up to ``limit``, with the rest of its mass at ``limit + 1``.
 
-    ``h`` itself when it has no mass past the limit; otherwise the rest
-    is the ``fsum`` of the probabilities past it.  It keeps a single
-    edge's weight as :func:`convolve` with a ``limit`` keeps a sum.
+    ``h`` itself when its last time is at most ``limit + 1``: then at
+    most that one entry lies past the limit, already where the rest
+    goes, and the ``fsum`` of one probability is that probability.
+    Otherwise the rest is the ``fsum`` of the probabilities past the
+    limit.  It keeps a single edge's weight as :func:`convolve` with a
+    ``limit`` keeps a sum, and returns a sum kept so as it is.
     """
     entries = h._entries
-    if next(reversed(entries)) <= limit:
+    if next(reversed(entries)) <= limit + 1:
         return h
     kept = {t: p for t, p in entries.items() if t <= limit}
     kept[limit + 1] = math.fsum(p for t, p in entries.items() if t > limit)

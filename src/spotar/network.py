@@ -253,16 +253,3 @@ def load_network(path: str, delta: float = 1.0) -> Network:
         raise NetworkFormatError("no #nodes section or no nodes")
     return Network(nodes, edges, delta)
 
-
-def save_network(net: Network, path: str) -> None:
-    """Write a network in the format accepted by :func:`load_network`."""
-    lines = ["#nodes"]
-    for nid in sorted(net.node_ids):
-        n = net.node(nid)
-        lines.append(f"{n.node_id},{n.lat!r},{n.lon!r}")
-    lines.append("#edges")
-    for eid in sorted(net.edge_ids):
-        e = net.edge(eid)
-        lines.append(f"{e.edge_id},{e.from_node},{e.to_node},{e.length!r},{e.speed_limit!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -1,8 +1,7 @@
-"""Ground truth and test instruments: brute force, sampling, generation.
+"""Ground truth and test instruments: brute force and generation.
 
 Everything here is independent of the search: the exact answer comes
-from full path enumeration, the sampler draws travel times straight
-from the stored weights, and the instance generator produces small
+from full path enumeration, and the instance generator produces small
 strongly connected networks with correlated trajectories from a seed.
 """
 
@@ -20,8 +19,6 @@ from .weights import (
     InconsistentWeightsError,
     Mode,
     TrajectoryRecord,
-    _unit_table,
-    _units,
     build_store,
     path_cost,
 )
@@ -91,53 +88,6 @@ def exact_spotar(net: Network, model: CostModel, query: Query) -> tuple[Path | N
         ):
             best_path, best_prob = p, prob
     return best_path, best_prob
-
-
-def _prep_sampler(model: CostModel, path: Path):
-    """Build a closure drawing one total travel time for ``path``.
-
-    Draws the first covering unit outright, then each following unit
-    conditioned on the times already fixed for the shared edges; a
-    partial draw whose shared times no following unit can match is
-    thrown away and restarted.  This samples exactly the distribution
-    :func:`spotar.weights.path_cost` computes.  A path whose stored
-    units share no overlap mass would restart forever, so it raises
-    :class:`InconsistentWeightsError` here instead.
-    """
-    if model.mode is Mode.PACE:
-        path_cost(model, path)  # raises where every draw would be thrown away
-    plan: list[tuple[int, dict]] = []
-    covered = 0
-    for start, unit in _units(model, path.edges):
-        overlap = covered - start
-        table = _unit_table(model.store, unit, overlap)
-        plan.append((overlap, {key: tuple(zip(*pairs)) for key, (_, pairs) in table.items()}))
-        covered = start + len(unit)
-
-    def draw(rng: random.Random) -> int:
-        while True:
-            times: list[int] = []
-            for overlap, groups in plan:
-                group = groups.get(tuple(times[len(times) - overlap :]))
-                if group is None:
-                    break
-                rests, _, weights = group
-                times += rng.choices(rests, weights=weights)[0]
-            else:
-                return sum(times)
-
-    return draw
-
-
-def mc_arrival_prob(
-    model: CostModel, path: Path, budget: int, n: int, rng: random.Random
-) -> float:
-    """Monte-Carlo estimate of the on-time probability over ``n`` draws."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    draw = _prep_sampler(model, path)
-    hits = sum(1 for _ in range(n) if draw(rng) <= budget)
-    return hits / n
 
 
 _SPEEDS = (5.0, 8.0, 10.0, 12.5, 15.0)

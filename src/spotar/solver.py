@@ -57,13 +57,7 @@ class Label:
     path's per-total times ``{total: probability}``, unsorted, and the
     state is the cover units with the fold state after each: an
     extension keeps the steps of the leading units its cover shares with
-    this path and folds the one unit after them.  ``hist`` is the cost
-    as :func:`check_dominance` compares it, a :class:`Histogram` kept up
-    to the limit in ``EDGE`` mode: a longer label's cost itself; for a
-    one-edge label, and in ``PACE`` mode, ``None`` until
-    :func:`check_dominance` first compares the label, which builds it
-    (its weight kept up to the limit, or the histogram of its per-total
-    times) and keeps it.
+    this path and folds the one unit after them.
 
     ``node_min`` is the bound's fewest remaining time units from
     ``end_node`` to the destination.  ``r``, the queue priority, is the
@@ -84,7 +78,6 @@ class Label:
     visited: frozenset[str]
     settled: bool = True
     alive: bool = True
-    hist: Histogram | None = None
 
 
 class SearchEvent(NamedTuple):
@@ -205,18 +198,19 @@ def check_dominance(
     incomparable).
 
     Only settled labels are compared, as :class:`Histogram` values of
-    resolution ``delta``; a ``PACE`` label's is built from its per-total
-    times the first time it is compared (see :class:`Label`).  In
+    resolution ``delta`` that each call builds and nothing keeps: in
+    ``PACE`` mode the histogram of a label's per-total times.  In
     ``EDGE`` mode every label is settled, and ``limit`` is ``budget -
     node_min`` at the node, the same for every label there.  Each label
     is compared kept up to the limit, with the rest of its mass at
-    ``limit + 1``; a one-edge label's weight is kept so the first time it
-    is compared.  That is sound whenever the bound is admissible, the
-    condition the prune already needs.  Every completion from the node
-    takes some ``s >= node_min`` units, independent of the label's time,
-    and makes the budget with probability ``sum_s P(s) * F(budget - s)``,
-    where ``F`` is the label's ``cdf``; it reads ``F`` only at times up to
-    the limit, where the kept cost is exact.  So a label whose kept cost
+    ``limit + 1`` (:func:`~spotar.dist.clip`; a longer label's cost is
+    kept so already and is compared as it is).  That is sound whenever
+    the bound is admissible, the condition the prune already needs.
+    Every completion from the node takes some ``s >= node_min`` units,
+    independent of the label's time, and makes the budget with
+    probability ``sum_s P(s) * F(budget - s)``, where ``F`` is the
+    label's ``cdf``; it reads ``F`` only at times up to the limit, where
+    the kept cost is exact.  So a label whose kept cost
     is the same or dominates another's gives every completion at least
     that label's probability.  The entries at ``limit + 1`` hold total
     masses: comparing them can only make a decision stricter or block
@@ -235,19 +229,13 @@ def check_dominance(
     dominated: list[Label] = []
     if not candidate.settled:
         return dominated
-    mine = candidate.hist
+    mine = None
     for other in queue.labels_at(candidate.end_node):
         if not other.settled:
             continue
-        theirs = other.hist
-        if theirs is None:
-            theirs = other.hist = (
-                _derived(other.cost, delta) if limit is None else clip(other.cost, limit)
-            )
+        theirs = _derived(other.cost, delta) if limit is None else clip(other.cost, limit)
         if mine is None:
-            mine = candidate.hist = (
-                _derived(candidate.cost, delta) if limit is None else clip(candidate.cost, limit)
-            )
+            mine = _derived(candidate.cost, delta) if limit is None else clip(candidate.cost, limit)
         if theirs == mine or dist.dominates(theirs, mine):
             return None
         if dist.dominates(mine, theirs):
@@ -352,7 +340,6 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
         parent_min: int,  # the prefix's node_min; 0 for the source, which has no cost
     ) -> None:
         nonlocal best_path, best_prob
-        whole = None  # the prefix's unclipped cost, built for the first inconsistent edge
         for e in net.out_edges(node):
             if e.to_node in visited:
                 record(("skip-cycle", path, e.edge_id))
@@ -371,9 +358,7 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
             prior = state
             if edge_mode and parent_min > ik + node_min:
                 # the bound is not consistent on e: the child needs the prefix's cost past its limit
-                if whole is None:
-                    whole = path_cost(model, Path(path))
-                prior = whole
+                prior = path_cost(model, Path(path))
             try:
                 cost, ext_state = extend_cost(model, prior, edges, limit)
             except InconsistentWeightsError:
@@ -395,7 +380,6 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
                 r=within(cost, limit),
                 visited=visited | {e.to_node},
                 settled=edge_mode or open_prefixes.isdisjoint(map(edges.__getitem__, suffixes)),
-                hist=cost if edge_mode and path else None,
             )
             dominated = check_dominance(queue, candidate, delta, limit if edge_mode else None)
             if dominated is None:

@@ -586,14 +586,6 @@ def _cover(store: WeightStore, edges: tuple[str, ...]) -> list[tuple[int, tuple[
     return units
 
 
-def _units(model: CostModel, edges: tuple[str, ...]) -> list[tuple[int, tuple[str, ...]]]:
-    """(start index, unit edges) pairs a path's cost is fused from: every
-    edge on its own in ``EDGE`` mode, the :func:`_cover` in ``PACE`` mode."""
-    if model.mode is Mode.EDGE:
-        return [(i, (eid,)) for i, eid in enumerate(edges)]
-    return _cover(model.store, edges)
-
-
 # overlap key -> (the key's mass, [(times of the remaining edges, their sum, probability)])
 UnitTable = dict[tuple[int, ...], tuple[float, list[tuple[tuple[int, ...], int, float]]]]
 

@@ -2,7 +2,9 @@
 
 The generators here return both a float-valued object from the package
 and an exact :mod:`fractions` reference, so tests can compare library
-arithmetic against arithmetic done without rounding.
+arithmetic against arithmetic done without rounding.  The Monte-Carlo
+sampler draws travel times straight from the stored weights, an
+independent check of :func:`spotar.weights.path_cost`.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from fractions import Fraction
 import pytest
 
 from spotar.dist import Histogram
-from spotar.network import Network, Node, Edge
-from spotar.weights import TrajectoryRecord
+from spotar.network import Network, Node, Edge, Path
+from spotar.weights import CostModel, Mode, TrajectoryRecord, _cover, _unit_table, path_cost
 
 ExactHist = dict[int, Fraction]
 
@@ -102,3 +104,54 @@ def conflicting_records(
         TrajectoryRecord(r.path, tuple(t + rng.randint(0, 2) for t in r.times), r.count)
         for r in records
     ]
+
+
+def _prep_sampler(model: CostModel, path: Path):
+    """Build a closure drawing one total travel time for ``path``.
+
+    The units are every edge on its own in ``EDGE`` mode and the path's
+    cover in ``PACE`` mode.  Draws the first unit outright, then each
+    following unit conditioned on the times already fixed for the shared
+    edges; a partial draw whose shared times no following unit can match
+    is thrown away and restarted.  This samples exactly the distribution
+    :func:`spotar.weights.path_cost` computes.  A path whose stored
+    units share no overlap mass would restart forever, so it raises
+    :class:`InconsistentWeightsError` here instead.
+    """
+    if model.mode is Mode.EDGE:
+        units = [(i, (eid,)) for i, eid in enumerate(path.edges)]
+    else:
+        path_cost(model, path)  # raises where every draw would be thrown away
+        units = _cover(model.store, path.edges)
+    plan: list[tuple[int, dict]] = []
+    covered = 0
+    for start, unit in units:
+        overlap = covered - start
+        table = _unit_table(model.store, unit, overlap)
+        plan.append((overlap, {key: tuple(zip(*pairs)) for key, (_, pairs) in table.items()}))
+        covered = start + len(unit)
+
+    def draw(rng: random.Random) -> int:
+        while True:
+            times: list[int] = []
+            for overlap, groups in plan:
+                group = groups.get(tuple(times[len(times) - overlap :]))
+                if group is None:
+                    break
+                rests, _, weights = group
+                times += rng.choices(rests, weights=weights)[0]
+            else:
+                return sum(times)
+
+    return draw
+
+
+def mc_arrival_prob(
+    model: CostModel, path: Path, budget: int, n: int, rng: random.Random
+) -> float:
+    """Monte-Carlo estimate of the on-time probability over ``n`` draws."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    draw = _prep_sampler(model, path)
+    hits = sum(1 for _ in range(n) if draw(rng) <= budget)
+    return hits / n

@@ -14,14 +14,14 @@ import math
 import random
 import time
 
-from _util import rand_hist
+from _util import mc_arrival_prob, rand_hist
 
 from spotar.bench import BenchConfig, ROW_FIELDS, run_bench
 from spotar.cli import main
 from spotar.dist import Histogram, convolve, dominates, min_cost
 from spotar.heuristic import HeuristicKind, StraightLineBound, build_min_tree
 from spotar.network import Query, make_path
-from spotar.oracle import enumerate_simple_paths, gen_instance, mc_arrival_prob, verify_instances
+from spotar.oracle import enumerate_simple_paths, gen_instance, verify_instances
 from spotar.solver import solve
 from spotar.weights import CostModel, Mode, build_store, path_cost
 

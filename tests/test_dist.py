@@ -241,6 +241,7 @@ def test_clip_keeps_a_histogram_up_to_the_limit():
     h = Histogram({2: 0.25, 5: 0.25, 7: 0.125, 9: 0.375})
     assert clip(h, 9) is h
     assert clip(h, 12) is h
+    assert clip(h, 8) is h  # only the last time lies past the limit, at limit + 1
     assert dict(clip(h, 5).items()) == {2: 0.25, 5: 0.25, 6: 0.5}
     assert dict(clip(h, 1).items()) == {2: 1.0}
     assert clip(clip(h, 5), 5) == clip(h, 5)

@@ -1,11 +1,14 @@
 """The package's public names, and what importing the package pulls in.
 
 ``spotar.__all__`` is what ``import *`` gives, and the runtime needs
-nothing beyond the standard library.
+nothing beyond the standard library.  The benchmark's tracer wraps
+functions and methods by name, so those names must exist too.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import os
 import pathlib
 import subprocess
@@ -13,7 +16,8 @@ import sys
 
 import spotar
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 # Removing a public name, or adding one, is a decision; this list makes it visible.
@@ -22,8 +26,7 @@ PUBLIC = [
     "Path", "Query", "SolveResult", "TrajectoryRecord", "WeightStore", "__version__",
     "build_min_tree", "build_store", "convolve", "dominates", "exact_spotar", "gen_instance",
     "load_network", "load_store", "load_trajectories", "make_heuristic", "make_path",
-    "mc_arrival_prob", "min_cost", "path_cost", "save_network", "save_store", "solve",
-    "verify_instances",
+    "min_cost", "path_cost", "save_store", "solve", "verify_instances",
 ]
 
 
@@ -70,3 +73,21 @@ def test_runtime_imports_only_the_standard_library():
     allowed = {*sys.stdlib_module_names, "spotar"}
     outside = [name for name in added if name.partition(".")[0] not in allowed]
     assert outside == []
+
+
+def test_tracer_finds_every_target_and_reports_every_per_layer_metric():
+    """A target the tracer cannot find is skipped at run time, and the
+    per-layer metrics that need it silently drop out of the benchmark's
+    result, so a renamed or deleted target fails here instead."""
+    spec = importlib.util.spec_from_file_location("citybench_tracer", ROOT / "citybench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    tr = tracer.Tracer()
+    try:
+        tr.install()
+        assert tr.missing == []
+    finally:
+        tr.uninstall()
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    reported = set(tracer.LAYER_METRICS) | {"solver.self_s", "trace.overhead_ratio"}
+    assert {m["name"] for m in declared} <= reported

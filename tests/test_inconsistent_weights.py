@@ -16,7 +16,7 @@ import pytest
 from spotar.cli import main
 from spotar.heuristic import HeuristicKind
 from spotar.network import Path, Query, load_network
-from spotar.oracle import exact_spotar, mc_arrival_prob
+from spotar.oracle import exact_spotar
 from spotar.solver import solve
 from spotar.weights import (
     CostModel,
@@ -25,6 +25,8 @@ from spotar.weights import (
     build_store,
     load_trajectories,
 )
+
+from _util import mc_arrival_prob
 
 NETWORK = """#nodes
 a,57.0000000,9.9000000

@@ -16,7 +16,6 @@ from spotar.network import (
     Query,
     load_network,
     make_path,
-    save_network,
 )
 
 from _util import tiny_network
@@ -178,22 +177,6 @@ def test_load_network_requires_nodes(tmp_path):
     f.write_text("#edges\n")
     with pytest.raises(NetworkFormatError):
         load_network(str(f))
-
-
-def test_save_load_round_trip(tmp_path, sample_net):
-    out = tmp_path / "copy.csv"
-    save_network(sample_net, str(out))
-    again = load_network(str(out), delta=sample_net.delta)
-    assert set(again.node_ids) == set(sample_net.node_ids)
-    assert set(again.edge_ids) == set(sample_net.edge_ids)
-    for eid in sample_net.edge_ids:
-        assert again.edge(eid) == sample_net.edge(eid)
-    for nid in sample_net.node_ids:
-        assert again.node(nid) == sample_net.node(nid)
-    # A second save of the reloaded network is byte-identical.
-    out2 = tmp_path / "copy2.csv"
-    save_network(again, str(out2))
-    assert out.read_bytes() == out2.read_bytes()
 
 
 def test_tiny_network_helper_geometry():

@@ -15,14 +15,14 @@ from spotar.network import Path, Query, make_path
 from spotar.oracle import (
     EnumerationLimitError,
     VerifyCase,
-    _prep_sampler,
     enumerate_simple_paths,
     exact_spotar,
     gen_instance,
-    mc_arrival_prob,
     verify_instances,
 )
 from spotar.weights import CostModel, Mode, WeightStore, build_store, path_cost
+
+from _util import _prep_sampler, mc_arrival_prob
 
 
 # ------------------------------------------------------------ brute force

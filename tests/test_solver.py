@@ -9,7 +9,7 @@ import random
 import pytest
 
 import spotar.solver as solver_module
-from spotar.dist import Histogram, JointDist, _derived
+from spotar.dist import Histogram, JointDist, _derived, clip
 from spotar.heuristic import HeuristicKind, build_min_tree
 from spotar.network import Edge, Network, Path, Query
 from spotar.oracle import exact_spotar, gen_instance
@@ -225,18 +225,18 @@ def test_every_label_matches_its_path_cost(monkeypatch):
     at ``budget - node_min``, bit for bit; it is settled exactly when no
     suffix of its edges is a proper prefix of a stored key.  In ``EDGE``
     mode every label is settled and is compared clipped at ``limit =
-    budget - node_min``.  A one-edge label's cost is its ``path_cost``,
-    and its histogram is built when it is first compared.  A longer
-    label's cost is its histogram; it equals ``path_cost``, bit for bit,
-    at every time up to the limit, and has one entry above, at
-    ``limit + 1``, holding the rest of the mass, exactly when ``path_cost``
-    has mass there.  The priority is ``path_cost``'s, bit for bit, in
-    both modes.
+    budget - node_min``.  A one-edge label's cost is its ``path_cost``.
+    A longer label's cost equals ``path_cost``, bit for bit, at every
+    time up to the limit, and has one entry above, at ``limit + 1``,
+    holding the rest of the mass, exactly when ``path_cost`` has mass
+    there; so it is kept up to the limit already, and ``clip`` returns it
+    as it is.  The priority is ``path_cost``'s, bit for bit, in both
+    modes.
     """
     offered = []
 
     def recording(queue, candidate, delta, limit=None):
-        offered.append((candidate.edges, candidate.cost, candidate.hist, candidate.r,
+        offered.append((candidate.edges, candidate.cost, candidate.r,
                         candidate.node_min, candidate.settled, limit))
         return check_dominance(queue, candidate, delta, limit)
 
@@ -256,19 +256,20 @@ def test_every_label_matches_its_path_cost(monkeypatch):
             for kind in (HeuristicKind.SP, HeuristicKind.BA):
                 offered.clear()
                 solve(net, model, kind, query)
-                for edges, cost, hist, r, node_min, settled, limit in offered:
+                for edges, cost, r, node_min, settled, limit in offered:
                     want = path_cost(model, Path(edges))
                     if mode is Mode.PACE:
-                        assert type(cost) is dict and hist is None and limit is None
+                        assert type(cost) is dict and limit is None
                         assert _derived(cost, store.delta) == want
                         assert settled == all(edges[s:] not in open_prefixes for s in range(len(edges)))
                         counts[settled] += 1
                     elif len(edges) == 1:
-                        assert cost == want and hist is None and settled
+                        assert cost == want and settled
                         assert limit == query.budget - node_min
                     else:
-                        assert hist is cost and settled
+                        assert settled
                         assert limit == query.budget - node_min
+                        assert clip(cost, limit) is cost
                         kept = {t: p for t, p in want.items() if t <= limit}
                         rest = [p for t, p in want.items() if t > limit]
                         if not rest:
@@ -286,9 +287,11 @@ def test_clipped_costs_answer_as_whole_costs_do(monkeypatch):
 
     Dense ten-node stores with every observed time scaled by 1-3, so
     costs spread past their limits, are solved at 1.5, 2 and 3 times the
-    minimum with the clip and again with ``extend_cost`` given no limit.
-    The probabilities agree bit for bit with each other and with brute
-    force, no solve expands more with the clip, and some expand less.
+    minimum with the clip and again with ``extend_cost`` given no limit
+    and ``clip`` returning its input, so that dominance compares whole
+    costs.  The probabilities agree bit for bit with each other and with
+    brute force, no solve expands more with the clip, and some expand
+    less.
     """
     whole_extend = solver_module.extend_cost
 
@@ -311,14 +314,15 @@ def test_clipped_costs_answer_as_whole_costs_do(monkeypatch):
             query = Query(source, dest, round(factor * shortest))
             want = exact_spotar(net, model, query)[1]
             for kind in (HeuristicKind.SP, HeuristicKind.BA):
-                clip = solve(net, model, kind, query)
+                kept = solve(net, model, kind, query)
                 with monkeypatch.context() as m:
                     m.setattr(solver_module, "extend_cost", unclipped)
+                    m.setattr(solver_module, "clip", lambda h, limit: h)
                     whole = solve(net, model, kind, query)
-                assert clip.probability.hex() == whole.probability.hex() == want.hex()
-                assert clip.expanded_labels <= whole.expanded_labels
-                assert clip.explored_edges <= whole.explored_edges
-                changed += (clip.expanded_labels, clip.explored_edges) != (
+                assert kept.probability.hex() == whole.probability.hex() == want.hex()
+                assert kept.expanded_labels <= whole.expanded_labels
+                assert kept.explored_edges <= whole.explored_edges
+                changed += (kept.expanded_labels, kept.explored_edges) != (
                     whole.expanded_labels, whole.explored_edges)
     assert changed >= 5
 
@@ -673,7 +677,7 @@ def test_synthetic_transcript_is_pinned(make, kind, budget, expected):
 
 
 def label(edges, end, entries, r, node_min=0):
-    """A PACE label: its cost is per-total times, its Histogram not yet built."""
+    """A PACE label: its cost is per-total times."""
     return Label(
         edges=tuple(edges),
         end_node=end,
@@ -735,22 +739,17 @@ def test_check_dominance_decisions():
     q.push(existing)
     same = label(("y",), "n", {2: 1.0}, 0.9)
     assert check_dominance(q, same, 1.0) is None
-    assert existing.hist == same.hist == Histogram({2: 1.0})
     worse = label(("y",), "n", {3: 1.0}, 0.9)
     assert check_dominance(q, worse, 1.0) is None
     better = label(("y",), "n", {1: 1.0}, 0.9)
     assert check_dominance(q, better, 1.0) == [existing]
     crossing = label(("y",), "n", {4: 0.5, 1: 0.5}, 0.9)
     assert check_dominance(q, crossing, 1.0) == []
-    assert crossing.hist == Histogram({1: 0.5, 4: 0.5})
-    assert list(crossing.hist.items()) == [(1, 0.5), (4, 0.5)]
     elsewhere = label(("y",), "m", {3: 1.0}, 0.9)
     assert check_dominance(q, elsewhere, 1.0) == []
-    assert elsewhere.hist is None  # nothing to compare with, so no Histogram is built
     unsettled = label(("y",), "n", {1: 1.0}, 0.9)
     unsettled.settled = False
     assert check_dominance(q, unsettled, 1.0) == []
-    assert unsettled.hist is None
 
 
 def test_check_dominance_can_replace_several():
