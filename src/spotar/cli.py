@@ -16,16 +16,15 @@ import argparse
 import sys
 
 from . import bench as bench_mod
-from .dist import DistributionError, format_histogram
+from .dist import format_histogram
 from .heuristic import HeuristicKind
-from .network import Network, NetworkFormatError, PathError, Query, load_network
+from .network import Network, Query, load_network
 from .oracle import EnumerationLimitError, verify_instances
 from .solver import solve
 from .weights import (
     CostModel,
     Mode,
     StoreError,
-    TrajectoryFormatError,
     WeightStore,
     build_store,
     load_store,
@@ -206,17 +205,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (
-        NetworkFormatError,
-        PathError,
-        TrajectoryFormatError,
-        StoreError,
-        DistributionError,
-        bench_mod.BenchConfigError,
-        EnumerationLimitError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, EnumerationLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,11 +1,14 @@
 """Discrete travel-time distributions on an integer time grid.
 
-A :class:`Histogram` maps integer travel times (multiples of a fixed
-resolution ``delta``, in seconds per unit) to probabilities.  A
-:class:`JointDist` extends this to whole paths: each row assigns one
-travel time to every edge of the path, so correlations between edges
-are preserved.  All operations are exact dictionary arithmetic on
-sparse supports; nothing is binned or interpolated after construction.
+A :class:`Histogram` maps integer travel times, counted in grid units,
+to probabilities.  A :class:`JointDist` extends this to whole paths:
+each row assigns one travel time to every edge of the path, so
+correlations between edges are preserved.  A distribution has no
+resolution of its own: the network and the weight store hold ``delta``
+(seconds per unit), each checked where it enters, and
+:func:`spotar.solver.solve` checks that the two agree.  All operations
+are exact dictionary arithmetic on sparse supports; nothing is binned
+or interpolated after construction.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ _NUMBER = frozenset((float, int))
 
 
 class DistributionError(ValueError):
-    """Raised for invalid supports, masses, or mismatched resolutions."""
+    """Raised for invalid supports, masses or resolutions."""
 
 
 def _check_delta(delta: float) -> float:
@@ -143,36 +146,31 @@ def _distinct_edges_in_bulk(keys: list[tuple[str, ...]]) -> bool:
 
 
 class Histogram:
-    """Probability mass over integer travel times.
+    """Probability mass over integer travel times, in grid units.
 
     The entries follow the rules of a stored edge weight, checked by the
     same functions and reported with the same messages as in
     :func:`spotar.weights.load_store`: every time an ``int`` (not a
     ``bool``) of at least 1, every probability a finite, non-negative
     ``float`` or ``int`` (not a ``bool``), and the total mass 1 within
-    ``MASS_TOL``.  Zero-probability entries are dropped, and ``delta``
-    must be positive and finite.
+    ``MASS_TOL``.  Zero-probability entries are dropped.
     """
 
-    __slots__ = ("_entries", "delta")
+    __slots__ = ("_entries",)
 
-    def __init__(self, entries: Mapping[int, float], delta: float = 1.0) -> None:
+    def __init__(self, entries: Mapping[int, float]) -> None:
         times = list(entries)
         _check_times(times)
         probs = _check_probs(list(entries.values()))
-        self._set(_entries(times, probs, "histogram"), _check_delta(delta))
+        self._entries = _entries(times, probs, "histogram")
 
     @classmethod
-    def _checked(cls, entries: dict[int, float], delta: float) -> Histogram:
-        """Histogram over entries that are already checked and sorted by time,
-        with a checked ``delta``; nothing is validated again."""
+    def _checked(cls, entries: dict[int, float]) -> Histogram:
+        """Histogram over entries that are already checked and sorted by time;
+        nothing is validated again."""
         self = object.__new__(cls)
-        self._set(entries, delta)
-        return self
-
-    def _set(self, entries: dict[int, float], delta: float) -> None:
         self._entries = entries
-        self.delta = delta
+        return self
 
     def items(self) -> Iterator[tuple[int, float]]:
         """Yield (time, probability) pairs in increasing time order."""
@@ -189,13 +187,13 @@ class Histogram:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Histogram):
             return NotImplemented
-        return self.delta == other.delta and self._entries == other._entries
+        return self._entries == other._entries
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __repr__(self) -> str:
-        return f"Histogram({self._entries!r}, delta={self.delta!r})"
+        return f"Histogram({self._entries!r})"
 
 
 def _cdf(times: Mapping[int, float], last: int, t: int) -> float:
@@ -224,9 +222,9 @@ def times_cdf(times: Mapping[int, float], t: int) -> float:
     return _cdf(times, max(times), t)
 
 
-def _derived(out: dict[int, float], delta: float) -> Histogram:
-    """Histogram over ``out``, probabilities at sums of the times of checked
-    histograms or joints, with ``delta`` taken from one of them.
+def _derived(out: dict[int, float]) -> Histogram:
+    """Histogram over ``out``, probabilities at sums of the times, in grid
+    units, of checked histograms or joints.
 
     Such times are integers of at least 1 already, so they are not checked
     again.  Float arithmetic can underflow a probability to zero, so zero
@@ -238,12 +236,12 @@ def _derived(out: dict[int, float], delta: float) -> Histogram:
     """
     if 0.0 in out.values():
         out = {t: p for t, p in out.items() if p}
-    return Histogram._checked({t: out[t] for t in sorted(out)}, delta)
+    return Histogram._checked({t: out[t] for t in sorted(out)})
 
 
-def point_mass(t: int, delta: float = 1.0) -> Histogram:
+def point_mass(t: int) -> Histogram:
     """Histogram that assigns probability 1 to a single travel time."""
-    return Histogram({t: 1.0}, delta)
+    return Histogram({t: 1.0})
 
 
 def min_cost(h: Histogram) -> int:
@@ -252,7 +250,7 @@ def min_cost(h: Histogram) -> int:
 
 
 def convolve(a: Histogram, b: Histogram, limit: int | None = None) -> Histogram:
-    """Distribution of the sum of two independent travel times.
+    """Distribution of the sum of two independent travel times on one grid.
 
     The loops run over ``b``'s times from the largest down and, for each,
     over ``a``'s times from the smallest up, so every sum adds its
@@ -275,8 +273,6 @@ def convolve(a: Histogram, b: Histogram, limit: int | None = None) -> Histogram:
     itself be kept so, with its rest at its own ``limit + 1``; the rest
     then counts as mass at that time.
     """
-    if a.delta != b.delta:
-        raise DistributionError(f"resolution mismatch: {a.delta} vs {b.delta}")
     ea, eb = a._entries, b._entries
     items_a = ea.items()
     out: dict[int, float] = {}
@@ -286,7 +282,7 @@ def convolve(a: Histogram, b: Histogram, limit: int | None = None) -> Histogram:
             for ta, pa in items_a:
                 t = ta + tb
                 out[t] = get(t, 0.0) + pa * pb
-        return _derived(out, a.delta)
+        return _derived(out)
     times_a = list(ea)
     n = len(times_a)
     tails = list(accumulate(reversed(ea.values())))  # tails[i]: a's mass at its last i + 1 times
@@ -300,7 +296,7 @@ def convolve(a: Histogram, b: Histogram, limit: int | None = None) -> Histogram:
             out[t] = get(t, 0.0) + pa * pb
     if rest:
         out[limit + 1] = rest
-    return _derived(out, a.delta)
+    return _derived(out)
 
 
 def clip(h: Histogram, limit: int) -> Histogram:
@@ -318,7 +314,7 @@ def clip(h: Histogram, limit: int) -> Histogram:
         return h
     kept = {t: p for t, p in entries.items() if t <= limit}
     kept[limit + 1] = math.fsum(p for t, p in entries.items() if t > limit)
-    return Histogram._checked(kept, h.delta)
+    return Histogram._checked(kept)
 
 
 def dominates(a: Histogram, b: Histogram) -> bool:
@@ -332,8 +328,6 @@ def dominates(a: Histogram, b: Histogram) -> bool:
     answer is ``False`` there unless ``b``'s first probability is within
     the tolerance, so that case returns at once.
     """
-    if a.delta != b.delta:
-        raise DistributionError(f"resolution mismatch: {a.delta} vs {b.delta}")
     ea, eb = a._entries, b._entries
     first_b = next(iter(eb))
     if next(iter(ea)) > first_b and eb[first_b] > _DOM_EPS:
@@ -360,41 +354,31 @@ class JointDist:
     """Joint probability mass over the per-edge travel times of a path.
 
     ``edges`` fixes the coordinate order; every row is a tuple with one
-    travel time per edge.  The edges must be distinct, and the rows
+    travel time per edge, in grid units.  The edges must be distinct, and the rows
     follow the rules of a stored path weight, checked as in
     :class:`Histogram` with the messages of
     :func:`spotar.weights.load_store`.
     """
 
-    __slots__ = ("_edges", "_rows", "delta")
+    __slots__ = ("_edges", "_rows")
 
-    def __init__(
-        self,
-        edges: Sequence[str],
-        rows: Mapping[tuple[int, ...], float],
-        delta: float = 1.0,
-    ) -> None:
+    def __init__(self, edges: Sequence[str], rows: Mapping[tuple[int, ...], float]) -> None:
         edge_tuple = tuple(edges)
         _check_edges(edge_tuple)
         keys = list(map(tuple, rows))
         _check_times(_row_times(keys, len(edge_tuple)))
         probs = _check_probs(list(rows.values()))
-        self._set(edge_tuple, _entries(keys, probs, "joint"), _check_delta(delta))
+        self._edges = edge_tuple
+        self._rows = _entries(keys, probs, "joint")
 
     @classmethod
-    def _checked(
-        cls, edges: tuple[str, ...], rows: dict[tuple[int, ...], float], delta: float
-    ) -> JointDist:
+    def _checked(cls, edges: tuple[str, ...], rows: dict[tuple[int, ...], float]) -> JointDist:
         """Joint over distinct ``edges`` and rows that are already checked and
-        sorted, with a checked ``delta``; nothing is validated again."""
+        sorted; nothing is validated again."""
         self = object.__new__(cls)
-        self._set(edges, rows, delta)
-        return self
-
-    def _set(self, edges: tuple[str, ...], rows: dict[tuple[int, ...], float], delta: float) -> None:
         self._edges = edges
         self._rows = rows
-        self.delta = delta
+        return self
 
     @property
     def edges(self) -> tuple[str, ...]:
@@ -407,14 +391,10 @@ class JointDist:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, JointDist):
             return NotImplemented
-        return (
-            self.delta == other.delta
-            and self._edges == other._edges
-            and self._rows == other._rows
-        )
+        return self._edges == other._edges and self._rows == other._rows
 
     def __len__(self) -> int:
         return len(self._rows)
 
     def __repr__(self) -> str:
-        return f"JointDist({self._edges!r}, {self._rows!r}, delta={self.delta!r})"
+        return f"JointDist({self._edges!r}, {self._rows!r})"

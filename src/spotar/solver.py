@@ -186,7 +186,7 @@ class SearchQueue:
 
 
 def check_dominance(
-    queue: SearchQueue, candidate: Label, delta: float, limit: int | None = None
+    queue: SearchQueue, candidate: Label, limit: int | None = None
 ) -> list[Label] | None:
     """Compare a candidate against queued labels at the same node.
 
@@ -197,9 +197,9 @@ def check_dominance(
     dominates, which are discarded instead (empty when the costs are
     incomparable).
 
-    Only settled labels are compared, as :class:`Histogram` values of
-    resolution ``delta`` that each call builds and nothing keeps: in
-    ``PACE`` mode the histogram of a label's per-total times.  In
+    Only settled labels are compared, as :class:`Histogram` values in
+    grid units that each call builds and nothing keeps: in ``PACE`` mode
+    the histogram of a label's per-total times.  In
     ``EDGE`` mode every label is settled, and ``limit`` is ``budget -
     node_min`` at the node, the same for every label there.  Each label
     is compared kept up to the limit, with the rest of its mass at
@@ -233,9 +233,9 @@ def check_dominance(
     for other in queue.labels_at(candidate.end_node):
         if not other.settled:
             continue
-        theirs = _derived(other.cost, delta) if limit is None else clip(other.cost, limit)
+        theirs = _derived(other.cost) if limit is None else clip(other.cost, limit)
         if mine is None:
-            mine = _derived(candidate.cost, delta) if limit is None else clip(candidate.cost, limit)
+            mine = _derived(candidate.cost) if limit is None else clip(candidate.cost, limit)
         if theirs == mine or dist.dominates(theirs, mine):
             return None
         if dist.dominates(mine, theirs):
@@ -247,6 +247,9 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
     """Find the path maximizing the chance of arriving within the budget.
 
     Returns a no-path result (probability 0) when nothing can make it.
+    The budget and every time are in grid units, so ``net`` and the
+    model's store must share one ``delta``; a ``ValueError`` naming both
+    is raised when they do not.
 
     A label's priority ``r`` is its cost's ``cdf`` at ``budget -
     node_min``: the mass of the path so far at times ``k`` with ``k +
@@ -311,16 +314,19 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
     normal float (see :func:`~spotar.dist.convolve`).
     """
     t0 = time.perf_counter()
+    store = model.store
+    if net.delta != store.delta:
+        raise ValueError(
+            f"the network's time unit is {net.delta} s but the store's is {store.delta} s"
+        )
     for node_id in (query.source, query.dest):
         if not net.has_node(node_id):
             raise ValueError(f"unknown node {node_id!r}")
-    store = model.store
     edge_mode = model.mode is Mode.EDGE
     within, least = (Histogram.cdf, min_cost) if edge_mode else (times_cdf, min)
     # a PACE label is settled when none of its last max_stored_len - 1 suffixes is an open prefix
     open_prefixes = store._open_prefixes
     suffixes = [slice(-k, None) for k in range(1, store.max_stored_len)]
-    delta = store.delta
     min_times = store._min_times
     bound = make_heuristic(heuristic, net, store, query.dest, query.budget)
     events: list[tuple] = []
@@ -381,7 +387,7 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
                 visited=visited | {e.to_node},
                 settled=edge_mode or open_prefixes.isdisjoint(map(edges.__getitem__, suffixes)),
             )
-            dominated = check_dominance(queue, candidate, delta, limit if edge_mode else None)
+            dominated = check_dominance(queue, candidate, limit if edge_mode else None)
             if dominated is None:
                 record(("dominated-drop", edges, None, candidate.r))
                 continue

@@ -146,7 +146,11 @@ def load_trajectories(net: Network, path: str) -> list[TrajectoryRecord]:
 
 
 class WeightStore:
-    """Edge histograms plus joint weights for stored sub-paths."""
+    """Edge histograms plus joint weights for stored sub-paths.
+
+    Their times count units of ``delta`` seconds, which the store
+    records: the distributions hold no resolution of their own.
+    """
 
     __slots__ = (
         "delta",
@@ -182,17 +186,12 @@ class WeightStore:
         unweighted = self.fallback_edges - self._edge_weights.keys()
         if unweighted:
             raise StoreError(f"fallback edge {min(unweighted)!r} has no weight")
-        for eid, h in self._edge_weights.items():
-            if h.delta != self.delta:
-                raise StoreError(f"edge {eid!r} has resolution {h.delta}, store has {self.delta}")
         supports: dict[str, set[int]] = {}
         for key, j in self._path_weights.items():
             if j.edges != key:
                 raise StoreError(f"stored weight keyed {key!r} covers {j.edges!r}")
             if len(key) < 2:
                 raise StoreError(f"stored path weight {key!r} must span at least 2 edges")
-            if j.delta != self.delta:
-                raise StoreError(f"stored weight {key!r} has resolution {j.delta}")
             for eid, column in zip(key, zip(*j._rows)):
                 support = supports.get(eid)
                 if support is None:
@@ -281,18 +280,16 @@ def build_store(
         counts = per_edge.get(eid)
         if counts:
             total = sum(counts.values())
-            edge_weights[eid] = Histogram({t: c / total for t, c in counts.items()}, net.delta)
+            edge_weights[eid] = Histogram({t: c / total for t, c in counts.items()})
         else:
             fallback.add(eid)
             e = net.edge(eid)
-            edge_weights[eid] = point_mass(grid_seconds(e.length / e.speed_limit, net.delta), net.delta)
+            edge_weights[eid] = point_mass(grid_seconds(e.length / e.speed_limit, net.delta))
     path_weights: dict[tuple[str, ...], JointDist] = {}
     for key, counts in per_path.items():
         total = sum(counts.values())
         if total >= min_support:
-            path_weights[key] = JointDist(
-                key, {row: c / total for row, c in counts.items()}, net.delta
-            )
+            path_weights[key] = JointDist(key, {row: c / total for row, c in counts.items()})
     return WeightStore(
         delta=net.delta,
         min_support=min_support,
@@ -371,7 +368,7 @@ def _header_int(doc: dict, name: str, least: int) -> int:
 
 
 def _objects_in_bulk(
-    idents: list, n_edges: int, groups: list, delta: float
+    idents: list, n_edges: int, groups: list
 ) -> tuple[dict[str, Histogram], dict[tuple[str, ...], JointDist]] | None:
     """The edge weights and stored paths of a document, or ``None``.
 
@@ -410,13 +407,13 @@ def _objects_in_bulk(
         or len(set(path_keys)) != len(path_keys)
     ):
         return None
-    edge_weights = dict(zip(idents[:n_edges], map(Histogram._checked, edge_entries, repeat(delta))))
-    path_weights = dict(zip(path_keys, map(JointDist._checked, path_keys, path_entries, repeat(delta))))
+    edge_weights = dict(zip(idents[:n_edges], map(Histogram._checked, edge_entries)))
+    path_weights = dict(zip(path_keys, map(JointDist._checked, path_keys, path_entries)))
     return edge_weights, path_weights
 
 
 def _objects_one_by_one(
-    idents: list, groups: list, delta: float
+    idents: list, groups: list
 ) -> tuple[dict[str, Histogram], dict[tuple[str, ...], JointDist]]:
     """What :func:`_objects_in_bulk` checks and builds, one object at a time in
     document order: every rule is applied to an object before the next, its
@@ -443,11 +440,11 @@ def _objects_one_by_one(
         except DistributionError as exc:
             raise StoreFormatError(f"{name}: {exc}") from None
         if edge:
-            edge_weights[ident] = Histogram._checked(built, delta)
+            edge_weights[ident] = Histogram._checked(built)
         elif ident in path_weights:
             raise StoreFormatError(f"{name} appears twice")
         else:
-            path_weights[ident] = JointDist._checked(ident, built, delta)
+            path_weights[ident] = JointDist._checked(ident, built)
     return edge_weights, path_weights
 
 
@@ -498,8 +495,8 @@ def load_store(path: str) -> WeightStore:
         idents = [*edge_docs, *map(tuple, key_lists)]
         groups = [*edge_docs.values(), *map(itemgetter("rows"), path_docs)]
         edge_weights, path_weights = _objects_in_bulk(
-            idents, len(edge_docs), groups, delta
-        ) or _objects_one_by_one(idents, groups, delta)
+            idents, len(edge_docs), groups
+        ) or _objects_one_by_one(idents, groups)
         return WeightStore(
             delta=delta,
             min_support=min_support,
@@ -719,7 +716,7 @@ def path_cost(model: CostModel, path: Path) -> Histogram:
     steps: tuple[FoldStep, ...] = ()
     for s, unit in _cover(store, path.edges):
         steps = _fold(store, steps, s, unit)
-    return _derived(_fold_times(steps), store.delta)
+    return _derived(_fold_times(steps))
 
 
 def extend_cost(

@@ -26,7 +26,6 @@ def rand_hist(
     *,
     max_support: int = 4,
     max_time: int = 30,
-    delta: float = 1.0,
 ) -> tuple[Histogram, ExactHist]:
     """Random histogram plus its exact rational twin."""
     k = rng.randint(1, max_support)
@@ -35,7 +34,7 @@ def rand_hist(
     total = sum(weights)
     entries = {t: w / total for t, w in zip(times, weights)}
     exact = {t: Fraction(w, total) for t, w in zip(times, weights)}
-    return Histogram(entries, delta), exact
+    return Histogram(entries), exact
 
 
 def approx_dict(got, want, tol: float = 1e-9) -> None:

@@ -158,6 +158,17 @@ def test_query_straight_line_heuristic(store_file, capsys):
     assert lines[2] == "explored_edges 7"
 
 
+def test_query_on_the_store_grid(tmp_path, capsys):
+    """``query`` loads the network at the store's ``delta``, so a store
+    built at 60 seconds per unit is searched on that grid."""
+    out = tmp_path / "coarse.json"
+    argv = ["build", "--network", NETWORK, "--trajectories", TRAJECTORIES, "--out", str(out)]
+    assert main([*argv, "--delta", "60"]) == 0
+    capsys.readouterr()
+    assert run_query(str(out), "--budget", "3") == 0
+    assert capsys.readouterr().out.splitlines()[0] == "path e1,e4,e9"
+
+
 def test_query_dump_dist(store_file, capsys):
     rc = run_query(store_file, "--budget", "22", "--dump-dist")
     assert rc == 0

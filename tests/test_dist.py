@@ -31,7 +31,6 @@ def test_histogram_basics():
     assert h.times() == (2, 7, 10)
     assert list(h.items()) == [(2, 0.5), (7, 0.25), (10, 0.25)]
     assert len(h) == 3
-    assert h.delta == 1.0
 
 
 def test_histogram_drops_zero_entries():
@@ -113,13 +112,6 @@ def test_constructors_reject_nan_probability():
         JointDist(("a", "b"), {(1, 2): float("nan"), (2, 2): 1.0})
 
 
-def test_histogram_rejects_bad_delta():
-    with pytest.raises(DistributionError):
-        Histogram({1: 1.0}, delta=0.0)
-    with pytest.raises(DistributionError):
-        Histogram({1: 1.0}, delta=-60.0)
-
-
 def test_histogram_mass_tolerance_is_tight():
     Histogram({3: 0.5, 4: 0.5 + 5e-10})  # inside the mass tolerance
     with pytest.raises(DistributionError):
@@ -131,13 +123,11 @@ def test_histogram_equality():
     b = Histogram({4: 0.5, 3: 0.5})
     assert a == b
     assert a != Histogram({3: 0.5, 5: 0.5})
-    assert a != Histogram({3: 0.5, 4: 0.5}, delta=60.0)
 
 
 def test_point_mass_and_min_cost():
-    h = point_mass(11, delta=60.0)
+    h = point_mass(11)
     assert list(h.items()) == [(11, 1.0)]
-    assert h.delta == 60.0
     assert min_cost(h) == 11
     assert min_cost(Histogram({8: 0.9, 10: 0.1})) == 8
 
@@ -147,11 +137,6 @@ def test_convolve_golden_pair():
     a = Histogram({8: 0.9, 10: 0.1})
     b = Histogram({8: 0.8, 10: 0.2})
     approx_dict(convolve(a, b).items(), {16: 0.72, 18: 0.26, 20: 0.02})
-
-
-def test_convolve_requires_matching_resolution():
-    with pytest.raises(DistributionError):
-        convolve(point_mass(3, delta=1.0), point_mass(4, delta=60.0))
 
 
 def test_convolve_matches_exact_enumeration():
@@ -191,7 +176,7 @@ def test_convolve_equals_public_histogram_of_raw_sums():
         for ta, pa in a.items():
             for tb, pb in b.items():
                 raw[ta + tb] = raw.get(ta + tb, 0.0) + pa * pb
-        got, want = convolve(a, b), Histogram(raw, a.delta)
+        got, want = convolve(a, b), Histogram(raw)
         assert got == want
         assert list(got.items()) == list(want.items())
     assert convolve(tiny, tiny).times() == (3, 4)
@@ -355,11 +340,6 @@ def test_dominates_matches_exact_cdf_comparison():
         gt_somewhere = any(exact_cdf(ea, t) > exact_cdf(eb, t) for t in grid)
         want = ge_everywhere and gt_somewhere
         assert dominates(a, b) == want
-
-
-def test_dominates_requires_matching_resolution():
-    with pytest.raises(DistributionError):
-        dominates(point_mass(3, delta=1.0), point_mass(4, delta=60.0))
 
 
 def test_format_histogram():

@@ -235,10 +235,10 @@ def test_every_label_matches_its_path_cost(monkeypatch):
     """
     offered = []
 
-    def recording(queue, candidate, delta, limit=None):
+    def recording(queue, candidate, limit=None):
         offered.append((candidate.edges, candidate.cost, candidate.r,
                         candidate.node_min, candidate.settled, limit))
-        return check_dominance(queue, candidate, delta, limit)
+        return check_dominance(queue, candidate, limit)
 
     monkeypatch.setattr(solver_module, "check_dominance", recording)
     counts = {True: 0, False: 0}
@@ -260,7 +260,7 @@ def test_every_label_matches_its_path_cost(monkeypatch):
                     want = path_cost(model, Path(edges))
                     if mode is Mode.PACE:
                         assert type(cost) is dict and limit is None
-                        assert _derived(cost, store.delta) == want
+                        assert _derived(cost) == want
                         assert settled == all(edges[s:] not in open_prefixes for s in range(len(edges)))
                         counts[settled] += 1
                     elif len(edges) == 1:
@@ -738,18 +738,18 @@ def test_check_dominance_decisions():
     existing = label(("x",), "n", {2: 1.0}, 0.9)
     q.push(existing)
     same = label(("y",), "n", {2: 1.0}, 0.9)
-    assert check_dominance(q, same, 1.0) is None
+    assert check_dominance(q, same) is None
     worse = label(("y",), "n", {3: 1.0}, 0.9)
-    assert check_dominance(q, worse, 1.0) is None
+    assert check_dominance(q, worse) is None
     better = label(("y",), "n", {1: 1.0}, 0.9)
-    assert check_dominance(q, better, 1.0) == [existing]
+    assert check_dominance(q, better) == [existing]
     crossing = label(("y",), "n", {4: 0.5, 1: 0.5}, 0.9)
-    assert check_dominance(q, crossing, 1.0) == []
+    assert check_dominance(q, crossing) == []
     elsewhere = label(("y",), "m", {3: 1.0}, 0.9)
-    assert check_dominance(q, elsewhere, 1.0) == []
+    assert check_dominance(q, elsewhere) == []
     unsettled = label(("y",), "n", {1: 1.0}, 0.9)
     unsettled.settled = False
-    assert check_dominance(q, unsettled, 1.0) == []
+    assert check_dominance(q, unsettled) == []
 
 
 def test_check_dominance_can_replace_several():
@@ -759,5 +759,5 @@ def test_check_dominance_can_replace_several():
     q.push(slow_a)
     q.push(slow_b)
     fast = label(("z",), "n", {1: 1.0}, 0.9)
-    out = check_dominance(q, fast, 1.0)
+    out = check_dominance(q, fast)
     assert set(map(id, out)) == {id(slow_a), id(slow_b)}

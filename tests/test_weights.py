@@ -11,8 +11,10 @@ import random
 import pytest
 
 from spotar.dist import MASS_TOL, Histogram, JointDist, _derived, convolve, min_cost, times_cdf
+from spotar.heuristic import HeuristicKind
 from spotar.network import Path, Query, load_network
 from spotar.oracle import enumerate_simple_paths, gen_instance
+from spotar.solver import solve
 from spotar.weights import (
     CostModel,
     InconsistentWeightsError,
@@ -187,13 +189,9 @@ def test_build_store_window_spans(sample_net):
         build_store(sample_net, [rec], max_unit_len=1)
 
 
-def test_build_store_coarser_grid_equivalent(tmp_path):
-    # Scaling every duration by sixty and loading on a sixty-second grid
-    # lands on identical unit values.
-    import pathlib
-
-    from spotar.network import load_network
-
+def _coarse_store(tmp_path) -> WeightStore:
+    """The sample store built on a sixty-second grid from the sample
+    trajectories with every duration scaled by sixty."""
     data = pathlib.Path(__file__).parent / "data"
     lines = []
     for rec_line in (data / "sample_trajectories.csv").read_text().splitlines():
@@ -208,13 +206,29 @@ def test_build_store_coarser_grid_equivalent(tmp_path):
     scaled = tmp_path / "scaled.csv"
     scaled.write_text("\n".join(lines) + "\n")
     coarse_net = load_network(str(data / "sample_network.csv"), delta=60.0)
-    records = load_trajectories(coarse_net, str(scaled))
-    coarse = build_store(coarse_net, records, min_support=10)
+    return build_store(coarse_net, load_trajectories(coarse_net, str(scaled)), min_support=10)
+
+
+def test_build_store_coarser_grid_equivalent(tmp_path):
+    # Scaling every duration by sixty and loading on a sixty-second grid
+    # lands on identical unit values.
+    coarse = _coarse_store(tmp_path)
     assert coarse.delta == 60.0
     approx_dict(coarse.edge_weight("e1").items(), {8: 0.9, 10: 0.1})
     approx_dict(
         coarse.path_weight(("e1", "e4")).rows(), {(8, 6): 0.8, (10, 10): 0.2}
     )
+
+
+@pytest.mark.parametrize("kind", list(HeuristicKind))
+@pytest.mark.parametrize("mode", list(Mode))
+def test_solve_rejects_a_store_on_another_grid(tmp_path, sample_net, kind, mode):
+    """A budget counts units of one ``delta``, which the network and the
+    store must share: a one-second network with a sixty-second store is
+    refused, naming both units, rather than answered."""
+    model = CostModel(_coarse_store(tmp_path), mode)
+    with pytest.raises(ValueError, match=r"1\.0 s.*60\.0 s"):
+        solve(sample_net, model, kind, Query("s", "d", 22))
 
 
 def test_store_validation_errors():
@@ -232,8 +246,6 @@ def test_store_validation_errors():
             edge_weights={"a": h},
             path_weights={("a",): JointDist(("a",), {(5,): 1.0})},
         )
-    with pytest.raises(StoreError):  # resolution mismatch on an edge
-        WeightStore(**ok, edge_weights={"a": Histogram({5: 1.0}, delta=60.0)}, path_weights={})
     with pytest.raises(StoreError):  # stored path uses an unweighted edge
         WeightStore(
             **ok,
@@ -431,12 +443,12 @@ def test_loaded_objects_equal_public_constructions(tmp_path, sample_store):
         loaded = load_store(str(out))
         for eid in loaded.edge_ids():
             h = loaded.edge_weight(eid)
-            public = Histogram(dict(reversed(list(h.items()))), h.delta)
+            public = Histogram(dict(reversed(list(h.items()))))
             assert h == public
             assert list(h.items()) == list(public.items())
         for key in loaded.stored_paths():
             j = loaded.path_weight(key)
-            public = JointDist(j.edges, dict(reversed(list(j.rows()))), j.delta)
+            public = JointDist(j.edges, dict(reversed(list(j.rows()))))
             assert j == public
             assert list(j.rows()) == list(public.rows())
         _assert_same_store(loaded, store)
@@ -677,7 +689,7 @@ def test_one_extension_replaces_two_units():
     for n in range(1, 6):
         parent = state
         cost, state = extend_cost(model, state, edges[:n])
-        assert _derived(cost, model.store.delta) == path_cost(model, Path(edges[:n]))
+        assert _derived(cost) == path_cost(model, Path(edges[:n]))
     assert [step[:2] for step in state] == [(0, ("A", "B")), (1, ("B", "C", "D", "E"))]
     assert len(parent) == 3 and state[0] is parent[0]
     approx_dict(cost.items(), {5: 0.5, 10: 0.5}, tol=1e-12)
@@ -776,7 +788,7 @@ def test_path_cost_of_stored_path_is_exactly_its_weight(sample_store, pace_model
         by_total = {}
         for row, p in sample_store.path_weight(key).rows():
             by_total[sum(row)] = by_total.get(sum(row), 0.0) + p
-        assert path_cost(pace_model, Path(key)) == Histogram(by_total, sample_store.delta)
+        assert path_cost(pace_model, Path(key)) == Histogram(by_total)
 
 
 def test_path_cost_matches_explicit_joint_on_random_instances():
@@ -867,7 +879,7 @@ def test_resumed_fold_equals_fold_from_scratch():
                         break
                     cost, grown = extend_cost(model, state, prefix.edges)
                     assert type(cost) is dict and 0.0 not in cost.values()
-                    assert _derived(cost, model.store.delta) == want
+                    assert _derived(cost) == want
                     assert [step[:2] for step in grown] == greedy_cover(model.store, prefix.edges)
                     if state is not None:
                         shared = 0
@@ -937,7 +949,7 @@ def reference_fold_cost(store, state):
     for (done, tail), p in state.items():
         t = done + sum(tail)
         out[t] = out.get(t, 0.0) + p
-    return _derived(out, store.delta)
+    return _derived(out)
 
 
 def joint_cost(store, edges):
@@ -984,7 +996,7 @@ def test_fold_keyed_by_total_equals_reference_fold():
                     ref[k:] = [want]
                     got = list(steps[-1][2].items())
                     assert got == [((done + sum(tail), tail), q) for (done, tail), q in want.items()]
-                    assert _derived(_fold_times(steps), store.delta) == reference_fold_cost(store, want)
+                    assert _derived(_fold_times(steps)) == reference_fold_cost(store, want)
                     steps_checked += 1
                     skipped += grew_past
     assert steps_checked >= 2000
@@ -992,10 +1004,10 @@ def test_fold_keyed_by_total_equals_reference_fold():
     assert inconsistent >= 20
 
 
-def assert_times_read_as_their_histogram(times, delta=1.0):
+def assert_times_read_as_their_histogram(times):
     """The solver's reads of per-total times equal the sorted histogram's,
     bit for bit, at every time from below the minimum to past the maximum."""
-    hist = _derived(times, delta)
+    hist = _derived(times)
     assert 0.0 not in times.values()
     assert min(times) == min_cost(hist)
     for t in range(min(times) - 1, max(times) + 2):
@@ -1038,7 +1050,7 @@ def test_per_total_times_read_as_their_histogram():
                         times, state = extend_cost(model, state, p.edges[:n])
                     except InconsistentWeightsError:
                         break
-                    assert_times_read_as_their_histogram(times, model.store.delta)
+                    assert_times_read_as_their_histogram(times)
                     checked += 1
     assert checked >= 500
 
