@@ -32,13 +32,11 @@ class HeuristicKind(enum.Enum):
 
 @dataclass(frozen=True)
 class MinTree:
-    """Minimum travel times (in units) from every node to ``dest``.
+    """Minimum travel times (in units) from every node to one destination.
 
-    Nodes whose minimum exceeds ``budget`` are absent.
+    Nodes whose minimum exceeds the budget the tree was built for are absent.
     """
 
-    dest: str
-    budget: int
     mins: dict[str, int]
 
     def get_min(self, node_id: str) -> int | None:
@@ -73,7 +71,7 @@ def build_min_tree(net: Network, store: WeightStore, dest: str, budget: int) -> 
                     raise _no_weight(e.edge_id) from None
                 if t <= budget:
                     push(heap, (t, e.from_node))
-    return MinTree(dest, budget, mins)
+    return MinTree(mins)
 
 
 class TreeBound:
@@ -125,4 +123,6 @@ def make_heuristic(
     """Build the bound of the requested kind for one destination/budget."""
     if kind is HeuristicKind.SP:
         return TreeBound(build_min_tree(net, store, dest, budget))
-    return StraightLineBound(net, dest)
+    if kind is HeuristicKind.BA:
+        return StraightLineBound(net, dest)
+    raise ValueError(f"heuristic {kind!r} is not a HeuristicKind")

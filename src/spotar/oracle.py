@@ -218,8 +218,6 @@ class VerifyCase:
     solver_prob: float
     oracle_prob: float
     achieved_prob: float
-    solver_path: Path | None
-    oracle_path: Path | None
 
     @property
     def match(self) -> bool:
@@ -268,7 +266,7 @@ def verify_instances(
         query = Query(source, dest, budget)
         for mode in (Mode.PACE, Mode.EDGE):
             model = CostModel(store, mode)
-            oracle_path, oracle_prob = exact_spotar(net, model, query)
+            _, oracle_prob = exact_spotar(net, model, query)
             for kind in (HeuristicKind.SP, HeuristicKind.BA):
                 res = solve(net, model, kind, query)
                 if res.path is None:
@@ -284,8 +282,6 @@ def verify_instances(
                         solver_prob=res.probability,
                         oracle_prob=oracle_prob,
                         achieved_prob=achieved,
-                        solver_path=res.path,
-                        oracle_path=oracle_path,
                     )
                 )
     return cases

@@ -175,9 +175,6 @@ class SearchQueue:
                 return label
         return None
 
-    def remove(self, label: Label) -> None:
-        label.alive = False
-
     def labels_at(self, node_id: str) -> list[Label]:
         """Live labels ending at a node, oldest first."""
         found = [lab for lab in self._by_node.get(node_id, ()) if lab.alive]
@@ -392,7 +389,7 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
                 record(("dominated-drop", edges, None, candidate.r))
                 continue
             for other in dominated:
-                queue.remove(other)
+                other.alive = False
                 record(("dominated-out", other.edges))
             record(("push", edges, None, candidate.r))
             queue.push(candidate)

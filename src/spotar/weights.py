@@ -149,7 +149,12 @@ class WeightStore:
     """Edge histograms plus joint weights for stored sub-paths.
 
     Their times count units of ``delta`` seconds, which the store
-    records: the distributions hold no resolution of their own.
+    records: the distributions hold no resolution of their own.  Every
+    store, built, loaded or made directly, meets the checks here:
+    ``delta`` is a positive, finite number, not a ``bool``;
+    ``min_support`` is an ``int`` of at least 1 and ``max_unit_len`` one
+    of at least 2, neither a ``bool``; ``mode`` is a :class:`Mode`; and
+    the weights fit together.
     """
 
     __slots__ = (
@@ -176,9 +181,16 @@ class WeightStore:
         path_weights: Mapping[tuple[str, ...], JointDist],
         fallback_edges: Iterable[str] = (),
     ) -> None:
-        self.delta = float(delta)
-        self.min_support = int(min_support)
-        self.max_unit_len = int(max_unit_len)
+        if isinstance(delta, bool) or not isinstance(delta, (int, float)):
+            raise StoreError(f"delta {delta!r} is not a number")
+        for name, value, least in (("min_support", min_support, 1), ("max_unit_len", max_unit_len, 2)):
+            if type(value) is not int or value < least:
+                raise StoreError(f"{name} {value!r} is not an integer of at least {least}")
+        if not isinstance(mode, Mode):
+            raise StoreError(f"mode {mode!r} is not a Mode")
+        self.delta = _check_delta(delta)
+        self.min_support = min_support
+        self.max_unit_len = max_unit_len
         self.mode = mode
         self._edge_weights = dict(sorted(edge_weights.items()))
         self._path_weights = dict(sorted(path_weights.items()))
@@ -252,12 +264,9 @@ def build_store(
     trajectory feeds a joint candidate; candidates traversed end-to-end
     by at least ``min_support`` trips are kept.  Edges with no
     observations at all fall back to a point mass at their speed-limit
-    travel time.
+    travel time.  The :class:`WeightStore` constructor checks
+    ``min_support``, ``mode`` and ``max_unit_len``.
     """
-    if min_support < 1:
-        raise ValueError(f"min_support must be >= 1, got {min_support}")
-    if max_unit_len < 2:
-        raise ValueError(f"max_unit_len must be >= 2, got {max_unit_len}")
     per_edge: dict[str, dict[int, int]] = {}
     per_path: dict[tuple[str, ...], dict[tuple[int, ...], int]] = {}
     for rec in records:
@@ -359,14 +368,6 @@ def _gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _header_int(doc: dict, name: str, least: int) -> int:
-    """The header field ``name``, which must be an ``int`` (not a ``bool``) of at least ``least``."""
-    value = doc[name]
-    if type(value) is not int or value < least:
-        raise StoreFormatError(f"{name} {value!r} is not an integer of at least {least}")
-    return value
-
-
 def _objects_in_bulk(
     idents: list, n_edges: int, groups: list
 ) -> tuple[dict[str, Histogram], dict[tuple[str, ...], JointDist]] | None:
@@ -452,6 +453,10 @@ def _objects_one_by_one(
 def load_store(path: str) -> WeightStore:
     """Read a store written by :func:`save_store`, checking the whole document.
 
+    The loader checks the document's shape (format, version, container
+    types, the mode's name, ``fallback_edges``) and passes the header
+    values as they are to the :class:`WeightStore` constructor, which
+    checks them; its errors read ``malformed store:`` and their message.
     A stored object's entries follow the rules of the :class:`Histogram`
     and :class:`JointDist` constructors, checked by the same functions, and
     an error is their message after the object's name.  A document that
@@ -472,11 +477,6 @@ def load_store(path: str) -> WeightStore:
     if doc.get("version") != STORE_VERSION:
         raise StoreFormatError(f"unsupported version {doc.get('version')!r}")
     try:
-        if type(doc["delta"]) not in (float, int):
-            raise StoreFormatError(f"delta {doc['delta']!r} is not a number")
-        delta = _check_delta(float(doc["delta"]))
-        min_support = _header_int(doc, "min_support", 1)
-        max_unit_len = _header_int(doc, "max_unit_len", 2)
         mode = Mode.parse(_expect(doc["mode"], str, "mode"))
         fallback = _expect(doc["fallback_edges"], list, "fallback_edges")
         if not set(map(type, fallback)) <= {str}:
@@ -498,9 +498,9 @@ def load_store(path: str) -> WeightStore:
             idents, len(edge_docs), groups
         ) or _objects_one_by_one(idents, groups)
         return WeightStore(
-            delta=delta,
-            min_support=min_support,
-            max_unit_len=max_unit_len,
+            delta=doc["delta"],
+            min_support=doc["min_support"],
+            max_unit_len=doc["max_unit_len"],
             mode=mode,
             edge_weights=edge_weights,
             path_weights=path_weights,
@@ -520,6 +520,8 @@ class CostModel:
     mode: Mode
 
     def __post_init__(self) -> None:
+        if not isinstance(self.mode, Mode):
+            raise ValueError(f"mode {self.mode!r} is not a Mode")
         if self.mode is Mode.PACE and self.store.mode is not Mode.PACE:
             raise StoreError("store was built without path weights; cannot evaluate in pace mode")
 

@@ -337,7 +337,7 @@ def test_verify_passes_max_unit_len_to_the_store(monkeypatch, capsys):
     assert spans == [8, 8, 3, 3]
     assert capsys.readouterr().out.splitlines()[-1] == "checked 8 cases: 8 ok, 0 mismatches"
     assert main(argv + ["--max-unit-len", "1"]) == 1
-    assert capsys.readouterr().err.startswith("error: max_unit_len must be >= 2")
+    assert capsys.readouterr().err.startswith("error: max_unit_len 1 is not an integer of at least 2")
 
 
 def test_verify_detects_mutation(monkeypatch, capsys):

@@ -75,13 +75,19 @@ def test_runtime_imports_only_the_standard_library():
     assert outside == []
 
 
+def _tracer_module():
+    """The benchmark's ``citybench/tracer.py``, imported from its file."""
+    spec = importlib.util.spec_from_file_location("citybench_tracer", ROOT / "citybench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 def test_tracer_finds_every_target_and_reports_every_per_layer_metric():
     """A target the tracer cannot find is skipped at run time, and the
     per-layer metrics that need it silently drop out of the benchmark's
     result, so a renamed or deleted target fails here instead."""
-    spec = importlib.util.spec_from_file_location("citybench_tracer", ROOT / "citybench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _tracer_module()
     tr = tracer.Tracer()
     try:
         tr.install()
@@ -91,3 +97,32 @@ def test_tracer_finds_every_target_and_reports_every_per_layer_metric():
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
     reported = set(tracer.LAYER_METRICS) | {"solver.self_s", "trace.overhead_ratio"}
     assert {m["name"] for m in declared} <= reported
+
+
+def test_tracer_counts_what_each_layer_does(tmp_path):
+    """Besides the targets, the tracer reads attributes of their results, some
+    with a default (an ``sp`` bound's ``tree``), so a renamed attribute
+    would count nothing while every name still resolves.  Traced: the sample
+    store is built, saved and loaded, and one query is solved with each bound."""
+    tracer = _tracer_module()
+    tr = tracer.Tracer()
+    data = ROOT / "tests" / "data"
+    try:
+        tr.install()
+        net = spotar.load_network(str(data / "sample_network.csv"))
+        records = spotar.load_trajectories(net, str(data / "sample_trajectories.csv"))
+        spotar.save_store(spotar.build_store(net, records), str(tmp_path / "weights.json"))
+        model = spotar.CostModel(spotar.load_store(str(tmp_path / "weights.json")), spotar.Mode.PACE)
+        for kind in spotar.HeuristicKind:
+            spotar.solve(net, model, kind, spotar.Query("s", "d", 22))
+    finally:
+        tr.uninstall()
+    metrics = tracer.layer_metrics(tr, 1.0)
+    counted = [
+        "heuristic.tree_nodes",
+        "heuristic.bound_calls",
+        "solver.expanded_labels",
+        "solver.transcript_events",
+        "weights.stored_paths",
+    ]
+    assert {name: metrics[name][0] for name in counted if metrics[name][0] <= 0} == {}

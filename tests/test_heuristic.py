@@ -16,8 +16,9 @@ from spotar.heuristic import (
     build_min_tree,
     make_heuristic,
 )
-from spotar.network import Network, Node
+from spotar.network import Network, Node, Query
 from spotar.oracle import gen_instance
+from spotar.solver import solve
 from spotar.weights import build_store
 
 from _util import rand_hist
@@ -28,6 +29,14 @@ def test_heuristic_kind_parse():
     assert HeuristicKind.parse("BA") is HeuristicKind.BA
     with pytest.raises(ValueError):
         HeuristicKind.parse("astar")
+
+
+def test_make_heuristic_and_solve_reject_a_kind_name(sample_net, sample_store, pace_model):
+    """A bound name is not a :class:`HeuristicKind`, whichever bound it names."""
+    with pytest.raises(ValueError, match="^heuristic 'sp' is not a HeuristicKind$"):
+        make_heuristic("sp", sample_net, sample_store, "d", 22)
+    with pytest.raises(ValueError, match="^heuristic 'sp' is not a HeuristicKind$"):
+        solve(sample_net, pace_model, "sp", Query("s", "d", 22))
 
 
 def test_min_tree_sample_values(sample_net, sample_store):

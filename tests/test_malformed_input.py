@@ -92,6 +92,16 @@ STORE_CASES = [
      "max_unit_len 2.9 is not an integer of at least 2"),
     ("delta '1.0'", lambda d: d.update(delta="1.0"), "delta '1.0' is not a number"),
     ("delta true", lambda d: d.update(delta=True), "delta True is not a number"),
+    ("fallback edge id 3", lambda d: d.update(fallback_edges=[3]), "fallback_edges must hold edge ids"),
+    ("path weight is a list", lambda d: d.update(path_weights=[[]]), "path_weights must hold objects"),
+    ("stored path edges are a string", lambda d: d["path_weights"][0].update(edges="e1,e4"),
+     "the edges of a stored path must be a list"),
+    ("entries are an object", lambda d: d["edge_weights"].update(e1={"8": 1.0}),
+     "edge 'e1': entries must be a list of lists"),
+    ("entry of three items", lambda d: d["edge_weights"].update(e1=[[8, 0.9, 1], [10, 0.1]]),
+     "edge 'e1': an entry is not a pair"),
+    ("stored path listed twice", lambda d: d["path_weights"].append(d["path_weights"][0]),
+     "stored path ('e1', 'e4') appears twice"),
     ("fallback edge with no weight", lambda d: d.update(fallback_edges=["nope"]),
      "fallback edge 'nope' has no weight"),
     ("fallback edge listed twice", lambda d: d.update(fallback_edges=["e3", "e3", "e7", "e8"]),

@@ -314,11 +314,11 @@ def test_gen_instance_rejects_bad_parameters():
 
 def test_verify_case_match_property():
     q = Query("a", "b", 5)
-    ok = VerifyCase(0, Mode.PACE, HeuristicKind.SP, q, 0.5, 0.5, 0.5, None, None)
+    ok = VerifyCase(0, Mode.PACE, HeuristicKind.SP, q, 0.5, 0.5, 0.5)
     assert ok.match
-    off = VerifyCase(0, Mode.PACE, HeuristicKind.SP, q, 0.5, 0.6, 0.5, None, None)
+    off = VerifyCase(0, Mode.PACE, HeuristicKind.SP, q, 0.5, 0.6, 0.5)
     assert not off.match
-    lying = VerifyCase(0, Mode.PACE, HeuristicKind.SP, q, 0.5, 0.5, 0.4, None, None)
+    lying = VerifyCase(0, Mode.PACE, HeuristicKind.SP, q, 0.5, 0.5, 0.4)
     assert not lying.match
 
 

@@ -262,6 +262,38 @@ def test_store_validation_errors():
         WeightStore(**ok, edge_weights={"a": h}, path_weights={}, fallback_edges=["a", "b"])
 
 
+# (field, bad value); each is rejected with a message that starts with the field
+BAD_HEADERS = [
+    ("delta", 0.0),
+    ("delta", float("nan")),
+    ("delta", "1.0"),
+    ("delta", True),
+    ("min_support", 0),
+    ("min_support", 2.7),
+    ("min_support", True),
+    ("max_unit_len", 1),
+    ("mode", "pace"),
+]
+
+
+@pytest.mark.parametrize("field, value", BAD_HEADERS, ids=[f"{f}={v!r}" for f, v in BAD_HEADERS])
+def test_store_rejects_a_bad_header(field, value):
+    """The constructor checks the header of a store made directly, as it
+    does for every built or loaded one: nothing is coerced or truncated."""
+    header = {**dict(delta=1.0, min_support=1, max_unit_len=8, mode=Mode.PACE), field: value}
+    with pytest.raises(ValueError) as bad:
+        WeightStore(**header, edge_weights={"a": Histogram({5: 1.0})}, path_weights={})
+    assert str(bad.value).startswith(field)
+
+
+@pytest.mark.parametrize("field, value", [("min_support", 2.5), ("mode", "pace")])
+def test_build_store_rejects_a_bad_header(sample_net, sample_records, field, value):
+    """A built store meets the constructor's header rules: a fractional
+    support is not truncated and a mode name is not taken for a mode."""
+    with pytest.raises(ValueError, match=f"^{field} {value!r} "):
+        build_store(sample_net, sample_records, **{field: value})
+
+
 def test_store_lookup_errors(sample_store):
     with pytest.raises(StoreError):
         sample_store.edge_weight("e99")
@@ -496,6 +528,12 @@ def test_cost_model_requires_path_weights_for_pace(sample_net, sample_records):
     CostModel(edge_store, Mode.EDGE)
     with pytest.raises(StoreError):
         CostModel(edge_store, Mode.PACE)
+
+
+def test_cost_model_rejects_a_mode_name(sample_store):
+    """A mode name is not a :class:`Mode`; ``Mode.parse`` turns one into it."""
+    with pytest.raises(ValueError, match="^mode 'edge' is not a Mode$"):
+        CostModel(sample_store, "edge")
 
 
 # ------------------------------------------------------------- coverings
