@@ -31,9 +31,16 @@ class DistributionError(ValueError):
 
 
 def _check_delta(delta: float) -> float:
+    """``delta`` as a float, after checking that it is positive and finite
+    as a float: an ``int`` too large for one is refused too."""
     if not 0.0 < delta < math.inf:
         raise DistributionError(f"delta must be positive and finite, got {delta!r}")
-    return float(delta)
+    try:
+        return float(delta)
+    except OverflowError:
+        raise DistributionError(
+            "delta must be positive and finite, got an int too large for a float"
+        ) from None
 
 
 def _check_times(times: Sequence[object]) -> None:

@@ -22,8 +22,8 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import chain, filterfalse, repeat, starmap
+from operator import attrgetter, itemgetter
 
 from .dist import (
     DistributionError,
@@ -90,7 +90,10 @@ def grid_seconds(seconds: float, delta: float) -> int:
         raise ValueError(f"duration {seconds!r} is not finite")
     if seconds < 0:
         raise ValueError(f"negative duration {seconds!r}")
-    return max(1, math.floor(seconds / delta + 0.5))
+    units = seconds / delta + 0.5
+    if units == math.inf:
+        raise ValueError(f"duration {seconds!r} is too long for a grid of {delta!r} s")
+    return max(1, math.floor(units))
 
 
 @dataclass(frozen=True)
@@ -145,6 +148,43 @@ def load_trajectories(net: Network, path: str) -> list[TrajectoryRecord]:
     return records
 
 
+def _check_header(delta: object, min_support: object, max_unit_len: object, mode: object) -> float:
+    """``delta`` as a float, after checking the header rules of every store
+    (see :class:`WeightStore`)."""
+    if isinstance(delta, bool) or not isinstance(delta, (int, float)):
+        raise StoreError(f"delta {delta!r} is not a number")
+    for name, value, least in (("min_support", min_support, 1), ("max_unit_len", max_unit_len, 2)):
+        if type(value) is not int or value < least:
+            raise StoreError(f"{name} {value!r} is not an integer of at least {least}")
+    if not isinstance(mode, Mode):
+        raise StoreError(f"mode {mode!r} is not a Mode")
+    return _check_delta(delta)
+
+
+def _joints_fit(
+    edge_weights: dict[str, Histogram], path_weights: dict[tuple[str, ...], JointDist]
+) -> bool:
+    """Whether every stored weight fits the store: its key is its edges,
+    at least two, each with an edge weight whose times hold the joint's
+    column for that edge.
+
+    Each rule is one C-level pass over all of the joints.  A joint holds at
+    least one row, each with one time per edge, so its columns
+    (``zip(*rows)``) line up with its key's edges.
+    """
+    keys = list(path_weights)
+    joints = path_weights.values()
+    if list(map(attrgetter("edges"), joints)) != keys or min(map(len, keys), default=2) < 2:
+        return False
+    used = set(chain.from_iterable(keys))
+    if not edge_weights.keys() >= used:
+        return False
+    times = map(attrgetter("_entries"), map(edge_weights.__getitem__, used))
+    supports = dict(zip(used, map(set, times)))
+    columns = chain.from_iterable(starmap(zip, map(attrgetter("_rows"), joints)))
+    return all(map(set.issuperset, map(supports.__getitem__, chain.from_iterable(keys)), columns))
+
+
 class WeightStore:
     """Edge histograms plus joint weights for stored sub-paths.
 
@@ -181,14 +221,7 @@ class WeightStore:
         path_weights: Mapping[tuple[str, ...], JointDist],
         fallback_edges: Iterable[str] = (),
     ) -> None:
-        if isinstance(delta, bool) or not isinstance(delta, (int, float)):
-            raise StoreError(f"delta {delta!r} is not a number")
-        for name, value, least in (("min_support", min_support, 1), ("max_unit_len", max_unit_len, 2)):
-            if type(value) is not int or value < least:
-                raise StoreError(f"{name} {value!r} is not an integer of at least {least}")
-        if not isinstance(mode, Mode):
-            raise StoreError(f"mode {mode!r} is not a Mode")
-        self.delta = _check_delta(delta)
+        self.delta = _check_header(delta, min_support, max_unit_len, mode)
         self.min_support = min_support
         self.max_unit_len = max_unit_len
         self.mode = mode
@@ -198,6 +231,15 @@ class WeightStore:
         unweighted = self.fallback_edges - self._edge_weights.keys()
         if unweighted:
             raise StoreError(f"fallback edge {min(unweighted)!r} has no weight")
+        if not _joints_fit(self._edge_weights, self._path_weights):
+            self._name_misfit()
+        self._max_len = max(map(len, self._path_weights), default=1)
+        # a path is settled when none of its suffixes is one of these (see spotar.solver)
+        self._open_prefixes = frozenset(key[:j] for key in self._path_weights for j in range(1, len(key)))
+        self._min_times = {eid: min_cost(h) for eid, h in self._edge_weights.items()}
+
+    def _name_misfit(self) -> None:
+        """Raise for the first stored weight, in key order, that does not fit the store."""
         supports: dict[str, set[int]] = {}
         for key, j in self._path_weights.items():
             if j.edges != key:
@@ -214,10 +256,6 @@ class WeightStore:
                     raise StoreError(
                         f"stored weight {key!r} has times for {eid!r} outside its edge weight"
                     )
-        self._max_len = max(map(len, self._path_weights), default=1)
-        # a path is settled when none of its suffixes is one of these (see spotar.solver)
-        self._open_prefixes = frozenset(key[:j] for key in self._path_weights for j in range(1, len(key)))
-        self._min_times = {eid: min_cost(h) for eid, h in self._edge_weights.items()}
 
     def edge_weight(self, edge_id: str) -> Histogram:
         try:
@@ -264,50 +302,95 @@ def build_store(
     trajectory feeds a joint candidate; candidates traversed end-to-end
     by at least ``min_support`` trips are kept.  Edges with no
     observations at all fall back to a point mass at their speed-limit
-    travel time.  The :class:`WeightStore` constructor checks
-    ``min_support``, ``mode`` and ``max_unit_len``.
+    travel time.
+
+    The header is checked first, by the :class:`WeightStore` constructor's
+    rules.  One pass over the records then adds each record's count to
+    one flat count per (edge, time) and one per (window edges, window
+    times); the counts are regrouped per edge and per window by
+    :func:`_shares`.  The histograms and joints are built without the
+    public constructors' entry checks, which these entries cannot fail:
+    every time is an ``int`` of at least 1, as a :class:`TrajectoryRecord`
+    holds; every probability is a share in ``(0, 1]``; each group's keys
+    are distinct and sorted; and each share is its exact value rounded by
+    at most half an ulp, so a group's shares sum to 1 within about 1e-16,
+    far inside ``MASS_TOL``.  What construction does not imply is checked:
+    an edge the network lacks (the first in record order is named), a
+    kept window over a repeated edge (only a :class:`Path` not made by
+    :func:`~spotar.network.make_path` holds one), and a share that
+    underflows to 0.0, which is dropped as the constructors drop it.
     """
-    per_edge: dict[str, dict[int, int]] = {}
-    per_path: dict[tuple[str, ...], dict[tuple[int, ...], int]] = {}
+    _check_header(net.delta, min_support, max_unit_len, mode)
+    edge_counts: dict[tuple[str, int], int] = {}
+    path_counts: dict[tuple[tuple[str, ...], tuple[int, ...]], int] = {}
+    windows: dict[int, list[slice]] = {}  # trip length -> its windows' slices
+    pace = mode is Mode.PACE
     for rec in records:
-        for eid, t in zip(rec.path.edges, rec.times):
-            if not net.has_edge(eid):
-                raise StoreError(f"trajectory uses unknown edge {eid!r}")
-            per_edge.setdefault(eid, {}).setdefault(t, 0)
-            per_edge[eid][t] += rec.count
-        if mode is Mode.PACE:
-            n = len(rec.path.edges)
-            for span in range(2, min(n, max_unit_len) + 1):
-                for s in range(n - span + 1):
-                    key = rec.path.edges[s : s + span]
-                    row = rec.times[s : s + span]
-                    per_path.setdefault(key, {}).setdefault(row, 0)
-                    per_path[key][row] += rec.count
+        edges, times, count = rec.path.edges, rec.times, rec.count
+        for key in zip(edges, times):
+            edge_counts[key] = edge_counts.get(key, 0) + count
+        if pace:
+            spans = windows.get(len(edges))
+            if spans is None:
+                n = len(edges)
+                spans = windows[n] = [
+                    slice(s, s + span)
+                    for span in range(2, min(n, max_unit_len) + 1)
+                    for s in range(n - span + 1)
+                ]
+            for w in spans:
+                key = (edges[w], times[w])
+                path_counts[key] = path_counts.get(key, 0) + count
+    unknown = next(filterfalse(net.has_edge, dict.fromkeys(map(itemgetter(0), edge_counts))), None)
+    if unknown is not None:
+        raise StoreError(f"trajectory uses unknown edge {unknown!r}")
     edge_weights: dict[str, Histogram] = {}
     fallback: set[str] = set()
+    observed = _shares(edge_counts, 1)
     for eid in net.edge_ids:
-        counts = per_edge.get(eid)
-        if counts:
-            total = sum(counts.values())
-            edge_weights[eid] = Histogram({t: c / total for t, c in counts.items()})
+        entries = observed.get(eid)
+        if entries is not None:
+            edge_weights[eid] = Histogram._checked(entries)
         else:
             fallback.add(eid)
             e = net.edge(eid)
             edge_weights[eid] = point_mass(grid_seconds(e.length / e.speed_limit, net.delta))
-    path_weights: dict[tuple[str, ...], JointDist] = {}
-    for key, counts in per_path.items():
-        total = sum(counts.values())
-        if total >= min_support:
-            path_weights[key] = JointDist(key, {row: c / total for row, c in counts.items()})
+    kept = _shares(path_counts, min_support)
+    if not _distinct_edges_in_bulk(list(kept)):
+        for key in kept:
+            _check_edges(key)
     return WeightStore(
         delta=net.delta,
         min_support=min_support,
         max_unit_len=max_unit_len,
         mode=mode,
         edge_weights=edge_weights,
-        path_weights=path_weights,
+        path_weights=dict(zip(kept, map(JointDist._checked, kept, kept.values()))),
         fallback_edges=fallback,
     )
+
+
+def _shares(counts: dict[tuple, int], least: int) -> dict:
+    """``{ident: {key: share}}`` from trip counts keyed ``(ident, key)``.
+
+    A share is the key's count over the total of its ident's counts;
+    idents whose total is below ``least`` are left out.  Each ident's keys
+    are sorted, and a share that underflowed to 0.0 is dropped.
+    """
+    groups: dict = {}
+    for (ident, key), c in counts.items():
+        group = groups.get(ident)
+        if group is None:
+            groups[ident] = {key: c}
+        else:
+            group[key] = c
+    out = {}
+    for ident, group in groups.items():
+        total = sum(group.values())
+        if total >= least:
+            shares = {k: group[k] / total for k in sorted(group)}
+            out[ident] = shares if 0.0 not in shares.values() else {k: p for k, p in shares.items() if p}
+    return out
 
 
 def save_store(store: WeightStore, path: str) -> None:

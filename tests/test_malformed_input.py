@@ -92,6 +92,8 @@ STORE_CASES = [
      "max_unit_len 2.9 is not an integer of at least 2"),
     ("delta '1.0'", lambda d: d.update(delta="1.0"), "delta '1.0' is not a number"),
     ("delta true", lambda d: d.update(delta=True), "delta True is not a number"),
+    ("delta 10**400", lambda d: d.update(delta=10**400),
+     "malformed store: delta must be positive and finite, got an int too large for a float"),
     ("fallback edge id 3", lambda d: d.update(fallback_edges=[3]), "fallback_edges must hold edge ids"),
     ("path weight is a list", lambda d: d.update(path_weights=[[]]), "path_weights must hold objects"),
     ("stored path edges are a string", lambda d: d["path_weights"][0].update(edges="e1,e4"),
@@ -186,6 +188,16 @@ def test_build_rejects_infinite_trajectory_time(tmp_path, capsys):
     argv = ["build", "--network", NETWORK, "--trajectories", str(trajectories)]
     assert main([*argv, "--out", str(tmp_path / "w.json")]) == 1
     assert "line 1: duration inf is not finite" in _single_error_line(capsys)
+
+
+def test_build_rejects_a_trajectory_time_too_long_for_the_grid(tmp_path, capsys):
+    """A finite duration whose count of grid units overflows a float is
+    refused by line, like an infinite one."""
+    trajectories = tmp_path / "trajectories.csv"
+    trajectories.write_text("1,e1:1e300\n")
+    argv = ["build", "--network", NETWORK, "--trajectories", str(trajectories), "--delta", "1e-10"]
+    assert main([*argv, "--out", str(tmp_path / "w.json")]) == 1
+    assert "line 1: duration 1e+300 is too long for a grid of 1e-10 s" in _single_error_line(capsys)
 
 
 def test_query_loads_indented_store(store_doc, tmp_path, capsys):

@@ -106,6 +106,9 @@ def test_network_validation_errors(nodes, edges):
 def test_network_rejects_bad_delta():
     with pytest.raises(NetworkFormatError):
         Network([Node("a", 0, 0)], [], delta=0.0)
+    # an int too large for a float is refused by the same rule, not by float()
+    with pytest.raises(NetworkFormatError, match="^delta must be positive and finite, got an int too large"):
+        Network([Node("a", 0, 0)], [], delta=10**5000)
 
 
 def test_make_path_accepts_valid_sequences(sample_net):

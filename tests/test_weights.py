@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import math
 import pathlib
@@ -10,9 +11,18 @@ import random
 
 import pytest
 
-from spotar.dist import MASS_TOL, Histogram, JointDist, _derived, convolve, min_cost, times_cdf
+from spotar.dist import (
+    MASS_TOL,
+    DistributionError,
+    Histogram,
+    JointDist,
+    _derived,
+    convolve,
+    min_cost,
+    times_cdf,
+)
 from spotar.heuristic import HeuristicKind
-from spotar.network import Path, Query, load_network
+from spotar.network import Path, Query, load_network, make_path
 from spotar.oracle import enumerate_simple_paths, gen_instance
 from spotar.solver import solve
 from spotar.weights import (
@@ -273,10 +283,11 @@ BAD_HEADERS = [
     ("min_support", True),
     ("max_unit_len", 1),
     ("mode", "pace"),
+    ("delta", 10**400),
 ]
 
 
-@pytest.mark.parametrize("field, value", BAD_HEADERS, ids=[f"{f}={v!r}" for f, v in BAD_HEADERS])
+@pytest.mark.parametrize("field, value", BAD_HEADERS, ids=[f"{f}={v!r:.20}" for f, v in BAD_HEADERS])
 def test_store_rejects_a_bad_header(field, value):
     """The constructor checks the header of a store made directly, as it
     does for every built or loaded one: nothing is coerced or truncated."""
@@ -286,12 +297,17 @@ def test_store_rejects_a_bad_header(field, value):
     assert str(bad.value).startswith(field)
 
 
-@pytest.mark.parametrize("field, value", [("min_support", 2.5), ("mode", "pace")])
+@pytest.mark.parametrize(
+    "field, value", [("min_support", 2.5), ("mode", "pace"), ("max_unit_len", 2.5), ("max_unit_len", 1)]
+)
 def test_build_store_rejects_a_bad_header(sample_net, sample_records, field, value):
-    """A built store meets the constructor's header rules: a fractional
-    support is not truncated and a mode name is not taken for a mode."""
-    with pytest.raises(ValueError, match=f"^{field} {value!r} "):
-        build_store(sample_net, sample_records, **{field: value})
+    """A built store meets the constructor's header rules, checked before
+    any record is counted: a fractional support is not truncated, a mode
+    name is not taken for a mode, and a fractional unit length does not
+    reach the windows of a trip of three or more edges."""
+    records = [*sample_records, TrajectoryRecord(make_path(sample_net, ["e2", "e3", "e4"]), (8, 11, 6), 3)]
+    with pytest.raises(StoreError, match=f"^{field} {value!r} is not "):
+        build_store(sample_net, records, **{field: value})
 
 
 def test_store_lookup_errors(sample_store):
@@ -326,11 +342,33 @@ def test_min_time_is_the_first_time_of_each_edge_weight(tmp_path):
                     store.edge_weight("e99")
 
 
-def test_build_store_rejects_unknown_edge(sample_net):
+def test_build_store_rejects_unknown_edge(sample_net, sample_records):
+    """Of two unknown edges in different records, the one in the earlier
+    record is named, wherever the edges fall in the records."""
     other = tiny_network([("zz", "a", "b", 10.0, 5.0)])
     rec = load_like(other)
     with pytest.raises(StoreError):
         build_store(sample_net, [rec])
+    first = TrajectoryRecord(Path(("e1", "zz")), (8, 5), 1)
+    second = TrajectoryRecord(Path(("aa", "e4")), (5, 6), 20)
+    records = [*sample_records, first, second]
+    for mode in Mode:
+        with pytest.raises(StoreError, match="^trajectory uses unknown edge 'zz'$"):
+            build_store(sample_net, records, mode=mode)
+        with pytest.raises(StoreError, match="^trajectory uses unknown edge 'aa'$"):
+            build_store(sample_net, [second, *records], mode=mode)
+
+
+def test_build_store_rejects_a_kept_window_over_a_repeated_edge(sample_net, sample_records):
+    """A record whose path repeats an edge (made directly, not through
+    ``make_path``) feeds the edge histograms and, once its window has the
+    support to be kept, is refused as the joint constructor refuses it."""
+    looped = TrajectoryRecord(Path(("e1", "e1")), (8, 10), 5)
+    store = build_store(sample_net, [*sample_records, looped], min_support=10)
+    assert ("e1", "e1") not in store.stored_paths()
+    approx_dict(store.edge_weight("e1").items(), {8: 185 / 210, 10: 25 / 210})
+    with pytest.raises(DistributionError, match="^an edge appears twice$"):
+        build_store(sample_net, [*sample_records, looped], min_support=5)
 
 
 def load_like(net):
@@ -365,6 +403,32 @@ def test_save_store_is_deterministic(tmp_path, sample_net, sample_records, sampl
     c = tmp_path / "c.json"
     save_store(load_store(str(a)), str(c))
     assert a.read_bytes() == c.read_bytes()
+
+
+def test_built_store_bytes_are_pinned(tmp_path, sample_net, sample_records):
+    """The saved bytes of stores built from seeded instances, plain and
+    shifted, in both modes and over a range of unit lengths and supports,
+    then of the sample store, pinned: a change to how ``build_store``
+    counts or divides moves the digest, down to the last bit of a
+    probability."""
+    digest = hashlib.sha256()
+    out = tmp_path / "w.json"
+    for seed in range(12):
+        net, records = gen_instance(
+            seed, nodes=6 + seed % 4, density=0.5, joint_fraction=0.9, min_support=2 + seed % 9
+        )
+        for recs in (records, conflicting_records(records, random.Random(seed))):
+            for mode in Mode:
+                for max_unit_len in (2, 3, 4, 8):
+                    for min_support in (1, 2, 10):
+                        store = build_store(
+                            net, recs, min_support=min_support, mode=mode, max_unit_len=max_unit_len
+                        )
+                        save_store(store, str(out))
+                        digest.update(out.read_bytes())
+    save_store(build_store(sample_net, sample_records, min_support=10), str(out))
+    digest.update(out.read_bytes())
+    assert digest.hexdigest() == "f4d4df8ba492a842b6c8770ab902cc7095bc611a7b9a049589d115c18e0fdfa3"
 
 
 def test_save_store_writes_compact_json(tmp_path, sample_store):
