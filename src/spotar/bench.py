@@ -157,14 +157,11 @@ def gen_queries(net: Network, cfg: BenchConfig) -> list[BenchQuery]:
 
 def run_bench(net: Network, store: WeightStore, cfg: BenchConfig) -> list[BenchRow]:
     """Solve every generated query under every configured method."""
-    models = {}
-    for name in cfg.methods:
-        kind, mode = METHODS[name]
-        models[name] = (kind, CostModel(store, mode))
     queries = gen_queries(net, cfg)
     rows: list[BenchRow] = []
     for name in cfg.methods:
-        kind, model = models[name]
+        kind, mode = METHODS[name]
+        model = CostModel(store, mode)
         for bq in queries:
             res = solve(net, model, kind, bq.query)
             rows.append(
@@ -229,17 +226,18 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def write_rows(rows: list[BenchRow], path: str) -> None:
+def _write_csv(records: list, names: tuple[str, ...], path: str) -> None:
+    """One CSV line of ``names``, then one line per record of those fields."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(ROW_FIELDS)
-        for row in rows:
-            writer.writerow([_fmt(getattr(row, name)) for name in ROW_FIELDS])
+        writer.writerow(names)
+        for record in records:
+            writer.writerow([_fmt(getattr(record, name)) for name in names])
+
+
+def write_rows(rows: list[BenchRow], path: str) -> None:
+    _write_csv(rows, ROW_FIELDS, path)
 
 
 def write_aggregates(rows: list[BenchRow], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(AGG_FIELDS)
-        for agg in aggregate(rows):
-            writer.writerow([_fmt(getattr(agg, name)) for name in AGG_FIELDS])
+    _write_csv(aggregate(rows), AGG_FIELDS, path)

@@ -18,7 +18,7 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import ge, itemgetter, lt, sub
+from operator import ge, itemgetter, sub
 
 MASS_TOL = 1e-9
 _DOM_EPS = 1e-12
@@ -106,16 +106,12 @@ def _entries(keys: Sequence, probs: Sequence[float], what: str) -> dict:
     probabilities are what :func:`_check_probs` returned: sorted by key,
     with zero probabilities dropped.
 
-    No key may appear twice and the mass must be 1.  Keys already strictly
-    increasing, as stores are written, are not sorted again.
+    No key may appear twice and the mass must be 1.
     """
-    if all(map(lt, keys, keys[1:])):
-        entries = dict(zip(keys, probs))
-    else:
-        entries = dict(sorted(zip(keys, probs), key=itemgetter(0)))
-        if len(entries) != len(keys):
-            twice = Counter(keys).most_common(1)[0][0]
-            raise DistributionError(f"{what} lists {twice!r} twice")
+    entries = dict(sorted(zip(keys, probs), key=itemgetter(0)))
+    if len(entries) != len(keys):
+        twice = Counter(keys).most_common(1)[0][0]
+        raise DistributionError(f"{what} lists {twice!r} twice")
     if 0.0 in probs:
         entries = {k: p for k, p in entries.items() if p}
     _check_mass(entries, what)

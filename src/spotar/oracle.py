@@ -30,32 +30,29 @@ class EnumerationLimitError(RuntimeError):
     """Raised when brute force would enumerate too many paths."""
 
 
-def enumerate_simple_paths(
-    net: Network, query: Query, max_edges: int | None = None, limit: int = 100_000
-) -> list[Path]:
+ENUMERATION_LIMIT = 100_000
+
+
+def enumerate_simple_paths(net: Network, query: Query) -> list[Path]:
     """All node-simple paths from source to destination, DFS order.
 
-    ``max_edges`` defaults to the node count minus one (no simple path
-    can be longer).  Raises :class:`EnumerationLimitError` beyond
-    ``limit`` paths.
+    The walk never enters the destination, so it needs no cap on edges.
+    Raises :class:`EnumerationLimitError` beyond ``ENUMERATION_LIMIT`` paths.
     """
     for node_id in (query.source, query.dest):
         if not net.has_node(node_id):
             raise ValueError(f"unknown node {node_id!r}")
-    cap = max_edges if max_edges is not None else net.num_nodes() - 1
     out: list[Path] = []
 
     def walk(node: str, edges: tuple[str, ...], visited: frozenset[str]) -> None:
-        if len(edges) >= cap:
-            return
         for e in net.out_edges(node):
             if e.to_node in visited:
                 continue
             grown = edges + (e.edge_id,)
             if e.to_node == query.dest:
                 out.append(Path(grown))
-                if len(out) > limit:
-                    raise EnumerationLimitError(f"more than {limit} simple paths")
+                if len(out) > ENUMERATION_LIMIT:
+                    raise EnumerationLimitError(f"more than {ENUMERATION_LIMIT} simple paths")
                 continue
             walk(e.to_node, grown, visited | {e.to_node})
 

@@ -22,8 +22,8 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, filterfalse, repeat, starmap
-from operator import attrgetter, itemgetter
+from itertools import chain, filterfalse, repeat
+from operator import itemgetter
 
 from .dist import (
     DistributionError,
@@ -106,6 +106,9 @@ class TrajectoryRecord:
     count: int = 1
 
     def __post_init__(self) -> None:
+        for name, value in (("path edges", self.path.edges), ("times", self.times)):
+            if not isinstance(value, tuple):  # build_store counts them as dict keys
+                raise ValueError(f"{name} {value!r} are not a tuple")
         if len(self.times) != len(self.path.edges):
             raise ValueError(
                 f"{len(self.times)} times for {len(self.path.edges)} edges"
@@ -161,30 +164,6 @@ def _check_header(delta: object, min_support: object, max_unit_len: object, mode
     return _check_delta(delta)
 
 
-def _joints_fit(
-    edge_weights: dict[str, Histogram], path_weights: dict[tuple[str, ...], JointDist]
-) -> bool:
-    """Whether every stored weight fits the store: its key is its edges,
-    at least two, each with an edge weight whose times hold the joint's
-    column for that edge.
-
-    Each rule is one C-level pass over all of the joints.  A joint holds at
-    least one row, each with one time per edge, so its columns
-    (``zip(*rows)``) line up with its key's edges.
-    """
-    keys = list(path_weights)
-    joints = path_weights.values()
-    if list(map(attrgetter("edges"), joints)) != keys or min(map(len, keys), default=2) < 2:
-        return False
-    used = set(chain.from_iterable(keys))
-    if not edge_weights.keys() >= used:
-        return False
-    times = map(attrgetter("_entries"), map(edge_weights.__getitem__, used))
-    supports = dict(zip(used, map(set, times)))
-    columns = chain.from_iterable(starmap(zip, map(attrgetter("_rows"), joints)))
-    return all(map(set.issuperset, map(supports.__getitem__, chain.from_iterable(keys)), columns))
-
-
 class WeightStore:
     """Edge histograms plus joint weights for stored sub-paths.
 
@@ -194,7 +173,7 @@ class WeightStore:
     ``delta`` is a positive, finite number, not a ``bool``;
     ``min_support`` is an ``int`` of at least 1 and ``max_unit_len`` one
     of at least 2, neither a ``bool``; ``mode`` is a :class:`Mode`; and
-    the weights fit together.
+    the weights fit together, which one loop, :meth:`_check_fit`, checks.
     """
 
     __slots__ = (
@@ -231,15 +210,16 @@ class WeightStore:
         unweighted = self.fallback_edges - self._edge_weights.keys()
         if unweighted:
             raise StoreError(f"fallback edge {min(unweighted)!r} has no weight")
-        if not _joints_fit(self._edge_weights, self._path_weights):
-            self._name_misfit()
+        self._check_fit()
         self._max_len = max(map(len, self._path_weights), default=1)
         # a path is settled when none of its suffixes is one of these (see spotar.solver)
         self._open_prefixes = frozenset(key[:j] for key in self._path_weights for j in range(1, len(key)))
         self._min_times = {eid: min_cost(h) for eid, h in self._edge_weights.items()}
 
-    def _name_misfit(self) -> None:
-        """Raise for the first stored weight, in key order, that does not fit the store."""
+    def _check_fit(self) -> None:
+        """Check that every stored weight fits the store, naming the first
+        misfit in key order: its key is its edges, at least two, each with
+        an edge weight whose times hold the joint's column for that edge."""
         supports: dict[str, set[int]] = {}
         for key, j in self._path_weights.items():
             if j.edges != key:

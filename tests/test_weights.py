@@ -90,6 +90,11 @@ def test_trajectory_record_validation(sample_net):
         TrajectoryRecord(p, (8, True), 80)
     with pytest.raises(ValueError):
         TrajectoryRecord(p, (8, 6), 0)
+    # a list is not hashable, so build_store could not count it
+    with pytest.raises(ValueError, match=r"^times \[8, 6\] are not a tuple$"):
+        TrajectoryRecord(p, [8, 6], 80)
+    with pytest.raises(ValueError, match=r"^path edges \['e1', 'e4'\] are not a tuple$"):
+        TrajectoryRecord(Path(["e1", "e4"]), (8, 6), 80)
 
 
 def test_load_trajectories_sample(sample_net, sample_records):
@@ -244,29 +249,40 @@ def test_solve_rejects_a_store_on_another_grid(tmp_path, sample_net, kind, mode)
 def test_store_validation_errors():
     h = Histogram({5: 1.0})
     ok = dict(delta=1.0, min_support=1, max_unit_len=8, mode=Mode.PACE)
-    with pytest.raises(StoreError):  # key does not match the joint's edges
+    with pytest.raises(StoreError, match=r"^stored weight keyed \('a', 'b'\) covers \('a', 'c'\)$"):
         WeightStore(
             **ok,
             edge_weights={"a": h, "b": h, "c": h},
             path_weights={("a", "b"): JointDist(("a", "c"), {(5, 5): 1.0})},
         )
-    with pytest.raises(StoreError):  # single-edge stored path
+    with pytest.raises(StoreError, match=r"^stored path weight \('a',\) must span at least 2 edges$"):
         WeightStore(
             **ok,
             edge_weights={"a": h},
             path_weights={("a",): JointDist(("a",), {(5,): 1.0})},
         )
-    with pytest.raises(StoreError):  # stored path uses an unweighted edge
+    with pytest.raises(StoreError, match=r"^stored weight \('a', 'b'\) uses edge 'b' with no weight$"):
         WeightStore(
             **ok,
             edge_weights={"a": h},
             path_weights={("a", "b"): JointDist(("a", "b"), {(5, 5): 1.0})},
         )
-    with pytest.raises(StoreError):  # joint support outside the edge weight
+    outside = r"^stored weight \('a', 'b'\) has times for 'b' outside its edge weight$"
+    with pytest.raises(StoreError, match=outside):
         WeightStore(
             **ok,
             edge_weights={"a": h, "b": h},
             path_weights={("a", "b"): JointDist(("a", "b"), {(5, 6): 1.0})},
+        )
+    # two misfits, given out of key order: the first in key order is named
+    with pytest.raises(StoreError, match=r"^stored weight \('a', 'c'\) has times for 'a' outside"):
+        WeightStore(
+            **ok,
+            edge_weights={"a": h, "b": h, "c": h},
+            path_weights={
+                ("b", "c"): JointDist(("b", "c"), {(5, 6): 1.0}),
+                ("a", "c"): JointDist(("a", "c"), {(6, 5): 1.0}),
+            },
         )
     with pytest.raises(StoreError, match="fallback edge 'b' has no weight"):
         WeightStore(**ok, edge_weights={"a": h}, path_weights={}, fallback_edges=["a", "b"])
@@ -709,7 +725,7 @@ def test_cover_uses_fewest_units_possible():
         node_ids = list(net.node_ids)
         for _ in range(6):
             src, dst = rng.sample(node_ids, 2)
-            paths = enumerate_simple_paths(net, Query(src, dst, 1), max_edges=6)
+            paths = enumerate_simple_paths(net, Query(src, dst, 1))  # 7 nodes: at most 6 edges
             for p in paths[:4]:
                 units = _cover(store, p.edges)
                 assert len(units) == min_units_dp(store, p.edges)
@@ -902,7 +918,8 @@ def test_path_cost_matches_explicit_joint_on_random_instances():
         node_ids = list(net.node_ids)
         for _ in range(5):
             src, dst = rng.sample(node_ids, 2)
-            for p in enumerate_simple_paths(net, Query(src, dst, 1), max_edges=5)[:5]:
+            short = [p for p in enumerate_simple_paths(net, Query(src, dst, 1)) if len(p) <= 5]
+            for p in short[:5]:
                 approx_dict(path_cost(model, p).items(), joint_cost(model.store, p.edges).items(), tol=1e-12)
                 checked += 1
     assert checked >= 80
