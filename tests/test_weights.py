@@ -108,23 +108,51 @@ def test_load_trajectories_sample(sample_net, sample_records):
     assert sample_records[-1].times == (9,)
 
 
-@pytest.mark.parametrize(
-    "line",
-    [
-        "no-comma-here",
-        "x,e1:5",
-        "1,e1-5",
-        "1,zz:5",
-        "1,e1:8;e6:5",  # e6 does not continue e1's path
-        "1,e1:-5",
-        "0,e1:5",
-    ],
-)
-def test_load_trajectories_rejects_bad_lines(tmp_path, sample_net, line):
+# bad trajectory line -> the loader's message after its line number
+BAD_LINES = {
+    "no-comma-here": "expected 'count,edge:seconds;...'",
+    "x,e1:5": "invalid literal for int() with base 10: 'x'",
+    "1,e1-5": "step 'e1-5' is missing ':'",
+    "1,zz:5": "unknown edge 'zz'",
+    "1,e1:8;e6:5": "edge 'e6' starts at 'r' but 'e1' ends at 'e'",
+    "1,e1:-5": "negative duration -5.0",
+    "0,e1:5": "count 0 is not a positive integer",
+    "-3,e1:5": "count -3 is not a positive integer",
+    "1,e1:8;e1:6": "repeated edge in ('e1', 'e1')",
+    "1,e1:nan": "duration nan is not finite",
+    "1,e1:8;": "step '' is missing ':'",
+    "0,e1:8;e4:6": "count 0 is not a positive integer",
+    # two faults: the steps and the path are checked before the count
+    "0,zz:5": "unknown edge 'zz'",
+    "0,e1-5": "step 'e1-5' is missing ':'",
+}
+
+# good lines that share the bad lines' steps and edge sequences
+GOOD_LINES = ("1,e1:8;e4:6", "1,e1:5", "1,e1:6", "2,e1:8")
+
+
+def _load_error(tmp_path, net, lines) -> tuple[str, str]:
+    """The message of the error loading ``lines`` raises, and the file's path."""
     f = tmp_path / "t.csv"
-    f.write_text("# header comment\n" + line + "\n")
-    with pytest.raises(TrajectoryFormatError, match="line 2"):
-        load_trajectories(sample_net, str(f))
+    f.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TrajectoryFormatError) as err:
+        load_trajectories(net, str(f))
+    return str(err.value), str(f)
+
+
+@pytest.mark.parametrize("line", list(BAD_LINES))
+def test_load_trajectories_rejects_bad_lines(tmp_path, sample_net, line):
+    message, _ = _load_error(tmp_path, sample_net, ["# header comment", line])
+    assert message == f"line 2: {BAD_LINES[line]}"
+
+
+@pytest.mark.parametrize("line", list(BAD_LINES))
+def test_load_trajectories_rejects_bad_lines_after_good_ones(tmp_path, sample_net, line):
+    """A bad line whose steps and edges good lines have already shown is
+    refused with the same message: only what passed is remembered."""
+    lines = ["# header comment", *GOOD_LINES, line]
+    message, _ = _load_error(tmp_path, sample_net, lines)
+    assert message == f"line {len(lines)}: {BAD_LINES[line]}"
 
 
 def test_load_trajectories_snaps_to_grid(tmp_path, sample_net):
@@ -132,6 +160,38 @@ def test_load_trajectories_snaps_to_grid(tmp_path, sample_net):
     f.write_text("2,e1:8.4;e4:6.5\n")
     (rec,) = load_trajectories(sample_net, str(f))
     assert rec.times == (8, 7)
+
+
+def _as_text(records, seconds) -> str:
+    """Trajectory lines for ``records``, each time written as ``seconds(t, i)``
+    for the record's ``i``-th line."""
+    return "".join(
+        f"{r.count}," + ";".join(f"{e}:{seconds(t, i)}" for e, t in zip(r.path.edges, r.times)) + "\n"
+        for i, r in enumerate(records)
+    )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_load_trajectories_round_trips_generated_records(tmp_path, seed):
+    """Generated records written as text, in whole seconds or in fractions
+    that snap to the same units, load back equal field by field; the
+    instances repeat their routes, so most steps and paths are met again."""
+    net, plain = gen_instance(seed)
+    for name, records in (("plain", plain), ("conflicting", conflicting_records(plain, random.Random(seed)))):
+        for kind, seconds in (
+            ("whole", lambda t, i: t),
+            ("fractional", lambda t, i: t - 0.5 if i % 2 else t + 0.25),  # half up to t
+        ):
+            f = tmp_path / f"{name}-{kind}.txt"
+            f.write_text(_as_text(records, seconds))
+            loaded = load_trajectories(net, str(f))
+            assert len(loaded) == len(records)
+            for got, want in zip(loaded, records):
+                assert type(got) is TrajectoryRecord
+                assert got.path == want.path and type(got.path.edges) is tuple
+                assert got.times == want.times and type(got.times) is tuple
+                assert set(map(type, got.times)) == {int}
+                assert got.count == want.count and type(got.count) is int
 
 
 # ------------------------------------------------------------- the store
