@@ -217,7 +217,8 @@ def load_network(path: str, delta: float = 1.0) -> Network:
 
     The file holds a ``#nodes`` section (``node_id,lat,lon`` lines) and
     an ``#edges`` section (``edge_id,from,to,length_m,speed_mps``).
-    Blank lines are ignored.  Errors carry 1-based line numbers.
+    Blank lines are ignored.  An error names the file and, when one line
+    is at fault, its 1-based number.
     """
     nodes: list[Node] = []
     edges: list[Edge] = []
@@ -230,7 +231,7 @@ def load_network(path: str, delta: float = 1.0) -> Network:
             if line.startswith("#"):
                 name = line[1:].strip().lower()
                 if name not in ("nodes", "edges"):
-                    raise NetworkFormatError(f"line {lineno}: unknown section {line!r}")
+                    raise NetworkFormatError(f"{path}: line {lineno}: unknown section {line!r}")
                 section = name
                 continue
             fields = [f.strip() for f in line.split(",")]
@@ -248,8 +249,11 @@ def load_network(path: str, delta: float = 1.0) -> Network:
                 else:
                     raise ValueError("data before any section header")
             except ValueError as exc:
-                raise NetworkFormatError(f"line {lineno}: {exc}") from None
+                raise NetworkFormatError(f"{path}: line {lineno}: {exc}") from None
     if not nodes:
-        raise NetworkFormatError("no #nodes section or no nodes")
-    return Network(nodes, edges, delta)
+        raise NetworkFormatError(f"{path}: no #nodes section or no nodes")
+    try:
+        return Network(nodes, edges, delta)
+    except NetworkFormatError as exc:
+        raise NetworkFormatError(f"{path}: {exc}") from None
 

@@ -117,37 +117,60 @@ class TrajectoryRecord:
         if isinstance(self.count, bool) or not isinstance(self.count, int) or self.count < 1:
             raise ValueError(f"count {self.count!r} is not a positive integer")
 
+    @classmethod
+    def _checked(cls, path: Path, times: tuple[int, ...], count: int) -> TrajectoryRecord:
+        """Record over parts that are already checked; nothing is validated again."""
+        self = object.__new__(cls)
+        self.__dict__.update(path=path, times=times, count=count)
+        return self
+
 
 def load_trajectories(net: Network, path: str) -> list[TrajectoryRecord]:
     """Read trajectories from text: ``count,edge:seconds;edge:seconds``.
 
     One record per line; blank lines and ``#`` comments are skipped.
     Edges must form a valid path in ``net``; times are snapped to the
-    network's grid.  Errors carry 1-based line numbers.
+    network's grid.  A log repeats its steps and routes many times, so
+    each distinct step text is parsed and snapped once, and each distinct
+    edge sequence checked by :func:`~spotar.network.make_path` once; only
+    those that passed are remembered, for this call alone.  A line is
+    checked in a fixed order: its count parses, its steps parse and snap,
+    its edges form a path, and its count is positive.  Its record is built
+    from these checked parts without the constructor's checks again.  An
+    error names the file and the 1-based number of the first bad line.
     """
     records: list[TrajectoryRecord] = []
+    steps: dict[str, tuple[str, int]] = {}  # step text -> (edge id, grid units)
+    paths: dict[tuple[str, ...], Path] = {}
+    delta = net.delta
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             head, sep, rest = line.partition(",")
-            if not sep:
-                raise TrajectoryFormatError(f"line {lineno}: expected 'count,edge:seconds;...'")
             try:
+                if not sep:
+                    raise ValueError("expected 'count,edge:seconds;...'")
                 count = int(head)
-                edge_ids: list[str] = []
-                units: list[int] = []
+                parsed = []
                 for step in rest.split(";"):
-                    eid, sep2, sec = step.partition(":")
-                    if not sep2:
-                        raise ValueError(f"step {step!r} is missing ':'")
-                    edge_ids.append(eid.strip())
-                    units.append(grid_seconds(float(sec), net.delta))
-                record = TrajectoryRecord(make_path(net, edge_ids), tuple(units), count)
+                    known = steps.get(step)
+                    if known is None:
+                        eid, sep2, sec = step.partition(":")
+                        if not sep2:
+                            raise ValueError(f"step {step!r} is missing ':'")
+                        known = steps[step] = (eid.strip(), grid_seconds(float(sec), delta))
+                    parsed.append(known)
+                edge_ids, units = zip(*parsed)
+                route = paths.get(edge_ids)
+                if route is None:
+                    route = paths[edge_ids] = make_path(net, edge_ids)
+                if count < 1:
+                    raise ValueError(f"count {count!r} is not a positive integer")
             except (ValueError, PathError) as exc:
-                raise TrajectoryFormatError(f"line {lineno}: {exc}") from None
-            records.append(record)
+                raise TrajectoryFormatError(f"{path}: line {lineno}: {exc}") from None
+            records.append(TrajectoryRecord._checked(route, units, count))
     return records
 
 
@@ -291,12 +314,14 @@ def build_store(
     :func:`_shares`.  The histograms and joints are built without the
     public constructors' entry checks, which these entries cannot fail:
     every time is an ``int`` of at least 1, as a :class:`TrajectoryRecord`
-    holds; every probability is a share in ``(0, 1]``; each group's keys
-    are distinct and sorted; and each share is its exact value rounded by
-    at most half an ulp, so a group's shares sum to 1 within about 1e-16,
-    far inside ``MASS_TOL``.  What construction does not imply is checked:
-    an edge the network lacks (the first in record order is named), a
-    kept window over a repeated edge (only a :class:`Path` not made by
+    holds, whether its constructor checked it or :func:`load_trajectories`
+    built it from steps snapped by :func:`grid_seconds`; every probability
+    is a share in ``(0, 1]``; each group's keys are distinct and sorted;
+    and each share is its exact value rounded by at most half an ulp, so a
+    group's shares sum to 1 within about 1e-16, far inside ``MASS_TOL``.
+    What construction does not imply is checked: an edge the network
+    lacks (the first in record order is named), a kept window over a
+    repeated edge (only a :class:`Path` not made by
     :func:`~spotar.network.make_path` holds one), and a share that
     underflows to 0.0, which is dropped as the constructors drop it.
     """

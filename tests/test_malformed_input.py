@@ -200,6 +200,31 @@ def test_build_rejects_a_trajectory_time_too_long_for_the_grid(tmp_path, capsys)
     assert "line 1: duration 1e+300 is too long for a grid of 1e-10 s" in _single_error_line(capsys)
 
 
+def test_build_names_the_bad_trajectory_file_and_line(tmp_path, capsys):
+    trajectories = tmp_path / "trajectories.csv"
+    trajectories.write_text("80,e1:8;e4:6\n# a comment\n1,zz:5\n")
+    argv = ["build", "--network", NETWORK, "--trajectories", str(trajectories)]
+    assert main([*argv, "--out", str(tmp_path / "w.json")]) == 1
+    assert _single_error_line(capsys) == f"error: {trajectories}: line 3: unknown edge 'zz'"
+
+
+def test_build_and_query_name_the_bad_network_file(store_doc, tmp_path, capsys):
+    """A value the network refuses names the file; a line that does not
+    parse names the file and the line."""
+    store = tmp_path / "weights.json"
+    store.write_text(json.dumps(store_doc))
+    for old, new, expected in (
+        ("e1,s,e,64,8.0", "e1,s,e,-5,8.0", "edge 'e1' has length -5.0, not a positive finite number"),
+        ("e1,s,e,64,8.0", "e1,s,e,64", "line 9: expected edge_id,from,to,length_m,speed_mps"),
+    ):
+        network = _network_with(tmp_path, old, new)
+        argv = ["build", "--network", network, "--trajectories", TRAJECTORIES, "--out", str(tmp_path / "w.json")]
+        assert main(argv) == 1
+        assert _single_error_line(capsys) == f"error: {network}: {expected}"
+        assert main(["query", "--network", network, "--store", str(store), *QUERY]) == 1
+        assert _single_error_line(capsys) == f"error: {network}: {expected}"
+
+
 def test_query_loads_indented_store(store_doc, tmp_path, capsys):
     store = tmp_path / "indented.json"
     store.write_text(json.dumps(store_doc, sort_keys=True, indent=2) + "\n")

@@ -142,8 +142,8 @@ def _load_error(tmp_path, net, lines) -> tuple[str, str]:
 
 @pytest.mark.parametrize("line", list(BAD_LINES))
 def test_load_trajectories_rejects_bad_lines(tmp_path, sample_net, line):
-    message, _ = _load_error(tmp_path, sample_net, ["# header comment", line])
-    assert message == f"line 2: {BAD_LINES[line]}"
+    message, where = _load_error(tmp_path, sample_net, ["# header comment", line])
+    assert message == f"{where}: line 2: {BAD_LINES[line]}"
 
 
 @pytest.mark.parametrize("line", list(BAD_LINES))
@@ -151,8 +151,8 @@ def test_load_trajectories_rejects_bad_lines_after_good_ones(tmp_path, sample_ne
     """A bad line whose steps and edges good lines have already shown is
     refused with the same message: only what passed is remembered."""
     lines = ["# header comment", *GOOD_LINES, line]
-    message, _ = _load_error(tmp_path, sample_net, lines)
-    assert message == f"line {len(lines)}: {BAD_LINES[line]}"
+    message, where = _load_error(tmp_path, sample_net, lines)
+    assert message == f"{where}: line {len(lines)}: {BAD_LINES[line]}"
 
 
 def test_load_trajectories_snaps_to_grid(tmp_path, sample_net):
