@@ -180,7 +180,7 @@ def test_load_trajectories_round_trips_generated_records(tmp_path, seed):
     for name, records in (("plain", plain), ("conflicting", conflicting_records(plain, random.Random(seed)))):
         for kind, seconds in (
             ("whole", lambda t, i: t),
-            ("fractional", lambda t, i: t - 0.5 if i % 2 else t + 0.25),  # half up to t
+            ("fractional", lambda t, i: t - 0.5 if i % 2 else t + 0.25),  # both snap to t
         ):
             f = tmp_path / f"{name}-{kind}.txt"
             f.write_text(_as_text(records, seconds))
