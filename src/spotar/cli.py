@@ -64,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dest", required=True)
     p.add_argument("--budget", type=int, required=True,
                    help="time budget in the store's time units (delta seconds each, set by build --delta)")
-    p.add_argument("--heuristic", default="sp", help="sp (tree) or ba (straight line)")
+    p.add_argument("--heuristic", default="sp",
+                   help="sp (minimum-time tree) or ba (straight line at the store's fastest crow-flight speed)")
     p.add_argument("--mode", default=None, help="edge or pace (default: the store's mode)")
     p.add_argument("--dump-dist", action="store_true", help="also print the answer's travel-time distribution")
     p.add_argument("--dump-explored", metavar="FILE", help="write explored edge ids, one per line")

@@ -4,7 +4,8 @@ Both bounds answer ``get_min(node)``: the fewest time units any trip
 from that node to the destination can take.  The tree bound is exact
 (a backward shortest-path tree over per-edge minimum times, cut off at
 the budget); the straight-line bound is cheaper but looser (crow-flight
-distance at the network's top speed).
+distance at the fastest crow-flight speed any edge's minimum time
+implies).  Both are consistent on every store.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .weights import WeightStore, _no_weight
 
 class HeuristicKind(enum.Enum):
     SP = "sp"  # backward minimum-time tree
-    BA = "ba"  # straight-line distance at top speed
+    BA = "ba"  # straight-line distance at the store's fastest crow-flight speed
 
     @classmethod
     def parse(cls, text: str) -> HeuristicKind:
@@ -86,26 +87,38 @@ class TreeBound:
 
 
 class StraightLineBound:
-    """Crow-flight distance at the network's top speed, floored to units.
+    """Crow-flight distance to the destination at speed ``V``, floored to units.
 
-    Never exceeds the tree bound, and is consistent (it drops by at most
-    an edge's minimum time along the edge), as long as every edge's
-    minimum time is at least the crow-flight time between its endpoints
-    at the top speed.  Edge lengths of at least the straight-line
-    distance give that only for edges that fall back to their
-    speed-limit time: an observed time can beat it.  Each node's value
-    is computed once and remembered; a bound serves one destination, so
-    one solve.
+    ``V`` is the largest ``crow(e) / min_time(e)`` over the edges the
+    store weighs, in meters per grid unit, raised by a relative 1e-9 so
+    that float rounding cannot break the inequality below.  It is kept
+    on the store with the network it was computed for, and computed again
+    only for another network.  The bound is ``h(u) = floor(crow(u, dest) / V)``, or 0 where ``V`` is 0,
+    and it is consistent on every store: every edge ``e`` from ``u`` to
+    ``w`` has ``crow(e) / V <= min_time(e)``, and
+    :meth:`~spotar.network.Network.distance_m` is a metric, so
+    ``crow(u, dest) / V <= min_time(e) + crow(w, dest) / V``, and flooring
+    keeps ``h(u) <= min_time(e) + h(w)`` since ``min_time(e)`` is whole.
+    With ``h(dest) = 0`` the bound is admissible.  Each node's value is
+    computed once and remembered; a bound serves one destination, so one
+    solve.
     """
 
-    def __init__(self, net: Network, dest: str) -> None:
+    def __init__(self, net: Network, store: WeightStore, dest: str) -> None:
         if not net.has_node(dest):
             raise ValueError(f"unknown node {dest!r}")
-        if net.max_speed <= 0.0:
-            raise ValueError("network has no edges; straight-line bound is undefined")
+        kept = store._crow_speed
+        if kept is None or kept[0] is not net:
+            min_times, crow = store._min_times, net.distance_m
+            speed = max(
+                (crow(e.from_node, e.to_node) / min_times[e.edge_id]
+                 for e in net._edges.values() if e.edge_id in min_times),
+                default=0.0,
+            )
+            kept = store._crow_speed = (net, speed * (1.0 + 1e-9))
         self._net = net
         self._dest = dest
-        self._units_per_m = 1.0 / (net.max_speed * net.delta)
+        self._units_per_m = 1.0 / kept[1] if kept[1] else 0.0
         self._mins: dict[str, int] = {}
 
     def get_min(self, node_id: str) -> int | None:
@@ -124,5 +137,5 @@ def make_heuristic(
     if kind is HeuristicKind.SP:
         return TreeBound(build_min_tree(net, store, dest, budget))
     if kind is HeuristicKind.BA:
-        return StraightLineBound(net, dest)
+        return StraightLineBound(net, store, dest)
     raise ValueError(f"heuristic {kind!r} is not a HeuristicKind")

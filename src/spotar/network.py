@@ -71,12 +71,6 @@ class Path:
 
     edges: tuple[str, ...]
 
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def __iter__(self):
-        return iter(self.edges)
-
 
 @dataclass(frozen=True)
 class Query:
@@ -136,7 +130,8 @@ class Network:
         by_id = attrgetter("edge_id")
         self._out = {nid: tuple(sorted(es, key=by_id)) for nid, es in out.items()}
         self._in = {nid: tuple(sorted(es, key=by_id)) for nid, es in incoming.items()}
-        self.max_speed = max((e.speed_limit for e in edge_map.values()), default=0.0)
+        mean_lat = sum(n.lat for n in node_map.values()) / len(node_map) if node_map else 0.0
+        self._cos_lat = math.cos(math.radians(mean_lat))
 
     @property
     def node_ids(self) -> tuple[str, ...]:
@@ -162,10 +157,6 @@ class Network:
         """Outgoing edges of a node, ordered by edge id."""
         return self._out[node_id]
 
-    def in_edges(self, node_id: str) -> tuple[Edge, ...]:
-        """Incoming edges of a node, ordered by edge id."""
-        return self._in[node_id]
-
     def num_nodes(self) -> int:
         return len(self._nodes)
 
@@ -175,13 +166,15 @@ class Network:
     def distance_m(self, a: str, b: str) -> float:
         """Straight-line distance between two nodes in meters.
 
-        Equirectangular approximation: longitudes are scaled by the
-        cosine of the mean latitude, which is plenty for city extents.
+        Equirectangular approximation: longitudes are scaled by one
+        cosine, of the network's mean node latitude, fixed at load, which
+        is plenty for city extents.  One fixed scale for every pair makes
+        this a planar metric, so it obeys the triangle inequality that
+        the straight-line bound relies on.
         """
         na, nb = self._nodes[a], self._nodes[b]
-        mean_lat = math.radians((na.lat + nb.lat) / 2.0)
         dlat = math.radians(nb.lat - na.lat)
-        dlon = math.radians(nb.lon - na.lon) * math.cos(mean_lat)
+        dlon = math.radians(nb.lon - na.lon) * self._cos_lat
         return EARTH_RADIUS_M * math.hypot(dlat, dlon)
 
     def __repr__(self) -> str:

@@ -105,8 +105,7 @@ def gen_instance(
     The network is strongly connected (a hidden cycle through every
     node) with extra edges controlled by ``density``.  Edge lengths are
     exact multiples of speed times the grid unit, and no observed time
-    beats an edge's nominal minimum, so the straight-line bound stays
-    admissible by construction.
+    beats an edge's nominal minimum.
 
     Every edge has one fast and one strictly slower observed time, and
     every generated route is traversed at least once wholly fast and

@@ -34,7 +34,6 @@ from .weights import (
     Mode,
     _no_weight,
     extend_cost,
-    path_cost,
 )
 
 
@@ -201,8 +200,8 @@ def check_dominance(
     node_min`` at the node, the same for every label there.  Each label
     is compared kept up to the limit, with the rest of its mass at
     ``limit + 1`` (:func:`~spotar.dist.clip`; a longer label's cost is
-    kept so already and is compared as it is).  That is sound whenever
-    the bound is admissible, the condition the prune already needs.
+    kept so already and is compared as it is).  That is sound because
+    both bounds are admissible on every store (see :mod:`spotar.heuristic`).
     Every completion from the node takes some ``s >= node_min`` units,
     independent of the label's time, and makes the budget with
     probability ``sum_s P(s) * F(budget - s)``, where ``F`` is the
@@ -289,18 +288,14 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
     In ``EDGE`` mode a label ending at ``w`` keeps its cost only up to
     ``limit = budget - node_min(w)``, with the rest of its mass at
     ``limit + 1`` (see :class:`Label`); a one-edge label keeps its
-    weight whole.  The kept entries are exact by induction.  When the
-    bound is consistent on the edge ``e`` from ``v`` to ``w``, that is
-    ``node_min(v) <= min_time(e) + node_min(w)``, every sum up to ``w``'s
-    limit adds a time of the parent no later than ``limit(w) -
-    min_time(e) <= limit(v)``: the parent's exact entries, added in the
-    same order as in the whole convolution, while the parent's rest adds
-    only past ``w``'s limit.  Where the bound is not consistent on ``e``,
-    the child is convolved from the parent's whole ``path_cost``
-    instead.  ``sp`` is consistent by construction, and ``ba`` is
-    wherever every edge's minimum time is at least its crow-flight time
-    at top speed, so the whole cost is built only for stores that break
-    that.  What the search reads is then unchanged: ``r`` and a
+    weight whole.  The kept entries are exact by induction.  Both bounds
+    are consistent on every edge ``e`` from ``v`` to ``w``, that is
+    ``node_min(v) <= min_time(e) + node_min(w)`` (see
+    :mod:`spotar.heuristic`), so every sum up to ``w``'s limit adds a
+    time of the parent no later than ``limit(w) - min_time(e) <=
+    limit(v)``: the parent's exact entries, added in the same order as in
+    the whole convolution, while the parent's rest adds only past ``w``'s
+    limit.  What the search reads is then unchanged: ``r`` and a
     candidate's probability read entries up to the limit (a candidate's
     ``node_min`` is 0, so its limit is the budget) and whether any mass
     lies past it, which the rest entry says; the minimum a popped label
@@ -340,7 +335,6 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
         state: Histogram | tuple[FoldStep, ...] | None,
         visited: frozenset[str],
         path_min: int,
-        parent_min: int,  # the prefix's node_min; 0 for the source, which has no cost
     ) -> None:
         nonlocal best_path, best_prob
         for e in net.out_edges(node):
@@ -358,12 +352,8 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
             edges = path + (e.edge_id,)
             explored.add(e.edge_id)
             limit = query.budget - node_min
-            prior = state
-            if edge_mode and parent_min > ik + node_min:
-                # the bound is not consistent on e: the child needs the prefix's cost past its limit
-                prior = path_cost(model, Path(path))
             try:
-                cost, ext_state = extend_cost(model, prior, edges, limit)
+                cost, ext_state = extend_cost(model, state, edges, limit)
             except InconsistentWeightsError:
                 record(("skip-inconsistent", path, e.edge_id))
                 continue
@@ -394,21 +384,14 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
             record(("push", edges, None, candidate.r))
             queue.push(candidate)
 
-    expand((), query.source, None, frozenset((query.source,)), 0, 0)
+    expand((), query.source, None, frozenset((query.source,)), 0)
     while (label := queue.pop()) is not None:
         if best_path is not None and label.r <= best_prob:
             record(("break", label.edges, None, label.r))
             break
         expanded += 1
         record(("pop", label.edges, None, label.r))
-        expand(
-            label.edges,
-            label.end_node,
-            label.state,
-            label.visited,
-            least(label.cost),
-            label.node_min,
-        )
+        expand(label.edges, label.end_node, label.state, label.visited, least(label.cost))
 
     return SolveResult(
         path=best_path,

@@ -210,6 +210,7 @@ class WeightStore:
         "_max_len",
         "_open_prefixes",
         "_min_times",
+        "_crow_speed",
     )
 
     def __init__(
@@ -238,6 +239,7 @@ class WeightStore:
         # a path is settled when none of its suffixes is one of these (see spotar.solver)
         self._open_prefixes = frozenset(key[:j] for key in self._path_weights for j in range(1, len(key)))
         self._min_times = {eid: min_cost(h) for eid, h in self._edge_weights.items()}
+        self._crow_speed: tuple[Network, float] | None = None  # kept by spotar.heuristic.StraightLineBound
 
     def _check_fit(self) -> None:
         """Check that every stored weight fits the store, naming the first

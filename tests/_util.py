@@ -105,6 +105,22 @@ def conflicting_records(
     ]
 
 
+def fast_trip_records(
+    records: list[TrajectoryRecord], rng: random.Random
+) -> list[TrajectoryRecord]:
+    """The same traversals with every time ``t`` cut to ``max(1, t - k)``
+    for a random ``k`` of at most ``t // 2``, drawn in record order.
+
+    Many trips then beat their edge's speed-limit time, as GPS logs do,
+    so a bound that divides crow-flight distance by the top speed limit
+    would overestimate the remaining time.
+    """
+    return [
+        TrajectoryRecord(r.path, tuple(max(1, t - rng.randint(0, t // 2)) for t in r.times), r.count)
+        for r in records
+    ]
+
+
 def _prep_sampler(model: CostModel, path: Path):
     """Build a closure drawing one total travel time for ``path``.
 

@@ -184,14 +184,14 @@ def test_lower_bounds_hold_and_tighter_bound_explores_less():
             node, dest = rng.sample(nodes, 2)
             budget = rng.randint(5, 150)
             true_min = min(
-                sum(min_cost(store.edge_weight(e)) for e in path)
+                sum(min_cost(store.edge_weight(e)) for e in path.edges)
                 for path in enumerate_simple_paths(net, Query(node, dest, budget))
             )
             tree_min = build_min_tree(net, store, dest, budget).get_min(node)
             if tree_min is None:
                 check(problems, true_min > budget, f"seed {seed}: dropped reachable node {node}")
                 continue
-            ba_min = StraightLineBound(net, dest).get_min(node)
+            ba_min = StraightLineBound(net, store, dest).get_min(node)
             check(problems, tree_min <= true_min, f"seed {seed}: tree {tree_min} > true {true_min}")
             check(problems, ba_min <= tree_min, f"seed {seed}: crow {ba_min} > tree {tree_min}")
             compared += 1

@@ -155,7 +155,7 @@ def test_query_straight_line_heuristic(store_file, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "path e2,e6,e9"
     assert lines[1] == "probability 0.7"
-    assert lines[2] == "explored_edges 7"
+    assert lines[2] == "explored_edges 6"
 
 
 def test_query_on_the_store_grid(tmp_path, capsys):

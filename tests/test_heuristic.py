@@ -16,12 +16,12 @@ from spotar.heuristic import (
     build_min_tree,
     make_heuristic,
 )
-from spotar.network import Network, Node, Query
+from spotar.network import Edge, Network, Node, Query
 from spotar.oracle import gen_instance
 from spotar.solver import solve
-from spotar.weights import build_store
+from spotar.weights import CostModel, Mode, build_store
 
-from _util import rand_hist
+from _util import fast_trip_records, rand_hist
 
 
 def test_heuristic_kind_parse():
@@ -67,29 +67,70 @@ def test_tree_bound_wraps_tree(sample_net, sample_store):
     assert h.get_min("d") == 0
 
 
+def crow_speed(net, store):
+    """The fastest crow-flight speed any edge's minimum time implies, in
+    meters per grid unit, with the bound's relative slack."""
+    return max(
+        net.distance_m(net.edge(eid).from_node, net.edge(eid).to_node)
+        / min_cost(store.edge_weight(eid))
+        for eid in net.edge_ids
+    ) * (1.0 + 1e-9)
+
+
 def test_straight_line_bound_formula(sample_net, sample_store):
     """Every node, asked twice: the bound remembers each node's value."""
     h = make_heuristic(HeuristicKind.BA, sample_net, sample_store, "d", 22)
     assert isinstance(h, StraightLineBound)
+    speed = crow_speed(sample_net, sample_store)
     for nid in [*sample_net.node_ids, *reversed(sample_net.node_ids)]:
-        want = math.floor(
-            sample_net.distance_m(nid, "d") / (sample_net.max_speed * sample_net.delta)
-        )
-        assert h.get_min(nid) == want
+        assert h.get_min(nid) == math.floor(sample_net.distance_m(nid, "d") * (1.0 / speed))
     assert h.get_min("d") == 0
 
 
-def test_straight_line_bound_errors(sample_net):
-    with pytest.raises(ValueError):
-        StraightLineBound(sample_net, "zz")
-    empty = Network([Node("a", 0, 0), Node("b", 0, 1)], [])
-    with pytest.raises(ValueError):
-        StraightLineBound(empty, "a")
+def test_straight_line_speed_is_kept_per_network_and_store(sample_net, sample_store, monkeypatch):
+    """The speed is computed once per (network, store) pair, and again for another network."""
+    calls = []
+    distance = Network.distance_m
+    monkeypatch.setattr(Network, "distance_m", lambda net, a, b: calls.append((a, b)) or distance(net, a, b))
+    nodes = [sample_net.node(n) for n in sample_net.node_ids]
+    edges = [sample_net.edge(e) for e in sample_net.edge_ids]
+    for net in (Network(nodes, edges), Network(nodes, edges)):
+        calls.clear()
+        StraightLineBound(net, sample_store, "d")
+        assert len(calls) == net.num_edges()
+        calls.clear()
+        StraightLineBound(net, sample_store, "q")
+        assert calls == []
+
+
+def test_straight_line_bound_errors(sample_net, sample_store):
+    with pytest.raises(ValueError, match="^unknown node 'zz'$"):
+        StraightLineBound(sample_net, sample_store, "zz")
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [[], [Edge("x", "a", "b", 10.0, 5.0), Edge("y", "b", "a", 10.0, 5.0)]],
+    ids=["no-edge", "zero-crow-edges"],
+)
+def test_bounds_agree_where_no_edge_has_crow_length(edges):
+    """An edgeless network is no error for the straight-line bound: with
+    no edge of positive crow-flight length it is 0 everywhere, and both
+    bounds give the same answers."""
+    net = Network([Node("a", 57.0, 9.9), Node("b", 57.0, 9.9), Node("c", 57.001, 9.9)], edges)
+    model = CostModel(build_store(net, [], min_support=1), Mode.EDGE)
+    line = StraightLineBound(net, model.store, "c")
+    assert [line.get_min(n) for n in net.node_ids] == [0, 0, 0]
+    for source, dest in (("a", "c"), ("a", "b")):
+        query = Query(source, dest, 5)
+        sp, ba = (solve(net, model, kind, query) for kind in HeuristicKind)
+        assert (sp.path, sp.probability) == (ba.path, ba.probability)
+        assert (ba.path is None) == (dest == "c" or not edges)
 
 
 def test_straight_line_never_exceeds_tree(sample_net, sample_store):
     tree = build_min_tree(sample_net, sample_store, "d", 10**6)
-    line = StraightLineBound(sample_net, "d")
+    line = StraightLineBound(sample_net, sample_store, "d")
     for nid in sample_net.node_ids:
         assert line.get_min(nid) <= tree.get_min(nid)
 
@@ -103,15 +144,47 @@ def test_bounds_are_admissible_on_random_instances():
         rng = random.Random(seed)
         dest = rng.choice(list(net.node_ids))
         tree = build_min_tree(net, store, dest, 10**6)
-        line = StraightLineBound(net, dest)
+        line = StraightLineBound(net, store, dest)
         for nid in net.node_ids:
             tmin = tree.get_min(nid)
             assert tmin is not None  # generated networks are strongly connected
             assert line.get_min(nid) <= tmin
 
 
+def consistent_stores():
+    """Stores of every kind the bounds must hold on: generated ones, and
+    fast-trip ones whose trips beat their edges' speed-limit times."""
+    for seed in range(20):
+        net, records = gen_instance(seed, joint_fraction=0.9, min_support=2)
+        for recs in (records, fast_trip_records(records, random.Random(seed))):
+            yield net, build_store(net, recs, min_support=2, mode=Mode.PACE, max_unit_len=3)
+
+
+def test_both_bounds_are_consistent_on_every_edge(sample_net, sample_store):
+    """``h(dest) == 0`` and ``h(u) <= min_time(e) + h(w)`` on every edge ``e``
+    from ``u`` to ``w``, for every destination, with both bounds.  The
+    tree has no value at a node that cannot reach the destination, where
+    the inequality holds with ``h(w)`` infinite."""
+    checked = 0
+    for net, store in [(sample_net, sample_store), *consistent_stores()]:
+        for dest in net.node_ids:
+            for kind in HeuristicKind:
+                h = make_heuristic(kind, net, store, dest, 10**9)
+                assert h.get_min(dest) == 0
+                for eid in net.edge_ids:
+                    e = net.edge(eid)
+                    if h.get_min(e.to_node) is not None:
+                        ik = min_cost(store.edge_weight(eid))
+                        assert h.get_min(e.from_node) <= ik + h.get_min(e.to_node)
+                        checked += 1
+    assert checked > 5_000
+
+
 def unbounded_tree(net, store, dest):
     """Plain backward Dijkstra with no budget; ties pop in the same order."""
+    incoming = {}
+    for eid in net.edge_ids:
+        incoming.setdefault(net.edge(eid).to_node, []).append(net.edge(eid))
     mins = {}
     heap = [(0, dest)]
     while heap:
@@ -119,7 +192,7 @@ def unbounded_tree(net, store, dest):
         if node in mins:
             continue
         mins[node] = d
-        for e in net.in_edges(node):
+        for e in incoming.get(node, ()):
             heapq.heappush(heap, (d + min_cost(store.edge_weight(e.edge_id)), e.from_node))
     return mins
 

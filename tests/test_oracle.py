@@ -224,15 +224,14 @@ def test_gen_instance_is_strongly_connected():
     for seed in range(20):
         net, _ = gen_instance(seed)
         start = net.node_ids[0]
-        for direction in ("out", "in"):
+        ends = [(net.edge(eid).from_node, net.edge(eid).to_node) for eid in net.edge_ids]
+        for pairs in (ends, [(b, a) for a, b in ends]):  # forward, then backward
             seen = {start}
             frontier = [start]
             while frontier:
                 node = frontier.pop()
-                edges = net.out_edges(node) if direction == "out" else net.in_edges(node)
-                for e in edges:
-                    nxt = e.to_node if direction == "out" else e.from_node
-                    if nxt not in seen:
+                for here, nxt in pairs:
+                    if here == node and nxt not in seen:
                         seen.add(nxt)
                         frontier.append(nxt)
             assert seen == set(net.node_ids)
@@ -288,7 +287,7 @@ def test_gen_instance_stores_fuse_on_any_path():
         node_ids = list(net.node_ids)
         for _ in range(10):
             src, dst = rng.sample(node_ids, 2)
-            short = [p for p in enumerate_simple_paths(net, Query(src, dst, 1)) if len(p) <= 5]
+            short = [p for p in enumerate_simple_paths(net, Query(src, dst, 1)) if len(p.edges) <= 5]
             for p in short[:10]:
                 total = path_cost(pace, p)
                 assert abs(math.fsum(q for _, q in total.items()) - 1.0) <= 1e-9

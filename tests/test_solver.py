@@ -10,8 +10,8 @@ import pytest
 
 import spotar.solver as solver_module
 from spotar.dist import Histogram, JointDist, _derived, clip
-from spotar.heuristic import HeuristicKind, build_min_tree
-from spotar.network import Edge, Network, Path, Query
+from spotar.heuristic import HeuristicKind, StraightLineBound, build_min_tree
+from spotar.network import Edge, Network, Node, Path, Query
 from spotar.oracle import exact_spotar, gen_instance
 from spotar.solver import Label, SearchEvent, SearchQueue, check_dominance, solve
 from spotar.weights import (
@@ -24,7 +24,7 @@ from spotar.weights import (
     path_cost,
 )
 
-from _util import conflicting_records, tiny_network
+from _util import conflicting_records, fast_trip_records, tiny_network
 
 
 def events_of(result, kind):
@@ -129,7 +129,7 @@ def test_edge_mode_prefers_the_other_route(sample_net, edge_model):
 
 @pytest.mark.parametrize(
     "budget,sp_explored,ba_explored",
-    [(22, 5, 7), (21, 5, 6), (20, 4, 6), (18, 3, 6), (15, 0, 3)],
+    [(22, 5, 6), (21, 5, 6), (20, 4, 6), (18, 3, 5), (15, 0, 2)],
 )
 def test_straight_line_bound_same_answer_more_search(
     sample_net, pace_model, budget, sp_explored, ba_explored
@@ -212,9 +212,9 @@ def test_search_effort_is_pinned():
                         event_digest.update(repr(fields).encode())
                     expanded += res.expanded_labels
                     explored += res.explored_edges
-    assert (expanded, explored) == (1218, 2529)
-    assert digest.hexdigest() == "48654f763be62d2a80889298c4b71acda63e867d3c08828b91cf5f50b56d5508"
-    assert event_digest.hexdigest() == "3edc230f785c708bd26dbe302b1c6a5bdf723e4de23f8351bfaec92f44ca84e8"
+    assert (expanded, explored) == (1223, 2520)
+    assert digest.hexdigest() == "11392299d4432151be80f69f3ec05847939621c6288d3e8eb66948990c7075cb"
+    assert event_digest.hexdigest() == "596445b29d6260609dd5b6bfd9eed3bd073304b577a985aadec0117522de2157"
 
 
 def test_every_label_matches_its_path_cost(monkeypatch):
@@ -328,14 +328,17 @@ def test_clipped_costs_answer_as_whole_costs_do(monkeypatch):
 
 
 def test_inconsistent_bound_clips_from_the_whole_prefix():
-    """A child of a clipped label whose edge beats the bound starts from the whole prefix.
+    """An edge faster than its speed limit makes ``ba`` slower, not inconsistent.
 
-    ``e3`` (``b -> d``) is 605 m of crow flight at the top speed of 10 m/s,
-    60 units, but takes 5, so ``ba``'s bound drops from 60 at ``b`` to 0
-    at ``d`` over a 5-unit edge.  ``e1`` and ``e2`` take 10 or 60 units,
-    so ``s -> d`` takes 25, 75 or 125 with probabilities 1/4, 1/2, 1/4.
-    ``ba`` keeps the label ``e1,e2`` only up to ``budget - 60`` and puts
-    the mass at 70 past it; convolving that with ``e3`` would score 1.0.
+    ``e3`` (``b -> d``) is 605 m of crow flight but takes 5 units.  At
+    the top speed limit, 10 m/s, a bound would say 60 units at ``b`` and
+    drop to 0 at ``d`` over a 5-unit edge.  ``e1`` and ``e2`` take 10 or
+    60 units, so ``s -> d`` takes 25, 75 or 125 with probabilities 1/4,
+    1/2, 1/4, and keeping ``e1,e2`` only up to ``budget - 60``, with the
+    mass at 70 past it, would score ``e3``'s extension 1.0.  ``ba`` takes
+    its speed from the store instead, 121 m per unit from ``e3`` itself,
+    so its bound is consistent on ``e3`` and the clipped label answers
+    right with no second extension path.
     """
     per_deg = 6_371_000.0 * math.pi / 180.0
     coords = {"d": (57.0, 9.9), "b": (57.0 + 605.0 / per_deg, 9.9)}
@@ -349,12 +352,80 @@ def test_inconsistent_bound_clips_from_the_whole_prefix():
     records = [TrajectoryRecord(route, (10, 10, 5), 1), TrajectoryRecord(route, (60, 60, 5), 1)]
     model = CostModel(build_store(net, records, mode=Mode.EDGE), Mode.EDGE)
     assert math.floor(net.distance_m("b", "d") / 10.0) == 60
+    line = StraightLineBound(net, model.store, "d")
+    assert model.store._crow_speed == (net, pytest.approx(121.0, rel=1e-8))
+    assert (line.get_min("b"), line.get_min("d")) == (4, 0)
+    assert line.get_min("b") <= model.store._min_times["e3"] + line.get_min("d")
     for budget in (90, 100, 110):
         query = Query("s", "d", budget)
         assert exact_spotar(net, model, query) == (route, 0.75)
         for kind in (HeuristicKind.SP, HeuristicKind.BA):
             res = solve(net, model, kind, query)
             assert (res.path, res.probability) == (route, 0.75)
+
+
+def fast_trip_instance(seed):
+    """A generated store whose trips often beat their edges' speed-limit
+    times, and the ends of its query."""
+    net, records = gen_instance(seed, nodes=8, joint_fraction=0.9, min_support=2)
+    records = fast_trip_records(records, random.Random(seed))
+    store = build_store(net, records, min_support=2, mode=Mode.PACE, max_unit_len=3)
+    source, dest = random.Random(f"q{seed}").sample(list(net.node_ids), 2)
+    return net, store, source, dest
+
+
+def test_fast_trips_keep_the_straight_line_bound_exact():
+    """Trips that beat the speed limit cost ``ba`` no optimum.
+
+    Edge mode matches brute force with both bounds.  Pace mode may miss
+    only where ``sp`` misses too: those misses are pace mode's own, not
+    the bound's.
+    """
+    misses = {}
+    for seed in range(100):
+        net, store, source, dest = fast_trip_instance(seed)
+        shortest = build_min_tree(net, store, dest, 10**9).get_min(source)
+        for f in (1.0, 1.3):
+            query = Query(source, dest, round(f * shortest))
+            for mode in Mode:
+                model = CostModel(store, mode)
+                _, want = exact_spotar(net, model, query)
+                for kind in HeuristicKind:
+                    got = solve(net, model, kind, query).probability
+                    misses[seed, f, mode, kind] = abs(got - want) > 1e-9
+    for (seed, f, mode, kind), missed in misses.items():
+        if mode is Mode.EDGE:
+            assert not missed, (seed, f, kind)
+        elif kind is HeuristicKind.BA:
+            assert not missed or misses[seed, f, mode, HeuristicKind.SP], (seed, f)
+    assert len(misses) == 800
+
+
+def test_fast_trip_reproducer_keeps_its_only_path():
+    """Fast-trip seed 168, shrunk to the two edges that break a bound at the speed limit.
+
+    Five trips take ``e1`` (80 m) in 6 units and ``e2`` (165 m, 15 m/s)
+    in 8, on a crow flight of about 153 m from ``m`` to ``d``.  At the
+    speed limit that is 10 units, so a bound at 15 m/s says 10 at ``m``,
+    and the prune ``6 + 10 > 14`` cut the only path: such a search
+    answered no path.
+    """
+    net = Network(
+        [Node("d", 57.000772569549, 9.926444708317057),
+         Node("m", 57.00208334091932, 9.925650239516266),
+         Node("s", 57.002477027145645, 9.926666332227075)],
+        [Edge("e1", "s", "m", 80.0, 8.0), Edge("e2", "m", "d", 165.0, 15.0)],
+    )
+    route = Path(("e1", "e2"))
+    store = build_store(net, [TrajectoryRecord(route, (6, 8), 5)], min_support=2, max_unit_len=3)
+    assert math.floor(net.distance_m("m", "d") / 15.0) == 10
+    query = Query("s", "d", 14)
+    for mode in Mode:
+        model = CostModel(store, mode)
+        assert exact_spotar(net, model, query) == (route, 1.0)
+        for kind in HeuristicKind:
+            res = solve(net, model, kind, query)
+            assert (res.path, res.probability) == (route, 1.0)
 
 
 def test_solver_is_deterministic(sample_net, pace_model):
@@ -424,23 +495,22 @@ def assert_transcript(res, expected):
         (HeuristicKind.BA, 22, [
             E("push", ("e1",), value=1.0),
             E("push", ("e2",), value=1.0),
+            E("pop", ("e2",), value=1.0),
+            E("prune", ("e2",), edge="e3", ik_min=11, path_min=8, node_min=6),
+            E("push", ("e2", "e6"), value=0.7),
             E("pop", ("e1",), value=1.0),
-            E("push", ("e1", "e4"), value=1.0),
-            E("push", ("e1", "e5"), value=1.0),
-            E("pop", ("e1", "e4"), value=1.0),
-            E("prune", ("e1", "e4"), edge="e7", ik_min=13, path_min=14, node_min=2),
+            E("push", ("e1", "e4"), value=0.8),
+            E("push", ("e1", "e5"), value=0.9800000000000001),
+            E("pop", ("e1", "e5"), value=0.9800000000000001),
+            E("prune", ("e1", "e5"), edge="e8", ik_min=8, path_min=16, node_min=0),
+            E("pop", ("e1", "e4"), value=0.8),
+            E("prune", ("e1", "e4"), edge="e7", ik_min=13, path_min=14, node_min=4),
             E("candidate", ("e1", "e4", "e9"), value=0.32000000000000006),
             E("incumbent", ("e1", "e4", "e9"), value=0.32000000000000006),
-            E("pop", ("e1", "e5"), value=1.0),
-            E("prune", ("e1", "e5"), edge="e8", ik_min=8, path_min=16, node_min=0),
-            E("pop", ("e2",), value=1.0),
-            E("push", ("e2", "e3"), value=0.2),
-            E("push", ("e2", "e6"), value=1.0),
-            E("pop", ("e2", "e6"), value=1.0),
-            E("prune", ("e2", "e6"), edge="e7", ik_min=13, path_min=13, node_min=2),
+            E("pop", ("e2", "e6"), value=0.7),
+            E("prune", ("e2", "e6"), edge="e7", ik_min=13, path_min=13, node_min=4),
             E("candidate", ("e2", "e6", "e9"), value=0.7),
             E("incumbent", ("e2", "e6", "e9"), value=0.7),
-            E("break", ("e2", "e3"), value=0.2),
         ]),
         (HeuristicKind.SP, 18, [
             E("prune", (), edge="e1", ik_min=8, path_min=0, node_min=11),
@@ -493,7 +563,8 @@ def certain_grid():
     Every edge is 100 m at 10 m/s, a point mass at 10 units, so each
     route takes 60 units.  Nodes sit on a real grid, 55 m apart north to
     south and 30 m east to west, so the straight-line bound says how far
-    each node is from ``g33`` and stays below the edge lengths.
+    each node is from ``g33``: at 55.6 m per 10 units, the fastest
+    crow-flight speed of any edge, it gives 34 units at ``g00``.
     """
     coords = {f"g{r}{c}": (57.0 - 0.0005 * r, 9.9 + 0.0005 * c) for r in range(4) for c in range(4)}
     specs = [(f"s{r}{c}", f"g{r}{c}", f"g{r + 1}{c}", 100.0, 10.0) for r in range(3) for c in range(4)]
@@ -509,12 +580,12 @@ def test_ba_stops_after_the_first_certain_incumbent():
     # search at the next pop.
     net, model = certain_grid()
     res = solve(net, model, HeuristicKind.BA, Query("g00", "g33", 90))
-    assert res.path.edges == ("s00", "s10", "e20", "e21", "s22", "e32")
+    assert res.path.edges == ("s00", "s10", "e20", "s21", "e31", "e32")
     assert res.probability == 1.0
     assert res.expanded_labels == 5
     assert [e.path for e in events_of(res, "incumbent")] == [res.path.edges]
     (brk,) = events_of(res, "break")
-    assert brk.path == ("s00", "s10", "e20", "e21", "e22")
+    assert brk.path == ("s00", "s10", "e20", "e21")
     assert brk.value == 1.0
     kinds = [e.kind for e in res.transcript]
     assert kinds[-3:] == ["candidate", "incumbent", "break"]

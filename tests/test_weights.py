@@ -978,7 +978,7 @@ def test_path_cost_matches_explicit_joint_on_random_instances():
         node_ids = list(net.node_ids)
         for _ in range(5):
             src, dst = rng.sample(node_ids, 2)
-            short = [p for p in enumerate_simple_paths(net, Query(src, dst, 1)) if len(p) <= 5]
+            short = [p for p in enumerate_simple_paths(net, Query(src, dst, 1)) if len(p.edges) <= 5]
             for p in short[:5]:
                 approx_dict(path_cost(model, p).items(), joint_cost(model.store, p.edges).items(), tol=1e-12)
                 checked += 1
