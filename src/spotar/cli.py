@@ -114,24 +114,14 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def _load_store_and_network(args: argparse.Namespace) -> tuple[WeightStore, Network]:
-    """Load ``--store`` and ``--network`` and check that the store has
-    a weight for exactly the network's edges."""
+    """Load ``--store`` and ``--network``, the network on the store's grid,
+    and check that the store was built for it, naming both files."""
     store = load_store(args.store)
     net = load_network(args.network, delta=store.delta)
-    stored, edges = set(store.edge_ids()), set(net.edge_ids)
-    unweighted, unknown = edges - stored, stored - edges
-    if unweighted or unknown:
-        problems = [
-            f"{len(ids)} {what} (first {min(ids)!r})"
-            for ids, what in (
-                (unweighted, "network edges have no weight"),
-                (unknown, "stored edges are not in the network"),
-            )
-            if ids
-        ]
-        raise StoreError(
-            f"store {args.store} was not built for network {args.network}: {'; '.join(problems)}"
-        )
+    try:
+        store._fit(net)
+    except StoreError as exc:
+        raise StoreError(f"store {args.store} was not built for network {args.network}: {exc}") from None
     return store, net
 
 

@@ -5,7 +5,8 @@ from that node to the destination can take.  The tree bound is exact
 (a backward shortest-path tree over per-edge minimum times, cut off at
 the budget); the straight-line bound is cheaper but looser (crow-flight
 distance at the fastest crow-flight speed any edge's minimum time
-implies).  Both are consistent on every store.
+implies).  Both are consistent on every store, and both refuse a store
+not built for the network (see :meth:`~spotar.weights.WeightStore._fit`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .network import Network
-from .weights import WeightStore, _no_weight
+from .weights import WeightStore
 
 
 class HeuristicKind(enum.Enum):
@@ -52,6 +53,7 @@ def build_min_tree(net: Network, store: WeightStore, dest: str, budget: int) -> 
     the order an uncut search would pop them, so ``mins`` is the uncut
     tree's, restricted to the budget.
     """
+    store._fit(net)
     if not net.has_node(dest):
         raise ValueError(f"unknown node {dest!r}")
     mins: dict[str, int] = {}
@@ -66,10 +68,7 @@ def build_min_tree(net: Network, store: WeightStore, dest: str, budget: int) -> 
         mins[node] = d
         for e in in_edges[node]:
             if e.from_node not in mins:
-                try:
-                    t = d + min_times[e.edge_id]
-                except KeyError:
-                    raise _no_weight(e.edge_id) from None
+                t = d + min_times[e.edge_id]
                 if t <= budget:
                     push(heap, (t, e.from_node))
     return MinTree(mins)
@@ -89,13 +88,13 @@ class TreeBound:
 class StraightLineBound:
     """Crow-flight distance to the destination at speed ``V``, floored to units.
 
-    ``V`` is the largest ``crow(e) / min_time(e)`` over the edges the
-    store weighs, in meters per grid unit, raised by a relative 1e-9 so
-    that float rounding cannot break the inequality below.  It is kept
-    on the store with the network it was computed for, and computed again
-    only for another network.  The bound is ``h(u) = floor(crow(u, dest) / V)``, or 0 where ``V`` is 0,
-    and it is consistent on every store: every edge ``e`` from ``u`` to
-    ``w`` has ``crow(e) / V <= min_time(e)``, and
+    ``V`` is the largest ``crow(e) / min_time(e)`` over the network's
+    edges, in meters per grid unit, raised by a relative 1e-9 so that
+    float rounding cannot break the inequality below.  It is computed on
+    first use and kept on the store beside the network the store last
+    fitted.  The bound is ``h(u) = floor(crow(u, dest) / V)``, or 0 where
+    ``V`` is 0, and it is consistent on every store: every edge ``e`` from
+    ``u`` to ``w`` has ``crow(e) / V <= min_time(e)``, and
     :meth:`~spotar.network.Network.distance_m` is a metric, so
     ``crow(u, dest) / V <= min_time(e) + crow(w, dest) / V``, and flooring
     keeps ``h(u) <= min_time(e) + h(w)`` since ``min_time(e)`` is whole.
@@ -105,20 +104,19 @@ class StraightLineBound:
     """
 
     def __init__(self, net: Network, store: WeightStore, dest: str) -> None:
+        store._fit(net)
         if not net.has_node(dest):
             raise ValueError(f"unknown node {dest!r}")
-        kept = store._crow_speed
-        if kept is None or kept[0] is not net:
+        speed = store._crow_speed
+        if speed is None:
             min_times, crow = store._min_times, net.distance_m
-            speed = max(
-                (crow(e.from_node, e.to_node) / min_times[e.edge_id]
-                 for e in net._edges.values() if e.edge_id in min_times),
+            speed = store._crow_speed = max(
+                (crow(e.from_node, e.to_node) / min_times[e.edge_id] for e in net._edges.values()),
                 default=0.0,
-            )
-            kept = store._crow_speed = (net, speed * (1.0 + 1e-9))
+            ) * (1.0 + 1e-9)
         self._net = net
         self._dest = dest
-        self._units_per_m = 1.0 / kept[1] if kept[1] else 0.0
+        self._units_per_m = 1.0 / speed if speed else 0.0
         self._mins: dict[str, int] = {}
 
     def get_min(self, node_id: str) -> int | None:

@@ -32,7 +32,6 @@ from .weights import (
     FoldStep,
     InconsistentWeightsError,
     Mode,
-    _no_weight,
     extend_cost,
 )
 
@@ -243,9 +242,8 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
     """Find the path maximizing the chance of arriving within the budget.
 
     Returns a no-path result (probability 0) when nothing can make it.
-    The budget and every time are in grid units, so ``net`` and the
-    model's store must share one ``delta``; a ``ValueError`` naming both
-    is raised when they do not.
+    A store not built for ``net``, on its grid and for exactly its edges, is
+    refused before the search starts (see :meth:`~spotar.weights.WeightStore._fit`).
 
     A label's priority ``r`` is its cost's ``cdf`` at ``budget -
     node_min``: the mass of the path so far at times ``k`` with ``k +
@@ -307,10 +305,7 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
     """
     t0 = time.perf_counter()
     store = model.store
-    if net.delta != store.delta:
-        raise ValueError(
-            f"the network's time unit is {net.delta} s but the store's is {store.delta} s"
-        )
+    store._fit(net)
     for node_id in (query.source, query.dest):
         if not net.has_node(node_id):
             raise ValueError(f"unknown node {node_id!r}")
@@ -341,10 +336,7 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
             if e.to_node in visited:
                 record(("skip-cycle", path, e.edge_id))
                 continue
-            try:
-                ik = min_times[e.edge_id]
-            except KeyError:
-                raise _no_weight(e.edge_id) from None
+            ik = min_times[e.edge_id]
             node_min = bound.get_min(e.to_node)
             if node_min is None or ik + path_min + node_min > query.budget:
                 record(("prune", path, e.edge_id, None, ik, path_min, node_min))

@@ -53,11 +53,6 @@ class StoreError(ValueError):
     """Raised for lookups or constructions that violate store rules."""
 
 
-def _no_weight(edge_id: str) -> StoreError:
-    """The error for a lookup of an edge that the store has no weight for."""
-    return StoreError(f"no weight for edge {edge_id!r}")
-
-
 class StoreFormatError(StoreError):
     """Raised when a serialized store fails to parse or validate."""
 
@@ -125,6 +120,25 @@ class TrajectoryRecord:
         return self
 
 
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, leaving it as it was found on exit.
+
+    :func:`load_trajectories` and :func:`load_store` build thousands of
+    small objects, none of which can reach itself again, so the
+    collections their allocation would trigger scan them all and find no
+    cycle to free.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_gc_paused()
 def load_trajectories(net: Network, path: str) -> list[TrajectoryRecord]:
     """Read trajectories from text: ``count,edge:seconds;edge:seconds``.
 
@@ -197,6 +211,7 @@ class WeightStore:
     ``min_support`` is an ``int`` of at least 1 and ``max_unit_len`` one
     of at least 2, neither a ``bool``; ``mode`` is a :class:`Mode`; and
     the weights fit together, which one loop, :meth:`_check_fit`, checks.
+    Whether the store fits a network is checked by :meth:`_fit` alone.
     """
 
     __slots__ = (
@@ -210,6 +225,7 @@ class WeightStore:
         "_max_len",
         "_open_prefixes",
         "_min_times",
+        "_fitted",
         "_crow_speed",
     )
 
@@ -239,7 +255,8 @@ class WeightStore:
         # a path is settled when none of its suffixes is one of these (see spotar.solver)
         self._open_prefixes = frozenset(key[:j] for key in self._path_weights for j in range(1, len(key)))
         self._min_times = {eid: min_cost(h) for eid, h in self._edge_weights.items()}
-        self._crow_speed: tuple[Network, float] | None = None  # kept by spotar.heuristic.StraightLineBound
+        self._fitted: Network | None = None
+        self._crow_speed: float | None = None  # for _fitted, kept by spotar.heuristic.StraightLineBound
 
     def _check_fit(self) -> None:
         """Check that every stored weight fits the store, naming the first
@@ -262,11 +279,30 @@ class WeightStore:
                         f"stored weight {key!r} has times for {eid!r} outside its edge weight"
                     )
 
+    def _fit(self, net: Network) -> None:
+        """Check that the store was built for ``net``: the same ``delta``, a
+        weight for every network edge and none for another edge, or raise a
+        :class:`StoreError` naming the misfit.  The last network that passed
+        is remembered, so checking it again is one identity test; a failed
+        check keeps the record, and another network that passes clears
+        ``_crow_speed``, which belongs to the remembered one."""
+        if net is self._fitted:
+            return
+        if net.delta != self.delta:
+            raise StoreError(f"the network's time unit is {net.delta} s but the store's is {self.delta} s")
+        edges, weighted = net._edges.keys(), self._edge_weights.keys()
+        if edges != weighted:
+            raise StoreError("; ".join(
+                f"{len(ids)} {what} (first {min(ids)!r})"
+                for ids, what in ((edges - weighted, "network edges have no weight"),
+                                  (weighted - edges, "stored edges are not in the network")) if ids))
+        self._fitted, self._crow_speed = net, None
+
     def edge_weight(self, edge_id: str) -> Histogram:
         try:
             return self._edge_weights[edge_id]
         except KeyError:
-            raise _no_weight(edge_id) from None
+            raise StoreError(f"no weight for edge {edge_id!r}") from None
 
     def edge_ids(self) -> tuple[str, ...]:
         return tuple(self._edge_weights)
@@ -441,23 +477,6 @@ def _expect(value: object, kind: type, name: str):
     return value
 
 
-@contextmanager
-def _gc_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector, leaving it as it was found on exit.
-
-    :func:`load_store` builds thousands of small objects, none of which
-    can reach itself again, so the collections their allocation would
-    trigger scan them all and find no cycle to free.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def _objects_in_bulk(
     idents: list, n_edges: int, groups: list
 ) -> tuple[dict[str, Histogram], dict[tuple[str, ...], JointDist]] | None:
@@ -560,7 +579,7 @@ def load_store(path: str) -> WeightStore:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise StoreFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != STORE_FORMAT:
         raise StoreFormatError("missing or wrong format marker")

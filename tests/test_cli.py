@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -303,11 +304,24 @@ CI_VERIFY_RUNS = [
         "--seed 2 --instances 200 --nodes 10 --density 0.6",
         "bcb6580decb1f62ef73ce22cddfb330d2dbd90f6e9b53c7abf212538a0e52100",
     ),
+    (
+        "--seed 3 --instances 200 --nodes 10 --density 0.6 --joint-fraction 0.9 --min-support 2",
+        "c644ffb4c0bcf4aa268411012eedfd821d92312b41436ed9786d838e7f3624e0",
+    ),
 ]
 
 
+def test_ci_runs_exactly_the_pinned_verify_commands():
+    """The workflow's ``verify`` steps and ``CI_VERIFY_RUNS`` list the same runs, in order."""
+    workflow = pathlib.Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+    runs = re.findall(r"python -m spotar\.cli verify (.+)$", workflow.read_text(), re.MULTILINE)
+    assert runs == [args for args, _ in CI_VERIFY_RUNS]
+
+
 @pytest.mark.parametrize(
-    "args, digest", CI_VERIFY_RUNS, ids=["default", "dense", "dense-short-units", "dense-network"]
+    "args, digest",
+    CI_VERIFY_RUNS,
+    ids=["default", "dense", "dense-short-units", "dense-network", "dense-network-dense-store"],
 )
 def test_ci_verify_output_is_pinned(capsys, args, digest):
     assert main(["verify", *args.split()]) == 0

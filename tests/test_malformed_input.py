@@ -131,6 +131,15 @@ def test_query_rejects_malformed_store(store_doc, tmp_path, capsys, case, change
     assert expected in _single_error_line(capsys)
 
 
+def test_query_rejects_a_store_nested_too_deep_for_the_parser(tmp_path, capsys):
+    """The JSON parser gives up on deep nesting with a ``RecursionError``,
+    which is reported as invalid JSON like any other parse error."""
+    store = tmp_path / "deep.json"
+    store.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["query", "--network", NETWORK, "--store", str(store), *QUERY]) == 1
+    assert _single_error_line(capsys).startswith("error: not valid JSON: maximum recursion depth exceeded")
+
+
 @pytest.mark.parametrize(
     "first_bad, later_bad, expected",
     [

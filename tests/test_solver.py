@@ -353,7 +353,8 @@ def test_inconsistent_bound_clips_from_the_whole_prefix():
     model = CostModel(build_store(net, records, mode=Mode.EDGE), Mode.EDGE)
     assert math.floor(net.distance_m("b", "d") / 10.0) == 60
     line = StraightLineBound(net, model.store, "d")
-    assert model.store._crow_speed == (net, pytest.approx(121.0, rel=1e-8))
+    assert model.store._fitted is net
+    assert model.store._crow_speed == pytest.approx(121.0, rel=1e-8)
     assert (line.get_min("b"), line.get_min("d")) == (4, 0)
     assert line.get_min("b") <= model.store._min_times["e3"] + line.get_min("d")
     for budget in (90, 100, 110):
@@ -447,12 +448,12 @@ def test_solver_rejects_unknown_nodes(sample_net, pace_model):
 @pytest.mark.parametrize("mode", [Mode.PACE, Mode.EDGE])
 @pytest.mark.parametrize("kind", [HeuristicKind.SP, HeuristicKind.BA])
 def test_solver_names_a_network_edge_with_no_weight(sample_net, sample_store, mode, kind):
-    """The store's lookups raise :class:`StoreError`, not ``KeyError``, for
-    an edge of the network that the store has no weight for."""
+    """A network edge that the store has no weight for is named by a
+    :class:`StoreError` before the search starts, not by a ``KeyError``."""
     nodes = [sample_net.node(n) for n in sample_net.node_ids]
     edges = [sample_net.edge(e) for e in sample_net.edge_ids] + [Edge("ex", "s", "d", 100.0, 8.0)]
     net = Network(nodes, edges, delta=sample_net.delta)
-    with pytest.raises(StoreError, match="no weight for edge 'ex'"):
+    with pytest.raises(StoreError, match=r"^1 network edges have no weight \(first 'ex'\)$"):
         solve(net, CostModel(sample_store, mode), kind, Query("s", "d", 22))
 
 

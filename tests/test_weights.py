@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+import spotar.weights as weights_module
 from spotar.dist import (
     MASS_TOL,
     DistributionError,
@@ -564,25 +565,38 @@ def test_load_store_rejects_bad_documents(tmp_path):
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_loaders_leave_gc_as_they_found_it(tmp_path, sample_store, enabled):
+def test_loaders_leave_gc_as_they_found_it(tmp_path, sample_store, monkeypatch, enabled):
+    """The store and trajectory loaders run with the cyclic collector paused
+    and leave it as they found it, also when they raise."""
     good = tmp_path / "w.json"
     save_store(sample_store, str(good))
     bad = tmp_path / "bad.json"
     doc = json.loads(good.read_text())
     doc["edge_weights"]["e1"] = [[8, 0.8], [10, 0.1]]
     bad.write_text(json.dumps(doc))
+    bad_log = tmp_path / "bad.txt"
+    bad_log.write_text("1,e1:8;e4:6\n1,e1:8;e9:6\n")
+    data = pathlib.Path(__file__).parent / "data"
+    during = []
+    monkeypatch.setattr(weights_module, "make_path", lambda *a: during.append(gc.isenabled()) or make_path(*a))
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
         load_store(str(good))
         assert gc.isenabled() is enabled
-        load_network(str(pathlib.Path(__file__).parent / "data" / "sample_network.csv"))
+        net = load_network(str(data / "sample_network.csv"))
         assert gc.isenabled() is enabled
         with pytest.raises(StoreFormatError, match="edge 'e1': total mass"):
             load_store(str(bad))
         assert gc.isenabled() is enabled
+        assert load_trajectories(net, str(data / "sample_trajectories.csv"))
+        assert gc.isenabled() is enabled
+        with pytest.raises(TrajectoryFormatError, match="line 2"):
+            load_trajectories(net, str(bad_log))
+        assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+    assert during and not any(during)
 
 
 def _assert_same_store(got, want):
