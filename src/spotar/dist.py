@@ -6,9 +6,9 @@ each row assigns one travel time to every edge of the path, so
 correlations between edges are preserved.  A distribution has no
 resolution of its own: the network and the weight store hold ``delta``
 (seconds per unit), each checked where it enters, and
-:func:`spotar.solver.solve` checks that the two agree.  All operations
-are exact dictionary arithmetic on sparse supports; nothing is binned
-or interpolated after construction.
+:meth:`spotar.weights.WeightStore._fit` checks that the two agree.  All
+operations are exact dictionary arithmetic on sparse supports; nothing
+is binned or interpolated after construction.
 """
 
 from __future__ import annotations
@@ -309,8 +309,8 @@ def clip(h: Histogram, limit: int) -> Histogram:
     most that one entry lies past the limit, already where the rest
     goes, and the ``fsum`` of one probability is that probability.
     Otherwise the rest is the ``fsum`` of the probabilities past the
-    limit.  It keeps a single edge's weight as :func:`convolve` with a
-    ``limit`` keeps a sum, and returns a sum kept so as it is.
+    limit.  :func:`spotar.weights.extend_cost` keeps a first edge's weight
+    so, as :func:`convolve` with a ``limit`` keeps a longer path's sum.
     """
     entries = h._entries
     if next(reversed(entries)) <= limit + 1:

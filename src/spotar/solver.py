@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import dist
-from .dist import Histogram, _derived, clip, min_cost, times_cdf
+from .dist import Histogram, _derived, min_cost, times_cdf
 from .heuristic import HeuristicKind, make_heuristic
 from .network import Network, Path, Query
 from .weights import (
@@ -42,20 +42,19 @@ class Label:
 
     ``edges`` are the path's edge ids.  ``cost`` and ``state`` are what
     :func:`spotar.weights.extend_cost` returned for them.  In ``EDGE``
-    mode the cost is a travel-time :class:`Histogram` and the state is
-    the cost: an extension is one convolution.  A one-edge label's cost
-    is its edge's weight, which is ``path_cost(model, Path(edges))``.  A
-    longer label's cost is ``path_cost`` kept up to its limit, ``budget -
-    node_min``: equal to it, bit for bit, at every time up to the limit,
-    with the rest of the mass in one entry at ``limit + 1``, there
-    whenever ``path_cost`` has mass past the limit (see
-    :func:`~spotar.dist.convolve`).  No completion can use that rest: it
-    takes at least ``node_min`` more units, so only times up to the limit
-    can still make the budget.  In ``PACE`` mode the cost is the
+    mode the cost is a travel-time :class:`Histogram` and the state is the
+    cost: an extension is one convolution.  The cost, of one edge or many,
+    is ``path_cost(model, Path(edges))`` kept up to the label's limit,
+    ``budget - node_min``: equal to it, bit for bit, at every time up to
+    the limit, with the rest of the mass in one entry at ``limit + 1``,
+    there whenever ``path_cost`` has mass past the limit (see
+    :func:`~spotar.weights.extend_cost`).  No completion can use that
+    rest: it takes at least ``node_min`` more units, so only times up to
+    the limit can still make the budget.  In ``PACE`` mode the cost is the
     path's per-total times ``{total: probability}``, unsorted, and the
-    state is the cover units with the fold state after each: an
-    extension keeps the steps of the leading units its cover shares with
-    this path and folds the one unit after them.
+    state is the cover units with the fold state after each: an extension
+    keeps the steps of the leading units its cover shares with this path
+    and folds the one unit after them.
 
     ``node_min`` is the bound's fewest remaining time units from
     ``end_node`` to the destination.  ``r``, the queue priority, is the
@@ -180,9 +179,7 @@ class SearchQueue:
         return found
 
 
-def check_dominance(
-    queue: SearchQueue, candidate: Label, limit: int | None = None
-) -> list[Label] | None:
+def check_dominance(queue: SearchQueue, candidate: Label) -> list[Label] | None:
     """Compare a candidate against queued labels at the same node.
 
     Returns ``None`` when an existing label has the same cost or a
@@ -193,14 +190,13 @@ def check_dominance(
     incomparable).
 
     Only settled labels are compared, as :class:`Histogram` values in
-    grid units that each call builds and nothing keeps: in ``PACE`` mode
-    the histogram of a label's per-total times.  In
-    ``EDGE`` mode every label is settled, and ``limit`` is ``budget -
-    node_min`` at the node, the same for every label there.  Each label
-    is compared kept up to the limit, with the rest of its mass at
-    ``limit + 1`` (:func:`~spotar.dist.clip`; a longer label's cost is
-    kept so already and is compared as it is).  That is sound because
-    both bounds are admissible on every store (see :mod:`spotar.heuristic`).
+    grid units.  In ``EDGE`` mode every label is settled, and its cost
+    is compared as it is: kept up to the limit ``budget - node_min``, the
+    same for every label at the node, with the rest of its mass at
+    ``limit + 1`` (see :class:`Label`).  In ``PACE`` mode each call
+    builds, and nothing keeps, the histogram of a label's per-total
+    times.  Comparing kept costs is sound because both bounds are
+    admissible on every store (see :mod:`spotar.heuristic`).
     Every completion from the node takes some ``s >= node_min`` units,
     independent of the label's time, and makes the budget with
     probability ``sum_s P(s) * F(budget - s)``, where ``F`` is the
@@ -228,9 +224,9 @@ def check_dominance(
     for other in queue.labels_at(candidate.end_node):
         if not other.settled:
             continue
-        theirs = _derived(other.cost) if limit is None else clip(other.cost, limit)
+        theirs = other.cost if type(other.cost) is Histogram else _derived(other.cost)
         if mine is None:
-            mine = _derived(candidate.cost) if limit is None else clip(candidate.cost, limit)
+            mine = candidate.cost if type(candidate.cost) is Histogram else _derived(candidate.cost)
         if theirs == mine or dist.dominates(theirs, mine):
             return None
         if dist.dominates(mine, theirs):
@@ -285,8 +281,8 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
 
     In ``EDGE`` mode a label ending at ``w`` keeps its cost only up to
     ``limit = budget - node_min(w)``, with the rest of its mass at
-    ``limit + 1`` (see :class:`Label`); a one-edge label keeps its
-    weight whole.  The kept entries are exact by induction.  Both bounds
+    ``limit + 1`` (see :class:`Label`).  The kept entries are exact by
+    induction from the first edge's, which are its weight's.  Both bounds
     are consistent on every edge ``e`` from ``v`` to ``w``, that is
     ``node_min(v) <= min_time(e) + node_min(w)`` (see
     :mod:`spotar.heuristic`), so every sum up to ``w``'s limit adds a
@@ -366,7 +362,7 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
                 visited=visited | {e.to_node},
                 settled=edge_mode or open_prefixes.isdisjoint(map(edges.__getitem__, suffixes)),
             )
-            dominated = check_dominance(queue, candidate, limit if edge_mode else None)
+            dominated = check_dominance(queue, candidate)
             if dominated is None:
                 record(("dominated-drop", edges, None, candidate.r))
                 continue

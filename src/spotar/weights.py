@@ -38,6 +38,7 @@ from .dist import (
     _entries,
     _entries_in_bulk,
     _row_times,
+    clip,
     convolve,
     min_cost,
     point_mass,
@@ -583,7 +584,7 @@ def load_store(path: str) -> WeightStore:
         raise StoreFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != STORE_FORMAT:
         raise StoreFormatError("missing or wrong format marker")
-    if doc.get("version") != STORE_VERSION:
+    if doc.get("version") != STORE_VERSION or type(doc["version"]) is not int:
         raise StoreFormatError(f"unsupported version {doc.get('version')!r}")
     try:
         mode = Mode.parse(_expect(doc["mode"], str, "mode"))
@@ -838,28 +839,30 @@ def extend_cost(
 ) -> tuple[Histogram | dict[int, float], Histogram | tuple[FoldStep, ...]]:
     """Cost of the path ``edges`` and the state to extend it by, from the state of its prefix.
 
-    ``prefix_state`` is what this function returned for ``edges`` minus
-    its last edge, or ``None`` for a one-edge path.  In ``EDGE`` mode the
-    cost is also the state: the prefix cost is convolved with the last
-    edge's weight, which is the last step of the left fold
-    :func:`path_cost` performs, so without a ``limit`` the cost is the
-    :func:`path_cost` histogram exactly.  With one, the convolution keeps
-    the cost only up to ``limit`` and puts the rest of its mass at
-    ``limit + 1`` (see :func:`~spotar.dist.convolve`).  A one-edge path's
-    cost is its edge's weight, whole, and ``PACE`` mode ignores the limit.
-    In ``PACE`` mode the state is the fold steps.  The new edge can change
-    the end of the cover: :func:`_extend_cover` finds how many of the
-    prefix's units the path keeps and the one unit after them, and only
-    that unit is folded, onto the kept units' steps.  The cost is then
-    the per-total times of :func:`_fold_times`, unsorted, whose
-    :func:`~spotar.dist._derived` histogram is the :func:`path_cost`
-    histogram exactly: the search reads its priorities and minimum from
-    them and sorts them only when it compares two labels for dominance.
+    ``prefix_state`` is what this function returned for ``edges`` minus its
+    last edge, or ``None`` for a one-edge path.  In ``EDGE`` mode the cost
+    is also the state: the prefix cost convolved with the last edge's
+    weight, the last step of the left fold :func:`path_cost` performs, so
+    without a ``limit`` the cost is the :func:`path_cost` histogram exactly.
+    With one, every cost, a first edge's too, is kept only up to ``limit``,
+    with the rest of its mass at ``limit + 1`` (see
+    :func:`~spotar.dist.convolve` and :func:`~spotar.dist.clip`).  In
+    ``PACE`` mode, which ignores the limit, the state is the fold steps.
+    The new edge can change the end of the cover: :func:`_extend_cover`
+    finds how many of the prefix's units the path keeps and the one unit
+    after them, and only that unit is folded, onto the kept units' steps.
+    The cost is then the per-total times of :func:`_fold_times`, unsorted,
+    whose :func:`~spotar.dist._derived` histogram is the :func:`path_cost`
+    histogram exactly: the search reads its priorities and minimum from them
+    and sorts them only when it compares two labels for dominance.
     """
     store = model.store
     if model.mode is Mode.EDGE:
         weight = store.edge_weight(edges[-1])
-        cost = weight if prefix_state is None else convolve(prefix_state, weight, limit)
+        if prefix_state is not None:
+            cost = convolve(prefix_state, weight, limit)
+        else:
+            cost = weight if limit is None else clip(weight, limit)
         return cost, cost
     steps = prefix_state or ()
     k, (s, unit) = _extend_cover(store, steps, edges)

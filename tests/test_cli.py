@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import os
 import pathlib
 import re
 import subprocess
@@ -11,6 +12,7 @@ import sys
 
 import pytest
 
+import spotar.cli
 import spotar.dist
 import spotar.oracle
 from spotar.cli import main
@@ -252,6 +254,22 @@ def test_bench_writes_rows_and_aggregates(store_file, tmp_path, capsys):
     assert agg_csv.read_text().splitlines()[0].startswith("method,budget,")
 
 
+def test_bench_on_a_one_node_network(tmp_path, capsys):
+    """With one node there is no query to draw."""
+    network = tmp_path / "one.csv"
+    network.write_text("#nodes\nn1,57.0,9.9\n#edges\n")
+    log = tmp_path / "none.txt"
+    log.write_text("")
+    store = tmp_path / "weights.json"
+    assert main(["build", "--network", str(network), "--trajectories", str(log), "--out", str(store)]) == 0
+    capsys.readouterr()
+    argv = ["bench", "--network", str(network), "--store", str(store), "--out", str(tmp_path / "rows.csv")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: network has fewer than 2 nodes"]
+    assert captured.out == ""
+
+
 def test_bench_bad_config(store_file, tmp_path, capsys):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text("budgets = nope\n")
@@ -367,26 +385,31 @@ def test_verify_detects_mutation(monkeypatch, capsys):
 # ------------------------------------------------------------ packaging
 
 
-def test_module_entry_point(store_file, tmp_path):
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "spotar.cli",
-            "query",
-            "--network",
-            NETWORK,
-            "--store",
-            store_file,
-            "--source",
-            "s",
-            "--dest",
-            "d",
-            "--budget",
-            "22",
-        ],
+def run_module(*argv):
+    """``python -m spotar.cli`` in a new process, importing this package."""
+    src = str(pathlib.Path(spotar.cli.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "spotar.cli", *argv],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+def test_module_entry_point(store_file, tmp_path):
+    proc = run_module(
+        "query", "--network", NETWORK, "--store", store_file, "--source", "s", "--dest", "d", "--budget", "22"
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "path e2,e6,e9"
+
+
+def test_module_entry_point_returns_the_exit_code():
+    proc = run_module("verify", "--instances", "2")
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == "checked 8 cases: 8 ok, 0 mismatches"
+    proc = run_module("verify", "--bogus")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("usage error:")

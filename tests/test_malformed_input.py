@@ -36,6 +36,8 @@ def _set_rows(doc, rows):
 
 # (case, change to the store document, text the error line must contain)
 STORE_CASES = [
+    ("version true", lambda d: d.update(version=True), "unsupported version True"),
+    ("version 1.0", lambda d: d.update(version=1.0), "unsupported version 1.0"),
     ("edge_weights is a list", lambda d: d.update(edge_weights=[]), "edge_weights must be an object"),
     ("fallback_edges is a string", lambda d: d.update(fallback_edges="e3"), "fallback_edges must be a list"),
     ("time 8.7", lambda d: _set_time(d, 8.7), "edge 'e1': travel time 8.7 is not an integer"),

@@ -9,7 +9,7 @@ import random
 import pytest
 
 import spotar.solver as solver_module
-from spotar.dist import Histogram, JointDist, _derived, clip
+from spotar.dist import Histogram, JointDist, _derived
 from spotar.heuristic import HeuristicKind, StraightLineBound, build_min_tree
 from spotar.network import Edge, Network, Node, Path, Query
 from spotar.oracle import exact_spotar, gen_instance
@@ -224,25 +224,23 @@ def test_every_label_matches_its_path_cost(monkeypatch):
     path's ``path_cost`` and whose priority is that histogram's ``cdf``
     at ``budget - node_min``, bit for bit; it is settled exactly when no
     suffix of its edges is a proper prefix of a stored key.  In ``EDGE``
-    mode every label is settled and is compared clipped at ``limit =
-    budget - node_min``.  A one-edge label's cost is its ``path_cost``.
-    A longer label's cost equals ``path_cost``, bit for bit, at every
-    time up to the limit, and has one entry above, at ``limit + 1``,
-    holding the rest of the mass, exactly when ``path_cost`` has mass
-    there; so it is kept up to the limit already, and ``clip`` returns it
-    as it is.  The priority is ``path_cost``'s, bit for bit, in both
-    modes.
+    mode every label, of one edge or many, is settled, and its cost is
+    ``path_cost`` kept up to ``limit = budget - node_min``: equal to it,
+    bit for bit, at every time up to the limit, with one entry above, at
+    ``limit + 1``, holding the rest of the mass, exactly when
+    ``path_cost`` has mass there.  The priority is ``path_cost``'s, bit
+    for bit, in both modes.
     """
     offered = []
 
-    def recording(queue, candidate, limit=None):
+    def recording(queue, candidate):
         offered.append((candidate.edges, candidate.cost, candidate.r,
-                        candidate.node_min, candidate.settled, limit))
-        return check_dominance(queue, candidate, limit)
+                        candidate.node_min, candidate.settled))
+        return check_dominance(queue, candidate)
 
     monkeypatch.setattr(solver_module, "check_dominance", recording)
     counts = {True: 0, False: 0}
-    clipped = 0
+    kept_past = {"one edge": 0, "longer": 0}  # labels with mass past their limit
     for i in range(60):
         net, records = gen_instance(i, joint_fraction=0.9, min_support=2)
         store = build_store(net, records, min_support=2, mode=Mode.PACE, max_unit_len=2 + i % 3)
@@ -256,49 +254,32 @@ def test_every_label_matches_its_path_cost(monkeypatch):
             for kind in (HeuristicKind.SP, HeuristicKind.BA):
                 offered.clear()
                 solve(net, model, kind, query)
-                for edges, cost, r, node_min, settled, limit in offered:
+                for edges, cost, r, node_min, settled in offered:
                     want = path_cost(model, Path(edges))
                     if mode is Mode.PACE:
-                        assert type(cost) is dict and limit is None
+                        assert type(cost) is dict
                         assert _derived(cost) == want
                         assert settled == all(edges[s:] not in open_prefixes for s in range(len(edges)))
                         counts[settled] += 1
-                    elif len(edges) == 1:
-                        assert cost == want and settled
-                        assert limit == query.budget - node_min
                     else:
                         assert settled
-                        assert limit == query.budget - node_min
-                        assert clip(cost, limit) is cost
+                        limit = query.budget - node_min
                         kept = {t: p for t, p in want.items() if t <= limit}
                         rest = [p for t, p in want.items() if t > limit]
                         if not rest:
                             assert cost == want
                         else:
                             assert dict(cost.items()) == {**kept, limit + 1: pytest.approx(sum(rest))}
-                            clipped += 1
+                            kept_past["one edge" if len(edges) == 1 else "longer"] += 1
                     assert r.hex() == want.cdf(query.budget - node_min).hex()
     assert counts[True] >= 60 and counts[False] >= 60
-    assert clipped >= 10
+    assert kept_past["one edge"] >= 4 and kept_past["longer"] >= 10
 
 
-def test_clipped_costs_answer_as_whole_costs_do(monkeypatch):
-    """Edge labels kept only up to ``budget - node_min`` give the same answers.
-
-    Dense ten-node stores with every observed time scaled by 1-3, so
-    costs spread past their limits, are solved at 1.5, 2 and 3 times the
-    minimum with the clip and again with ``extend_cost`` given no limit
-    and ``clip`` returning its input, so that dominance compares whole
-    costs.  The probabilities agree bit for bit with each other and with
-    brute force, no solve expands more with the clip, and some expand
-    less.
-    """
-    whole_extend = solver_module.extend_cost
-
-    def unclipped(model, state, edges, limit=None):
-        return whole_extend(model, state, edges)
-
-    changed = 0
+def scaled_dense_edge_cases():
+    """Dense ten-node ``EDGE`` stores with every observed time scaled by 1-3,
+    so costs spread past their limits, each with one query at 1.5, 2 and 3
+    times the minimum: ``(net, model, query)`` for 600 solves per bound."""
     for i in range(200):
         net, records = gen_instance(i, nodes=10, density=0.6, min_support=2)
         rng = random.Random(i)
@@ -311,20 +292,60 @@ def test_clipped_costs_answer_as_whole_costs_do(monkeypatch):
         source, dest = random.Random(f"query-{i}").sample(list(net.node_ids), 2)
         shortest = build_min_tree(net, store, dest, 10**9).get_min(source)
         for factor in (1.5, 2, 3):
-            query = Query(source, dest, round(factor * shortest))
-            want = exact_spotar(net, model, query)[1]
-            for kind in (HeuristicKind.SP, HeuristicKind.BA):
-                kept = solve(net, model, kind, query)
-                with monkeypatch.context() as m:
-                    m.setattr(solver_module, "extend_cost", unclipped)
-                    m.setattr(solver_module, "clip", lambda h, limit: h)
-                    whole = solve(net, model, kind, query)
-                assert kept.probability.hex() == whole.probability.hex() == want.hex()
-                assert kept.expanded_labels <= whole.expanded_labels
-                assert kept.explored_edges <= whole.explored_edges
-                changed += (kept.expanded_labels, kept.explored_edges) != (
-                    whole.expanded_labels, whole.explored_edges)
+            yield net, model, Query(source, dest, round(factor * shortest))
+
+
+def test_clipped_costs_answer_as_whole_costs_do(monkeypatch):
+    """Edge labels kept only up to ``budget - node_min`` give the same answers.
+
+    The scaled dense stores are solved with the kept costs and again with
+    ``extend_cost`` given no limit, so that every label holds its whole
+    cost.  The probabilities agree bit for bit with each other and with
+    brute force, no solve expands more with the kept costs, and some
+    expand less.
+    """
+    whole_extend = solver_module.extend_cost
+
+    def unclipped(model, state, edges, limit=None):
+        return whole_extend(model, state, edges)
+
+    changed = 0
+    for net, model, query in scaled_dense_edge_cases():
+        want = exact_spotar(net, model, query)[1]
+        for kind in (HeuristicKind.SP, HeuristicKind.BA):
+            kept = solve(net, model, kind, query)
+            with monkeypatch.context() as m:
+                m.setattr(solver_module, "extend_cost", unclipped)
+                whole = solve(net, model, kind, query)
+            assert kept.probability.hex() == whole.probability.hex() == want.hex()
+            assert kept.expanded_labels <= whole.expanded_labels
+            assert kept.explored_edges <= whole.explored_edges
+            changed += (kept.expanded_labels, kept.explored_edges) != (
+                whole.expanded_labels, whole.explored_edges)
     assert changed >= 5
+
+
+def test_scaled_store_search_is_pinned():
+    """Answers, search effort and events on the scaled dense stores, pinned bit for bit.
+
+    There kept first edges meet longer kept labels in the dominance
+    check, so a change to what a label keeps, or to how two labels are
+    compared, moves the totals or the digest, which covers every answer
+    and every event with its float value as ``float.hex``.
+    """
+    digest = hashlib.sha256()
+    expanded = explored = 0
+    for net, model, query in scaled_dense_edge_cases():
+        for kind in (HeuristicKind.SP, HeuristicKind.BA):
+            res = solve(net, model, kind, query)
+            path = res.path.edges if res.path else None
+            digest.update(repr((path, res.probability.hex())).encode())
+            for event in res.events:
+                digest.update(repr(tuple(f.hex() if type(f) is float else f for f in event)).encode())
+            expanded += res.expanded_labels
+            explored += res.explored_edges
+    assert (expanded, explored) == (3453, 7555)
+    assert digest.hexdigest() == "563f28184d9d273bf90bd75fc509bc5676fe477c4c9bb23a330a51decc05731b"
 
 
 def test_inconsistent_bound_clips_from_the_whole_prefix():

@@ -564,6 +564,19 @@ def test_load_store_rejects_bad_documents(tmp_path):
         load_store(str(f))
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_load_store_refuses_a_version_that_only_equals_1(tmp_path, sample_store, version):
+    """``True == 1 == 1.0`` in Python, but only the integer 1 is version 1."""
+    f = tmp_path / "w.json"
+    save_store(sample_store, str(f))
+    doc = json.loads(f.read_text())
+    assert doc["version"] == 1 and type(doc["version"]) is int
+    doc["version"] = version
+    f.write_text(json.dumps(doc))
+    with pytest.raises(StoreFormatError, match=f"^unsupported version {version!r}$"):
+        load_store(str(f))
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_loaders_leave_gc_as_they_found_it(tmp_path, sample_store, monkeypatch, enabled):
     """The store and trajectory loaders run with the cyclic collector paused
