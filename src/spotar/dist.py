@@ -14,7 +14,6 @@ is binned or interpolated after construction.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
 from itertools import accumulate, chain, compress, count, islice, repeat
@@ -252,21 +251,56 @@ def min_cost(h: Histogram) -> int:
     return next(iter(h._entries))
 
 
+def _mass_past(entries: dict[int, float], cut: int) -> float:
+    """The probability of ``entries`` at times past ``cut``, added from
+    the last time down, starting from 0.0."""
+    rest = 0.0
+    for t, p in reversed(entries.items()):
+        if t <= cut:
+            break
+        rest += p
+    return rest
+
+
+def _shift(entries: dict[int, float], t: int, limit: int | None) -> dict[int, float]:
+    """What :func:`convolve` returns for ``entries`` and a point mass at
+    ``t`` of probability exactly 1.0: the entries moved ``t`` later.
+
+    ``p * 1.0`` and ``0.0 + p`` are exact, and no two times of
+    ``entries`` land on one sum, so each sum is its one probability and
+    the order is kept.  With a ``limit`` the times up to ``limit - t``
+    are kept, and the mass past ``limit - t``, added as :func:`convolve`
+    adds it (:func:`_mass_past`), is one entry at ``limit + 1``.
+    """
+    if limit is None or next(reversed(entries)) + t <= limit:
+        return {s + t: p for s, p in entries.items()}
+    cut = limit - t
+    out = {s + t: p for s, p in entries.items() if s <= cut}
+    out[limit + 1] = _mass_past(entries, cut)
+    return out
+
+
 def convolve(a: Histogram, b: Histogram, limit: int | None = None) -> Histogram:
     """Distribution of the sum of two independent travel times on one grid.
 
     The loops run over ``b``'s times from the largest down and, for each,
     over ``a``'s times from the smallest up, so every sum adds its
-    products in increasing time of ``a``, starting from 0.0.
+    products in increasing time of ``a``, starting from 0.0.  When either
+    operand is one time at probability exactly 1.0, every product is the
+    other's probability and every sum has one product, so the result is
+    the other's entries shifted by that time (see :func:`_shift`), bit
+    for bit.
 
     With a ``limit``, the sum is kept exactly up to ``limit`` and the rest
-    of its mass is one entry at ``limit + 1``.  The loop over ``a`` stops
-    at the last sum within the limit, so no product above it is computed,
-    and every kept sum adds the same products in the same order as
-    without a limit: it is equal bit for bit.  The rest is the sum, over
-    ``b``'s times ``tb``, of ``b``'s probability at ``tb`` times ``a``'s
-    mass past ``limit - tb``.  Rounding is monotone, so each of its terms
-    is at least every product above the limit that it stands for, and
+    of its mass is one entry at ``limit + 1``.  The loop over ``a`` breaks
+    at its first time past ``limit - tb``, so no product above the limit
+    is computed, and every kept sum adds the same products in the same
+    order as without a limit: it is equal bit for bit.  The rest is the
+    sum, over ``b``'s times ``tb``, of ``b``'s probability at ``tb`` times
+    ``a``'s mass past ``limit - tb`` (see :func:`_mass_past`), computed
+    only for the times ``tb`` where the loop breaks.  Rounding is
+    monotone, so each of its terms is at least every product above the
+    limit that it stands for, and
     the entry is there whenever the full sum has mass above the limit.
     Where every such product underflows to 0.0, the full sum has no
     entry there, as :func:`_derived` drops it.  The rest is then 0.0, and
@@ -277,6 +311,10 @@ def convolve(a: Histogram, b: Histogram, limit: int | None = None) -> Histogram:
     then counts as mass at that time.
     """
     ea, eb = a._entries, b._entries
+    if len(eb) == 1 and 1.0 in eb.values():
+        return Histogram._checked(_shift(ea, next(iter(eb)), limit))
+    if len(ea) == 1 and 1.0 in ea.values():
+        return Histogram._checked(_shift(eb, next(iter(ea)), limit))
     items_a = ea.items()
     out: dict[int, float] = {}
     get = out.get
@@ -286,15 +324,13 @@ def convolve(a: Histogram, b: Histogram, limit: int | None = None) -> Histogram:
                 t = ta + tb
                 out[t] = get(t, 0.0) + pa * pb
         return _derived(out)
-    times_a = list(ea)
-    n = len(times_a)
-    tails = list(accumulate(reversed(ea.values())))  # tails[i]: a's mass at its last i + 1 times
     rest = 0.0
     for tb, pb in reversed(eb.items()):
-        fit = bisect_right(times_a, limit - tb)
-        if fit < n:
-            rest += pb * tails[n - 1 - fit]
-        for ta, pa in items_a if fit == n else islice(items_a, fit):
+        cut = limit - tb
+        for ta, pa in items_a:
+            if ta > cut:
+                rest += pb * _mass_past(ea, cut)
+                break
             t = ta + tb
             out[t] = get(t, 0.0) + pa * pb
     if rest:

@@ -174,8 +174,10 @@ class SearchQueue:
 
     def labels_at(self, node_id: str) -> list[Label]:
         """Live labels ending at a node, oldest first."""
-        found = [lab for lab in self._by_node.get(node_id, ()) if lab.alive]
-        self._by_node[node_id] = found
+        queued = self._by_node.get(node_id)
+        if not queued:
+            return []
+        found = self._by_node[node_id] = [lab for lab in queued if lab.alive]
         return found
 
 
@@ -320,6 +322,9 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
     best_path: Path | None = None
     best_prob = 0.0
 
+    budget, dest = query.budget, query.dest
+    out_edges, get_min = net._out, bound.get_min
+
     def expand(
         path: tuple[str, ...],
         node: str,
@@ -328,39 +333,42 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
         path_min: int,
     ) -> None:
         nonlocal best_path, best_prob
-        for e in net.out_edges(node):
-            if e.to_node in visited:
+        # the prune test ik + path_min + node_min > budget, with path_min moved across
+        slack = budget - path_min
+        for e in out_edges[node]:
+            to_node = e.to_node
+            if to_node in visited:
                 record(("skip-cycle", path, e.edge_id))
                 continue
             ik = min_times[e.edge_id]
-            node_min = bound.get_min(e.to_node)
-            if node_min is None or ik + path_min + node_min > query.budget:
+            node_min = get_min(to_node)
+            if node_min is None or ik + node_min > slack:
                 record(("prune", path, e.edge_id, None, ik, path_min, node_min))
                 continue
             edges = path + (e.edge_id,)
             explored.add(e.edge_id)
-            limit = query.budget - node_min
+            limit = budget - node_min
             try:
                 cost, ext_state = extend_cost(model, state, edges, limit)
             except InconsistentWeightsError:
                 record(("skip-inconsistent", path, e.edge_id))
                 continue
-            if e.to_node == query.dest:
-                prob = within(cost, query.budget)
+            if to_node == dest:
+                prob = within(cost, budget)
                 record(("candidate", edges, None, prob))
                 if prob > best_prob:
                     best_path, best_prob = Path(edges), prob
                     record(("incumbent", edges, None, prob))
                 continue
             candidate = Label(
-                edges=edges,
-                end_node=e.to_node,
-                cost=cost,
-                state=ext_state,
-                node_min=node_min,
-                r=within(cost, limit),
-                visited=visited | {e.to_node},
-                settled=edge_mode or open_prefixes.isdisjoint(map(edges.__getitem__, suffixes)),
+                edges,
+                to_node,
+                cost,
+                ext_state,
+                node_min,
+                within(cost, limit),
+                visited | {to_node},
+                edge_mode or open_prefixes.isdisjoint(map(edges.__getitem__, suffixes)),
             )
             dominated = check_dominance(queue, candidate)
             if dominated is None:

@@ -222,6 +222,62 @@ def test_convolve_with_a_limit_adds_no_entry_for_underflowed_mass():
     assert convolve(a, a, 5) == Histogram({2: 1.0, 6: 2e-200})
 
 
+def reference_convolve(a, b, limit=None):
+    """``convolve`` as a plain double loop, as ``(time, probability.hex())``
+    pairs in time order: ``b``'s times from the largest down, ``a``'s from
+    the smallest up, each sum from 0.0.  Past the limit, ``pb`` times
+    ``a``'s mass past ``limit - tb``, that mass a running sum from ``a``'s
+    last time down, added into one entry at ``limit + 1``."""
+    out, rest, cut = {}, 0.0, False
+    for tb, pb in reversed(list(b.items())):
+        tail, past = 0.0, False
+        for ta, pa in reversed(list(a.items())):
+            if limit is not None and ta + tb > limit:
+                tail, past = tail + pa, True
+        if past:
+            rest, cut = rest + pb * tail, True
+        for ta, pa in a.items():
+            if limit is None or ta + tb <= limit:
+                out[ta + tb] = out.get(ta + tb, 0.0) + pa * pb
+    if cut and rest:
+        out[limit + 1] = rest
+    return [(t, p.hex()) for t, p in sorted(out.items()) if p]
+
+
+def test_convolve_matches_a_plain_double_loop_bit_for_bit():
+    """A point mass of probability exactly 1.0, on either side or both,
+    is a shift; a one-entry weight just below 1.0 is not, and takes the
+    general loop.  Every case is checked at limits below the first sum,
+    inside, at the last sum and past it.  The tails ``[0.1, 0.2, 0.3,
+    0.4]`` and ``[0.2, 0.3, 0.4]`` added from the last time down give
+    0.9999999999999999 and 0.8999999999999999, where ``math.fsum`` gives
+    1.0 and 0.9, so a rest computed with ``fsum`` fails."""
+    certain = Histogram({2: 1.0})
+    below_one = Histogram({5: 1 - 2**-53})
+    spread = Histogram({1: 0.1, 2: 0.2, 3: 0.3, 4: 0.4})
+    three = Histogram({2: 0.75, 4: 0.125, 7: 0.125})
+    carries_rest = convolve(spread, three, 6)  # its rest sits at 7
+    assert 7 in dict(carries_rest.items())
+    assert math.fsum([0.1, 0.2, 0.3, 0.4]) != 0.4 + 0.3 + 0.2 + 0.1
+    cases = [
+        (spread, certain), (certain, spread), (certain, certain), (certain, Histogram({9: 1.0})),
+        (spread, below_one), (below_one, three), (below_one, below_one), (below_one, certain),
+        (carries_rest, certain), (certain, carries_rest), (carries_rest, three), (spread, three),
+        (three, spread), (spread, spread),
+    ]
+    for a, b in cases:
+        first = min(a.times()) + min(b.times())
+        last = max(a.times()) + max(b.times())
+        for limit in (None, first - 3, first - 1, first, (first + last) // 2, last - 1, last, last + 4):
+            got = [(t, p.hex()) for t, p in convolve(a, b, limit).items()]
+            assert got == reference_convolve(a, b, limit), (a, b, limit)
+    # the shift keeps the other operand's probabilities; below 1.0 they change
+    assert dict(convolve(three, certain).items()) == {4: 0.75, 6: 0.125, 9: 0.125}
+    assert dict(convolve(three, below_one).items())[7] != 0.75
+    assert dict(convolve(spread, certain, 3).items()) == {3: 0.1, 4: 0.8999999999999999}
+    assert dict(convolve(certain, spread, 2).items()) == {3: 0.9999999999999999}
+
+
 def test_clip_keeps_a_histogram_up_to_the_limit():
     h = Histogram({2: 0.25, 5: 0.25, 7: 0.125, 9: 0.375})
     assert clip(h, 9) is h

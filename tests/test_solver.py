@@ -825,6 +825,16 @@ def test_queue_labels_at_oldest_first():
     assert q.labels_at("n") == [a]
 
 
+def test_queue_labels_at_a_node_with_nothing_queued():
+    """A node where nothing was queued has no labels, and asking adds no
+    entry to the per-node view."""
+    q = SearchQueue()
+    assert q.labels_at("n") == []
+    q.push(label(("a",), "n", {1: 1.0}, 0.5))
+    assert q.labels_at("other") == []
+    assert list(q._by_node) == ["n"]
+
+
 def test_check_dominance_decisions():
     q = SearchQueue()
     existing = label(("x",), "n", {2: 1.0}, 0.9)
