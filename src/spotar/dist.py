@@ -300,8 +300,8 @@ def convolve(a: Histogram, b: Histogram, limit: int | None = None) -> Histogram:
     ``a``'s mass past ``limit - tb`` (see :func:`_mass_past`), computed
     only for the times ``tb`` where the loop breaks.  Rounding is
     monotone, so each of its terms is at least every product above the
-    limit that it stands for, and
-    the entry is there whenever the full sum has mass above the limit.
+    limit that it stands for, and the entry is there whenever the full
+    sum has mass above the limit.
     Where every such product underflows to 0.0, the full sum has no
     entry there, as :func:`_derived` drops it.  The rest is then 0.0, and
     no entry is added, unless some of its terms stay above 0.0, which
