@@ -25,6 +25,7 @@ METHODS: dict[str, tuple[HeuristicKind, Mode]] = {
     "ba+edge": (HeuristicKind.BA, Mode.EDGE),
 }
 
+ALL_METHODS = tuple(METHODS)  # the default; run_bench reads this very tuple as "omitted"
 DEFAULT_BUDGETS = (300, 500, 700, 1000)
 DEFAULT_BUCKETS = ((0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (3.0, 4.0))
 
@@ -36,12 +37,13 @@ class BenchConfigError(ValueError):
 @dataclass(frozen=True)
 class BenchConfig:
     """What to sweep: budgets in time units, buckets in km of
-    straight-line source-destination distance."""
+    straight-line source-destination distance.  Omitted ``methods``
+    run every method the store can evaluate."""
 
     budgets: tuple[int, ...] = DEFAULT_BUDGETS
     buckets: tuple[tuple[float, float], ...] = DEFAULT_BUCKETS
     queries_per_cell: int = 5
-    methods: tuple[str, ...] = tuple(METHODS)
+    methods: tuple[str, ...] = ALL_METHODS
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -159,7 +161,10 @@ def run_bench(net: Network, store: WeightStore, cfg: BenchConfig) -> list[BenchR
     """Solve every generated query under every configured method."""
     queries = gen_queries(net, cfg)
     rows: list[BenchRow] = []
-    for name in cfg.methods:
+    names = cfg.methods
+    if names is ALL_METHODS and store.mode is not Mode.PACE:  # a named pace method raises
+        names = tuple(m for m in names if METHODS[m][1] is Mode.EDGE)
+    for name in names:
         kind, mode = METHODS[name]
         model = CostModel(store, mode)
         for bq in queries:

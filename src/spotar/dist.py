@@ -308,7 +308,8 @@ def convolve(a: Histogram, b: Histogram, limit: int | None = None) -> Histogram:
     needs products below the smallest normal float (about 1e-308): only
     then does the rest keep an entry the full sum lacks.  ``a`` may
     itself be kept so, with its rest at its own ``limit + 1``; the rest
-    then counts as mass at that time.
+    then counts as mass at that time.  ``a`` may be the edge model's empty
+    path, time 0 at probability 1.0: ``b`` shifted by 0 is kept so too.
     """
     ea, eb = a._entries, b._entries
     if len(eb) == 1 and 1.0 in eb.values():
@@ -336,24 +337,6 @@ def convolve(a: Histogram, b: Histogram, limit: int | None = None) -> Histogram:
     if rest:
         out[limit + 1] = rest
     return _derived(out)
-
-
-def clip(h: Histogram, limit: int) -> Histogram:
-    """``h`` kept up to ``limit``, with the rest of its mass at ``limit + 1``.
-
-    ``h`` itself when its last time is at most ``limit + 1``: then at
-    most that one entry lies past the limit, already where the rest
-    goes, and the ``fsum`` of one probability is that probability.
-    Otherwise the rest is the ``fsum`` of the probabilities past the
-    limit.  :func:`spotar.weights.extend_cost` keeps a first edge's weight
-    so, as :func:`convolve` with a ``limit`` keeps a longer path's sum.
-    """
-    entries = h._entries
-    if next(reversed(entries)) <= limit + 1:
-        return h
-    kept = {t: p for t, p in entries.items() if t <= limit}
-    kept[limit + 1] = math.fsum(p for t, p in entries.items() if t > limit)
-    return Histogram._checked(kept)
 
 
 def dominates(a: Histogram, b: Histogram) -> bool:

@@ -46,11 +46,11 @@ class Label:
     cost: an extension is one convolution.  The cost, of one edge or many,
     is ``path_cost(model, Path(edges))`` kept up to the label's limit,
     ``budget - node_min``: equal to it, bit for bit, at every time up to
-    the limit, with the rest of the mass in one entry at ``limit + 1``,
-    there whenever ``path_cost`` has mass past the limit (see
-    :func:`~spotar.weights.extend_cost`).  No completion can use that
-    rest: it takes at least ``node_min`` more units, so only times up to
-    the limit can still make the budget.  In ``PACE`` mode the cost is the
+    the limit, with the rest of the mass, summed from the last time down,
+    in one entry at ``limit + 1``, there whenever ``path_cost`` has mass
+    past the limit (see :func:`~spotar.weights.extend_cost`).  No
+    completion can use that rest: it takes at least ``node_min`` more
+    units, so only times up to the limit can still make the budget.  In ``PACE`` mode the cost is the
     path's per-total times ``{total: probability}``, unsorted, and the
     state is the cover units with the fold state after each: an extension
     keeps the steps of the leading units its cover shares with this path
@@ -117,11 +117,14 @@ class SolveResult:
 
     path: Path | None
     probability: float
-    explored_edges: int
     expanded_labels: int
     wall_time_s: float
     events: tuple[tuple, ...]
     explored_edge_ids: frozenset[str]
+
+    @property
+    def explored_edges(self) -> int:
+        return len(self.explored_edge_ids)
 
     @cached_property
     def transcript(self) -> tuple[SearchEvent, ...]:
@@ -283,10 +286,11 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
 
     In ``EDGE`` mode a label ending at ``w`` keeps its cost only up to
     ``limit = budget - node_min(w)``, with the rest of its mass at
-    ``limit + 1`` (see :class:`Label`).  The kept entries are exact by
-    induction from the first edge's, which are its weight's.  Both bounds
-    are consistent on every edge ``e`` from ``v`` to ``w``, that is
-    ``node_min(v) <= min_time(e) + node_min(w)`` (see
+    ``limit + 1`` (see :class:`Label`).  Every label is one convolution
+    onto its parent's cost, the empty path's for a first edge, so the
+    kept entries are exact by induction from the first edge's, its
+    weight's.  Both bounds are consistent on every edge ``e`` from ``v``
+    to ``w``, that is ``node_min(v) <= min_time(e) + node_min(w)`` (see
     :mod:`spotar.heuristic`), so every sum up to ``w``'s limit adds a
     time of the parent no later than ``limit(w) - min_time(e) <=
     limit(v)``: the parent's exact entries, added in the same order as in
@@ -392,7 +396,6 @@ def solve(net: Network, model: CostModel, heuristic: HeuristicKind, query: Query
     return SolveResult(
         path=best_path,
         probability=best_prob,
-        explored_edges=len(explored),
         expanded_labels=expanded,
         wall_time_s=time.perf_counter() - t0,
         events=tuple(events),

@@ -38,7 +38,6 @@ from .dist import (
     _entries,
     _entries_in_bulk,
     _row_times,
-    clip,
     convolve,
     min_cost,
     point_mass,
@@ -48,6 +47,9 @@ from .network import Network, Path, PathError, make_path
 STORE_FORMAT = "spotar-weights"
 STORE_VERSION = 1
 _FUSE_TOL = 1e-12
+# The edge model's cost of the empty path: no time yet, for certain.  A first
+# edge is convolved onto it, so no cost made from it keeps its time 0.
+_ZERO = Histogram._checked({0: 1.0})
 
 
 class StoreError(ValueError):
@@ -814,15 +816,18 @@ def _fold_times(steps: tuple[FoldStep, ...]) -> dict[int, float]:
 def path_cost(model: CostModel, path: Path) -> Histogram:
     """Distribution of a path's total travel time, evaluated from scratch.
 
-    ``EDGE`` mode convolves the edge histograms left to right and ``PACE``
-    mode folds the cover units from an empty start, as :func:`extend_cost`
-    does from a parent's steps.  The joint of the per-edge times is never
-    materialized.
+    ``EDGE`` mode convolves the edge histograms left to right onto the
+    empty path's cost and ``PACE`` mode folds the cover units from an
+    empty start, as :func:`extend_cost` does from a parent's steps.  The
+    joint of the per-edge times is never materialized.  A path with no
+    edges has no cost and raises :class:`ValueError`.
     """
+    if not path.edges:
+        raise ValueError("a path with no edges has no cost")
     store = model.store
     if model.mode is Mode.EDGE:
-        cost = store.edge_weight(path.edges[0])
-        for eid in path.edges[1:]:
+        cost = _ZERO
+        for eid in path.edges:
             cost = convolve(cost, store.edge_weight(eid))
         return cost
     steps: tuple[FoldStep, ...] = ()
@@ -841,12 +846,12 @@ def extend_cost(
 
     ``prefix_state`` is what this function returned for ``edges`` minus its
     last edge, or ``None`` for a one-edge path.  In ``EDGE`` mode the cost
-    is also the state: the prefix cost convolved with the last edge's
-    weight, the last step of the left fold :func:`path_cost` performs, so
-    without a ``limit`` the cost is the :func:`path_cost` histogram exactly.
-    With one, every cost, a first edge's too, is kept only up to ``limit``,
-    with the rest of its mass at ``limit + 1`` (see
-    :func:`~spotar.dist.convolve` and :func:`~spotar.dist.clip`).  In
+    is also the state: the prefix cost, the empty path's for a one-edge
+    path, convolved with the last edge's weight, the last step of the left
+    fold :func:`path_cost` performs, so without a ``limit`` the cost is the
+    :func:`path_cost` histogram exactly.  With one, every cost is kept only
+    up to ``limit``, with the rest of its mass, summed from the last time
+    down, at ``limit + 1`` (see :func:`~spotar.dist.convolve`).  In
     ``PACE`` mode, which ignores the limit, the state is the fold steps.
     The new edge can change the end of the cover: :func:`_extend_cover`
     finds how many of the prefix's units the path keeps and the one unit
@@ -858,11 +863,7 @@ def extend_cost(
     """
     store = model.store
     if model.mode is Mode.EDGE:
-        weight = store.edge_weight(edges[-1])
-        if prefix_state is not None:
-            cost = convolve(prefix_state, weight, limit)
-        else:
-            cost = weight if limit is None else clip(weight, limit)
+        cost = convolve(prefix_state or _ZERO, store.edge_weight(edges[-1]), limit)
         return cost, cost
     steps = prefix_state or ()
     k, (s, unit) = _extend_cover(store, steps, edges)

@@ -254,6 +254,67 @@ def test_bench_writes_rows_and_aggregates(store_file, tmp_path, capsys):
     assert agg_csv.read_text().splitlines()[0].startswith("method,budget,")
 
 
+BENCH_SWEEP = "budgets = 18, 22\nbuckets = 0-0.05\nqueries_per_cell = 2\nseed = 1\n"
+
+
+def run_bench_cli(store, tmp_path, config_text):
+    """``spotar bench`` on the sample network with ``config_text``: its exit
+    code, and its rows without their wall times, or ``None`` when it wrote none."""
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(config_text)
+    rows_csv = tmp_path / "rows.csv"
+    rows_csv.unlink(missing_ok=True)
+    rc = main(["bench", "--network", NETWORK, "--store", store, "--config", str(cfg), "--out", str(rows_csv)])
+    rows = None
+    if rows_csv.exists():
+        with open(rows_csv, newline="", encoding="utf-8") as fh:
+            rows = [{k: v for k, v in r.items() if k != "wall_time_s"} for r in csv.DictReader(fh)]
+    return rc, rows
+
+
+@pytest.fixture(scope="module")
+def edge_store_file(tmp_path_factory):
+    out = tmp_path_factory.mktemp("edge-store") / "weights.json"
+    argv = ["build", "--network", NETWORK, "--trajectories", TRAJECTORIES, "--out", str(out), "--mode", "edge"]
+    assert main(argv) == 0
+    return str(out)
+
+
+def test_bench_on_an_edge_store_runs_the_edge_methods(edge_store_file, tmp_path, capsys):
+    """With ``methods`` omitted, a store built with ``--mode edge`` runs the two
+    methods it can evaluate, each on every query."""
+    capsys.readouterr()
+    rc, rows = run_bench_cli(edge_store_file, tmp_path, BENCH_SWEEP)
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == [f"8 rows written to {tmp_path / 'rows.csv'}"]
+    assert [r["method"] for r in rows] == ["sp+edge"] * 4 + ["ba+edge"] * 4
+
+
+def test_bench_refuses_a_named_pace_method_on_an_edge_store(edge_store_file, tmp_path, capsys):
+    capsys.readouterr()
+    rc, rows = run_bench_cli(edge_store_file, tmp_path, BENCH_SWEEP + "methods = sp+edge, ba+pace\n")
+    assert rc == 1
+    assert rows is None
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: store was built without path weights; cannot evaluate in pace mode"
+    ]
+    assert captured.out == ""
+
+
+def test_bench_on_a_pace_store_runs_every_method(store_file, tmp_path, capsys):
+    """With ``methods`` omitted, a pace store's output is that of all four named."""
+    rc, omitted = run_bench_cli(store_file, tmp_path, BENCH_SWEEP)
+    assert rc == 0
+    every = "methods = sp+pace, sp+edge, ba+pace, ba+edge\n"
+    rc, named = run_bench_cli(store_file, tmp_path, BENCH_SWEEP + every)
+    assert rc == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"16 rows written to {tmp_path / 'rows.csv'}"] * 2
+    assert omitted == named
+    assert [r["method"] for r in omitted[::4]] == ["sp+pace", "sp+edge", "ba+pace", "ba+edge"]
+
+
 def test_bench_on_a_one_node_network(tmp_path, capsys):
     """With one node there is no query to draw."""
     network = tmp_path / "one.csv"

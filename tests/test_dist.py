@@ -15,7 +15,6 @@ from spotar.dist import (
     JointDist,
     _entries,
     _entries_in_bulk,
-    clip,
     convolve,
     dominates,
     format_histogram,
@@ -276,23 +275,6 @@ def test_convolve_matches_a_plain_double_loop_bit_for_bit():
     assert dict(convolve(three, below_one).items())[7] != 0.75
     assert dict(convolve(spread, certain, 3).items()) == {3: 0.1, 4: 0.8999999999999999}
     assert dict(convolve(certain, spread, 2).items()) == {3: 0.9999999999999999}
-
-
-def test_clip_keeps_a_histogram_up_to_the_limit():
-    h = Histogram({2: 0.25, 5: 0.25, 7: 0.125, 9: 0.375})
-    assert clip(h, 9) is h
-    assert clip(h, 12) is h
-    assert clip(h, 8) is h  # only the last time lies past the limit, at limit + 1
-    assert dict(clip(h, 5).items()) == {2: 0.25, 5: 0.25, 6: 0.5}
-    assert dict(clip(h, 1).items()) == {2: 1.0}
-    assert clip(clip(h, 5), 5) == clip(h, 5)
-    rng = random.Random(2106)
-    for _ in range(100):
-        a, b = rand_hist(rng, max_support=8)[0], rand_hist(rng)[0]
-        limit = rng.randint(2, 40)
-        clipped, kept = dict(clip(convolve(a, b), limit).items()), dict(convolve(a, b, limit).items())
-        assert clipped.keys() == kept.keys()
-        assert clipped == {t: pytest.approx(p, rel=1e-12) if t > limit else p for t, p in kept.items()}
 
 
 def grid_dominates(a, b):

@@ -910,6 +910,45 @@ def test_path_cost_edge_mode_convolves(sample_net, edge_model, sample_store):
     approx_dict(got.items(), {14: 0.72, 16: 0.08, 18: 0.18, 20: 0.02})
 
 
+def test_a_first_edge_is_kept_to_its_limit_as_a_longer_path_is():
+    """A one-edge cost is the edge's weight convolved onto the empty path's,
+    so the mass past the limit is one entry at ``limit + 1``, added from the
+    last time down as :func:`convolve` adds it for every longer path.  At
+    limits 0 and 1 that sum is not the ``fsum`` of the same probabilities."""
+    weight = Histogram({1: 0.1, 2: 0.2, 3: 0.3, 4: 0.4})
+    model = CostModel(unit_store({"e": weight}, []), Mode.EDGE)
+
+    def kept(limit):
+        cost, state = extend_cost(model, None, ("e",), limit)
+        assert state is cost
+        return [(t, p.hex()) for t, p in cost.items()]
+
+    hexed = lambda *entries: [(t, p.hex()) for t, p in entries]
+    assert kept(0) == hexed((1, 0.4 + 0.3 + 0.2 + 0.1)) == [(1, "0x1.fffffffffffffp-1")]
+    assert kept(1) == hexed((1, 0.1), (2, 0.4 + 0.3 + 0.2))
+    assert kept(1)[1] == (2, "0x1.cccccccccccccp-1")
+    assert math.fsum((0.1, 0.2, 0.3, 0.4)) == 1.0
+    assert math.fsum((0.2, 0.3, 0.4)).hex() == "0x1.ccccccccccccdp-1"
+    assert kept(2) == hexed((1, 0.1), (2, 0.2), (3, 0.4 + 0.3))
+    assert kept(3) == hexed((1, 0.1), (2, 0.2), (3, 0.3), (4, 0.4))
+    assert kept(4) == kept(None) == hexed(*weight.items())
+    assert path_cost(model, Path(("e",))) == weight
+
+    # an exact rest: two times past the limit, then only the last one, already at limit + 1
+    weight = Histogram({2: 0.25, 5: 0.25, 7: 0.125, 9: 0.375})
+    model = CostModel(unit_store({"e": weight}, []), Mode.EDGE)
+    assert kept(5) == hexed((2, 0.25), (5, 0.25), (6, 0.5))
+    assert kept(1) == hexed((2, 1.0))
+    assert kept(8) == kept(9) == kept(12) == hexed(*weight.items())
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_path_cost_refuses_a_path_with_no_edges(mode):
+    model = CostModel(unit_store({"e": Histogram({1: 1.0})}, []), mode)
+    with pytest.raises(ValueError, match="a path with no edges has no cost"):
+        path_cost(model, Path(()))
+
+
 def test_path_cost_pace_uses_stored_correlation(pace_model):
     got = path_cost(pace_model, Path(("e1", "e4")))
     approx_dict(got.items(), {14: 0.8, 20: 0.2})
