@@ -262,17 +262,18 @@ def _mass_past(entries: dict[int, float], cut: int) -> float:
     return rest
 
 
-def _shift(entries: dict[int, float], t: int, limit: int | None) -> dict[int, float]:
+def _shift(entries: dict[int, float], t: int, limit: int) -> dict[int, float]:
     """What :func:`convolve` returns for ``entries`` and a point mass at
     ``t`` of probability exactly 1.0: the entries moved ``t`` later.
 
     ``p * 1.0`` and ``0.0 + p`` are exact, and no two times of
     ``entries`` land on one sum, so each sum is its one probability and
-    the order is kept.  With a ``limit`` the times up to ``limit - t``
-    are kept, and the mass past ``limit - t``, added as :func:`convolve`
-    adds it (:func:`_mass_past`), is one entry at ``limit + 1``.
+    the order is kept.  The times up to ``limit - t`` are kept, and the
+    mass past ``limit - t``, added as :func:`convolve` adds it
+    (:func:`_mass_past`), is one entry at ``limit + 1``; at the limit
+    :func:`convolve` gives when it is given none, every time is kept.
     """
-    if limit is None or next(reversed(entries)) + t <= limit:
+    if next(reversed(entries)) + t <= limit:
         return {s + t: p for s, p in entries.items()}
     cut = limit - t
     out = {s + t: p for s, p in entries.items() if s <= cut}
@@ -283,25 +284,25 @@ def _shift(entries: dict[int, float], t: int, limit: int | None) -> dict[int, fl
 def convolve(a: Histogram, b: Histogram, limit: int | None = None) -> Histogram:
     """Distribution of the sum of two independent travel times on one grid.
 
-    The loops run over ``b``'s times from the largest down and, for each,
-    over ``a``'s times from the smallest up, so every sum adds its
-    products in increasing time of ``a``, starting from 0.0.  When either
-    operand is one time at probability exactly 1.0, every product is the
-    other's probability and every sum has one product, so the result is
-    the other's entries shifted by that time (see :func:`_shift`), bit
-    for bit.
+    The sum is kept exactly up to ``limit`` and the rest of its mass is
+    one entry at ``limit + 1``.  A missing ``limit`` is the sum of the
+    operands' last times, which no sum passes, so all is kept.  One loop
+    serves every limit: over ``b``'s times ``tb`` from the largest down
+    and, for each, over ``a``'s times from the smallest up, breaking at
+    the first past ``limit - tb``.  So every sum adds its products in
+    increasing time of ``a``, starting from 0.0, no product above the
+    limit is computed, and a kept sum is equal bit for bit whatever the
+    limit.  When either operand is one time at probability exactly 1.0,
+    every product is the other's probability and every sum has one
+    product, so the result is the other's entries shifted by that time
+    (see :func:`_shift`), bit for bit.
 
-    With a ``limit``, the sum is kept exactly up to ``limit`` and the rest
-    of its mass is one entry at ``limit + 1``.  The loop over ``a`` breaks
-    at its first time past ``limit - tb``, so no product above the limit
-    is computed, and every kept sum adds the same products in the same
-    order as without a limit: it is equal bit for bit.  The rest is the
-    sum, over ``b``'s times ``tb``, of ``b``'s probability at ``tb`` times
-    ``a``'s mass past ``limit - tb`` (see :func:`_mass_past`), computed
-    only for the times ``tb`` where the loop breaks.  Rounding is
-    monotone, so each of its terms is at least every product above the
-    limit that it stands for, and the entry is there whenever the full
-    sum has mass above the limit.
+    The rest is the sum, over ``b``'s times ``tb``, of ``b``'s probability
+    at ``tb`` times ``a``'s mass past ``limit - tb`` (see
+    :func:`_mass_past`), computed only for the times ``tb`` where the loop
+    breaks.  Rounding is monotone, so each of its terms is at least every
+    product above the limit that it stands for, and the entry is there
+    whenever the full sum has mass above the limit.
     Where every such product underflows to 0.0, the full sum has no
     entry there, as :func:`_derived` drops it.  The rest is then 0.0, and
     no entry is added, unless some of its terms stay above 0.0, which
@@ -312,6 +313,8 @@ def convolve(a: Histogram, b: Histogram, limit: int | None = None) -> Histogram:
     path, time 0 at probability 1.0: ``b`` shifted by 0 is kept so too.
     """
     ea, eb = a._entries, b._entries
+    if limit is None:
+        limit = next(reversed(ea)) + next(reversed(eb))
     if len(eb) == 1 and 1.0 in eb.values():
         return Histogram._checked(_shift(ea, next(iter(eb)), limit))
     if len(ea) == 1 and 1.0 in ea.values():
@@ -319,12 +322,6 @@ def convolve(a: Histogram, b: Histogram, limit: int | None = None) -> Histogram:
     items_a = ea.items()
     out: dict[int, float] = {}
     get = out.get
-    if limit is None or next(reversed(ea)) + next(reversed(eb)) <= limit:
-        for tb, pb in reversed(eb.items()):
-            for ta, pa in items_a:
-                t = ta + tb
-                out[t] = get(t, 0.0) + pa * pb
-        return _derived(out)
     rest = 0.0
     for tb, pb in reversed(eb.items()):
         cut = limit - tb

@@ -9,7 +9,8 @@ mixed downstream.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -205,6 +206,17 @@ def make_path(net: Network, edge_ids: Sequence[str]) -> Path:
     return Path(ids)
 
 
+@contextmanager
+def _utf8_text(path: str, error: type[ValueError]) -> Iterator[Iterable[str]]:
+    """``path`` opened as UTF-8 text; bytes that are not UTF-8 raise
+    ``error`` naming the file, not a ``UnicodeDecodeError``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc.reason}") from None
+
+
 def load_network(path: str, delta: float = 1.0) -> Network:
     """Read a network from its two-section CSV text format.
 
@@ -216,7 +228,7 @@ def load_network(path: str, delta: float = 1.0) -> Network:
     nodes: list[Node] = []
     edges: list[Edge] = []
     section: str | None = None
-    with open(path, encoding="utf-8") as fh:
+    with _utf8_text(path, NetworkFormatError) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:

@@ -42,7 +42,7 @@ from .dist import (
     min_cost,
     point_mass,
 )
-from .network import Network, Path, PathError, make_path
+from .network import Network, Path, PathError, _utf8_text, make_path
 
 STORE_FORMAT = "spotar-weights"
 STORE_VERSION = 1
@@ -154,13 +154,14 @@ def load_trajectories(net: Network, path: str) -> list[TrajectoryRecord]:
     checked in a fixed order: its count parses, its steps parse and snap,
     its edges form a path, and its count is positive.  Its record is built
     from these checked parts without the constructor's checks again.  An
-    error names the file and the 1-based number of the first bad line.
+    error names the file and the 1-based number of the first bad line;
+    text that is not UTF-8 names the file alone.
     """
     records: list[TrajectoryRecord] = []
     steps: dict[str, tuple[str, int]] = {}  # step text -> (edge id, grid units)
     paths: dict[tuple[str, ...], Path] = {}
     delta = net.delta
-    with open(path, encoding="utf-8") as fh:
+    with _utf8_text(path, TrajectoryFormatError) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -263,14 +264,23 @@ class WeightStore:
 
     def _check_fit(self) -> None:
         """Check that every stored weight fits the store, naming the first
-        misfit in key order: its key is its edges, at least two, each with
-        an edge weight whose times hold the joint's column for that edge."""
+        misfit in key order: the store is in ``PACE`` mode, and the key is
+        the weight's edges, at least two and at most ``max_unit_len``, each
+        with an edge weight whose times hold the joint's column for that
+        edge."""
+        first = next(iter(self._path_weights), None)
+        if first is not None and self.mode is not Mode.PACE:
+            raise StoreError(f"an edge-mode store holds stored path weight {first!r}")
         supports: dict[str, set[int]] = {}
         for key, j in self._path_weights.items():
             if j.edges != key:
                 raise StoreError(f"stored weight keyed {key!r} covers {j.edges!r}")
             if len(key) < 2:
                 raise StoreError(f"stored path weight {key!r} must span at least 2 edges")
+            if len(key) > self.max_unit_len:
+                raise StoreError(
+                    f"stored path weight {key!r} spans more than max_unit_len {self.max_unit_len} edges"
+                )
             for eid, column in zip(key, zip(*j._rows)):
                 support = supports.get(eid)
                 if support is None:
@@ -565,7 +575,9 @@ def _objects_one_by_one(
 def load_store(path: str) -> WeightStore:
     """Read a store written by :func:`save_store`, checking the whole document.
 
-    The loader checks the document's shape (format, version, container
+    Text that is not UTF-8, or an integer of more digits than Python
+    converts, is refused as JSON that does not parse.  The
+    loader checks the document's shape (format, version, container
     types, the mode's name, ``fallback_edges``) and passes the header
     values as they are to the :class:`WeightStore` constructor, which
     checks them; its errors read ``malformed store:`` and their message.
@@ -582,7 +594,9 @@ def load_store(path: str) -> WeightStore:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+    # ValueError: a JSONDecodeError, text that is not UTF-8, or an int of too many digits;
+    # RecursionError: nested too deep
+    except (ValueError, RecursionError) as exc:
         raise StoreFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != STORE_FORMAT:
         raise StoreFormatError("missing or wrong format marker")

@@ -246,7 +246,9 @@ def reference_convolve(a, b, limit=None):
 def test_convolve_matches_a_plain_double_loop_bit_for_bit():
     """A point mass of probability exactly 1.0, on either side or both,
     is a shift; a one-entry weight just below 1.0 is not, and takes the
-    general loop.  Every case is checked at limits below the first sum,
+    general loop.  Seeded pairs add kept costs that carry a rest, on
+    either side, and one-entry weights at 1.0 and just below it.  Every
+    case is checked with no limit and at limits below the first sum,
     inside, at the last sum and past it.  The tails ``[0.1, 0.2, 0.3,
     0.4]`` and ``[0.2, 0.3, 0.4]`` added from the last time down give
     0.9999999999999999 and 0.8999999999999999, where ``math.fsum`` gives
@@ -264,6 +266,18 @@ def test_convolve_matches_a_plain_double_loop_bit_for_bit():
         (carries_rest, certain), (certain, carries_rest), (carries_rest, three), (spread, three),
         (three, spread), (spread, spread),
     ]
+    rng = random.Random(3204)
+    rests = 0
+    for _ in range(150):
+        a, _ = rand_hist(rng, max_support=6, max_time=15)
+        b, _ = rand_hist(rng, max_support=6, max_time=15)
+        first, last = min_cost(a) + min_cost(b), max(a.times()) + max(b.times())
+        kept = convolve(a, b, rng.randint(first, last - 1)) if first < last else a
+        rests += first < last
+        t = rng.randint(1, 9)
+        one, just_below = Histogram({t: 1.0}), Histogram({t: 1 - rng.choice((2**-53, 1e-10))})
+        cases += [(a, b), (kept, b), (b, kept), (kept, one), (one, kept), (a, just_below), (just_below, b)]
+    assert rests >= 140
     for a, b in cases:
         first = min(a.times()) + min(b.times())
         last = max(a.times()) + max(b.times())

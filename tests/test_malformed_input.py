@@ -4,12 +4,21 @@ from __future__ import annotations
 
 import json
 import pathlib
+import random
 
 import pytest
 
 from spotar.cli import main
 from spotar.dist import DistributionError, Histogram, JointDist
-from spotar.weights import StoreFormatError, load_store
+from spotar.network import NetworkFormatError, load_network
+from spotar.weights import (
+    StoreFormatError,
+    TrajectoryFormatError,
+    build_store,
+    load_store,
+    load_trajectories,
+    save_store,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 NETWORK = str(DATA / "sample_network.csv")
@@ -33,6 +42,21 @@ def _set_time(doc, value):
 def _set_rows(doc, rows):
     doc["path_weights"][0]["rows"] = rows
 
+
+def _add_three_edge_path(doc):
+    """A stored path of 3 edges, whose times fit its edges, in a store whose
+    ``max_unit_len`` is 2."""
+    doc["max_unit_len"] = 2
+    doc["path_weights"].append({"edges": ["e1", "e4", "e9"], "rows": [[[8, 6, 5], 1.0]]})
+
+
+# stores whose weights break a promise of their header (case, change, message)
+HEADER_PROMISE_CASES = [
+    ("stored path longer than max_unit_len", _add_three_edge_path,
+     "malformed store: stored path weight ('e1', 'e4', 'e9') spans more than max_unit_len 2 edges"),
+    ("edge mode with stored paths", lambda d: d.update(mode="edge"),
+     "malformed store: an edge-mode store holds stored path weight ('e1', 'e4')"),
+]
 
 # (case, change to the store document, text the error line must contain)
 STORE_CASES = [
@@ -110,6 +134,7 @@ STORE_CASES = [
      "fallback edge 'nope' has no weight"),
     ("fallback edge listed twice", lambda d: d.update(fallback_edges=["e3", "e3", "e7", "e8"]),
      "fallback_edges lists 'e3' twice"),
+    *HEADER_PROMISE_CASES,
 ]
 
 
@@ -131,6 +156,21 @@ def test_query_rejects_malformed_store(store_doc, tmp_path, capsys, case, change
     capsys.readouterr()
     assert main(["query", "--network", NETWORK, "--store", str(store), *QUERY]) == 1
     assert expected in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "case, change, expected", HEADER_PROMISE_CASES, ids=[c[0] for c in HEADER_PROMISE_CASES]
+)
+def test_load_store_refuses_a_store_that_breaks_its_header(store_doc, tmp_path, case, change, expected):
+    """A saved store edited so that its weights break a promise of its
+    header is refused by the loader, as the constructor refuses it."""
+    doc = json.loads(json.dumps(store_doc))
+    change(doc)
+    store = tmp_path / "bad.json"
+    store.write_text(json.dumps(doc))
+    with pytest.raises(StoreFormatError) as loaded:
+        load_store(str(store))
+    assert str(loaded.value) == expected
 
 
 def test_query_rejects_a_store_nested_too_deep_for_the_parser(tmp_path, capsys):
@@ -234,6 +274,96 @@ def test_build_and_query_name_the_bad_network_file(store_doc, tmp_path, capsys):
         assert _single_error_line(capsys) == f"error: {network}: {expected}"
         assert main(["query", "--network", network, "--store", str(store), *QUERY]) == 1
         assert _single_error_line(capsys) == f"error: {network}: {expected}"
+
+
+def test_query_rejects_a_store_with_an_integer_too_long_to_convert(store_doc, tmp_path, capsys):
+    """The JSON parser refuses an integer of more than 4,300 digits with a
+    plain ``ValueError``, which is reported as invalid JSON like any other
+    parse error."""
+    store = tmp_path / "long.json"
+    store.write_text(json.dumps(store_doc).replace('"min_support": 10', '"min_support": ' + "1" * 5000))
+    with pytest.raises(StoreFormatError, match="^not valid JSON: Exceeds the limit"):
+        load_store(str(store))
+    assert main(["query", "--network", NETWORK, "--store", str(store), *QUERY]) == 1
+    assert _single_error_line(capsys).startswith("error: not valid JSON: Exceeds the limit")
+
+
+def test_loaders_name_a_file_that_is_not_utf8(store_doc, tmp_path, capsys):
+    """A byte that is not UTF-8 is each loader's own format error, naming
+    the network or trajectory file; the store's reads as JSON that does
+    not parse.  ``build`` and ``query`` print it as one ``error:`` line."""
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff" + pathlib.Path(NETWORK).read_bytes())
+    store = tmp_path / "weights.json"
+    store.write_text(json.dumps(store_doc))
+    net = load_network(NETWORK)
+    named = f"{bad}: not UTF-8 text: invalid start byte"
+    with pytest.raises(NetworkFormatError, match=f"^{named}$"):
+        load_network(str(bad))
+    with pytest.raises(TrajectoryFormatError, match=f"^{named}$"):
+        load_trajectories(net, str(bad))
+    not_json = "not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    with pytest.raises(StoreFormatError, match=f"^{not_json}$"):
+        load_store(str(bad))
+    out = ["--out", str(tmp_path / "w.json")]
+    for argv, expected in (
+        (["build", "--network", str(bad), "--trajectories", TRAJECTORIES, *out], named),
+        (["build", "--network", NETWORK, "--trajectories", str(bad), *out], named),
+        (["query", "--network", str(bad), "--store", str(store), *QUERY], named),
+        (["query", "--network", NETWORK, "--store", str(bad), *QUERY], not_json),
+    ):
+        assert main(argv) == 1
+        assert _single_error_line(capsys) == f"error: {expected}"
+
+
+def _mutants(data: bytes, rng: random.Random, n: int):
+    """``n`` copies of ``data``, each with one to three byte edits: a byte
+    overwritten, deleted or inserted, or a run of up to 8 bytes repeated.
+    A new byte is any byte half of the time, and one of ``data``'s otherwise."""
+    for _ in range(n):
+        out = bytearray(data)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(out))
+            byte = rng.randrange(256) if rng.random() < 0.5 else rng.choice(data)
+            kind = rng.randrange(4)
+            if kind == 0:
+                out[i] = byte
+            elif kind == 1:
+                del out[i]
+            elif kind == 2:
+                out.insert(i, byte)
+            else:
+                out[i:i] = out[i:i + rng.randint(1, 8)]
+        yield bytes(out)
+
+
+def test_loaders_raise_only_their_format_error_on_mutated_bytes(tmp_path):
+    """Seeded byte mutations of the sample network, the sample trajectories
+    and a store saved from them either load or raise that loader's own
+    format error, never another exception."""
+    net = load_network(NETWORK)
+    saved = tmp_path / "weights.json"
+    save_store(build_store(net, load_trajectories(net, TRAJECTORIES)), str(saved))
+    rng = random.Random(3207)
+    target = tmp_path / "mutant"
+    for source, load, error in (
+        (NETWORK, load_network, NetworkFormatError),
+        (TRAJECTORIES, lambda path: load_trajectories(net, path), TrajectoryFormatError),
+        (str(saved), load_store, StoreFormatError),
+    ):
+        outcomes = {"loaded": 0, "refused": 0, "not utf-8": 0}
+        for data in _mutants(pathlib.Path(source).read_bytes(), rng, 2000):
+            target.write_bytes(data)
+            try:
+                load(str(target))
+                outcomes["loaded"] += 1
+            except error:
+                outcomes["refused"] += 1
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError:
+                outcomes["not utf-8"] += 1
+        assert min(outcomes.values()) > 0, (source, outcomes)
 
 
 def test_query_loads_indented_store(store_doc, tmp_path, capsys):

@@ -349,6 +349,27 @@ def test_store_validation_errors():
         WeightStore(**ok, edge_weights={"a": h}, path_weights={}, fallback_edges=["a", "b"])
 
 
+def test_store_keeps_its_header_promises():
+    """A stored path may span at most ``max_unit_len`` edges, and an
+    ``edge``-mode store holds no stored path; the first misfit in key
+    order is named."""
+    h = Histogram({5: 1.0})
+    edges = {"a": h, "b": h, "c": h, "d": h}
+    two = {key: JointDist(key, {(5, 5): 1.0}) for key in (("c", "d"), ("b", "c"))}
+    three = {key: JointDist(key, {(5, 5, 5): 1.0}) for key in (("b", "c", "d"), ("a", "b", "c"))}
+    header = dict(delta=1.0, min_support=1, max_unit_len=2, mode=Mode.PACE)
+    assert WeightStore(**header, edge_weights=edges, path_weights=two).max_stored_len == 2
+    too_long = r"^stored path weight \('a', 'b', 'c'\) spans more than max_unit_len 2 edges$"
+    with pytest.raises(StoreError, match=too_long):
+        WeightStore(**header, edge_weights=edges, path_weights=two | three)
+    header["max_unit_len"] = 3
+    assert WeightStore(**header, edge_weights=edges, path_weights=two | three).max_stored_len == 3
+    header["mode"] = Mode.EDGE
+    assert WeightStore(**header, edge_weights=edges, path_weights={}).stored_paths() == ()
+    with pytest.raises(StoreError, match=r"^an edge-mode store holds stored path weight \('b', 'c'\)$"):
+        WeightStore(**header, edge_weights=edges, path_weights=two)
+
+
 # (field, bad value); each is rejected with a message that starts with the field
 BAD_HEADERS = [
     ("delta", 0.0),
